@@ -8,6 +8,17 @@ there is no global tape, so independent evaluations never share state.
 Kink conventions: ``relu`` and ``absolute`` use subgradient 0 at the kink,
 and ``reduce_min`` routes the gradient into the first (lowest-index)
 minimiser of each reduced slice.
+
+Two invariants keep a training tape cheap:
+
+- Gradients are allocated lazily.  ``backward`` gives a node a gradient
+  only when one of its children sends one, and skips the VJP of a node
+  that received nothing.  Every reachable node that received nothing
+  gets zeros at the end, so ``grad`` is set on the whole graph.
+- A VJP closure must never reference its own output ``Var``; it captures
+  its inputs and plain value arrays only.  Graph edges then point from
+  child to parent alone, so a dropped graph is freed by reference
+  counting instead of waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -107,13 +118,17 @@ class Var:
             raise ValueError("backward() requires a scalar output")
         order = _topological_order(self)
         for node in order:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
-            if node._vjp is None:
+            if node._vjp is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
-                parent.grad = parent.grad + g
+                # out-of-place: a VJP may hand back a view of node.grad
+                parent.grad = g if parent.grad is None else parent.grad + g
+        for node in order:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
 
 def _topological_order(root):
@@ -188,10 +203,11 @@ def divide(a, b):
     if np.any(b.value == 0.0):
         raise ValueError("divide: zero denominator")
     inv = 1.0 / b.value
-    out = Var(a.value * inv, (a, b))
+    value = a.value * inv
+    out = Var(value, (a, b))
     out._vjp = lambda g: (
         _sum_to_shape(g * inv, a.shape),
-        _sum_to_shape(-g * out.value * inv, b.shape),
+        _sum_to_shape(-g * value * inv, b.shape),
     )
     return out
 
@@ -292,15 +308,17 @@ def log(a):
 
 def exp(a):
     a = as_var(a)
-    out = Var(np.exp(a.value), (a,))
-    out._vjp = lambda g: (g * out.value,)
+    value = np.exp(a.value)
+    out = Var(value, (a,))
+    out._vjp = lambda g: (g * value,)
     return out
 
 
 def tanh(a):
     a = as_var(a)
-    out = Var(np.tanh(a.value), (a,))
-    out._vjp = lambda g: (g * (1.0 - out.value * out.value),)
+    value = np.tanh(a.value)
+    out = Var(value, (a,))
+    out._vjp = lambda g: (g * (1.0 - value * value),)
     return out
 
 
@@ -315,8 +333,9 @@ def _sigmoid_values(v):
 
 def sigmoid(a):
     a = as_var(a)
-    out = Var(_sigmoid_values(a.value), (a,))
-    out._vjp = lambda g: (g * out.value * (1.0 - out.value),)
+    value = _sigmoid_values(a.value)
+    out = Var(value, (a,))
+    out._vjp = lambda g: (g * value * (1.0 - value),)
     return out
 
 

@@ -126,23 +126,28 @@ def _build_chamfer(rng):
     return fn, {"p_points": P, "q_points": Q}
 
 
+# focal and Dice are checked on row batches, the form the trainer uses:
+# one row per anchor, each with its own target
+ROWS_PER_BATCH = 3
+
+
 def _build_focal(rng, config):
-    logits = rng.normal(size=6) * 2.0
-    target = int(rng.integers(0, 6))
+    logits = rng.normal(size=(ROWS_PER_BATCH, 6)) * 2.0
+    targets = rng.integers(0, 6, size=ROWS_PER_BATCH)
 
     def fn(p):
-        return ls.focal(p["logits"], target, config)
+        return ls.focal(p["logits"], targets, config).mean()
 
     return fn, {"logits": logits}
 
 
 def _build_dice(rng, config):
     n = 8
-    raw = rng.normal(size=n) * 1.5
-    mask = (rng.random(n) < 0.5).astype(np.float64)
+    raw = rng.normal(size=(ROWS_PER_BATCH, n)) * 1.5
+    mask = (rng.random((ROWS_PER_BATCH, n)) < 0.5).astype(np.float64)
 
     def fn(p):
-        return ls.dice(ad.sigmoid(p["raw"]), mask, config)
+        return ls.dice(ad.sigmoid(p["raw"]), mask, config).mean()
 
     return fn, {"raw": raw}
 

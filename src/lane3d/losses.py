@@ -167,26 +167,35 @@ def chamfer_curve(pred, gt: Lane3D, visibility_threshold: float = VISIBILITY_THR
 
 
 def log_softmax(logits):
-    """Numerically stable log-softmax; the constant max shift leaves the
-    function (hence its gradient) unchanged."""
+    """Numerically stable log-softmax along the last axis; the constant
+    per-row max shift leaves the function (hence its gradient) unchanged."""
     logits = ad.as_var(logits)
-    shift = float(np.max(logits.value))
+    shift = np.max(logits.value, axis=-1, keepdims=True)
     shifted = logits - shift
-    return shifted - ad.log(ad.exp(shifted).sum())
+    return shifted - ad.log(ad.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def focal(class_logits, target_category: int, config: LossConfig):
+def focal(class_logits, target_category, config: LossConfig):
     """-alpha_f * (1 - p_t)^gamma_f * ln(p_t) with softmax p_t.
 
-    gamma_f = 0, alpha_f = 1 reduces exactly to cross-entropy.
+    Works along the last axis: a (C,) logit vector with one integer
+    target gives a scalar, and an (N, C) row batch with N targets gives
+    the (N,) per-row losses.  gamma_f = 0, alpha_f = 1 reduces exactly
+    to cross-entropy.
     """
     class_logits = ad.as_var(class_logits)
-    num_classes = class_logits.shape[0]
+    num_classes = class_logits.shape[-1]
     if num_classes < 2:
         raise ValueError("focal: need at least 2 categories")
-    if not 0 <= target_category < num_classes:
-        raise ValueError(f"focal: target index {target_category} out of range")
-    log_pt = log_softmax(class_logits)[int(target_category)]
+    targets = np.asarray(target_category)
+    if targets.shape != class_logits.shape[:-1]:
+        raise ValueError("focal: need exactly one target per row of logits")
+    bad = (targets < 0) | (targets >= num_classes)
+    if np.any(bad):
+        raise ValueError(f"focal: target index {targets[bad].flat[0]} out of range")
+    # leading indices enumerate the rows; the last picks each row's target
+    index = tuple(np.indices(targets.shape)) + (targets.astype(np.intp),)
+    log_pt = log_softmax(class_logits)[index]
     pt = ad.exp(log_pt)
     modulator = ad.power(1.0 - pt, config.focal_gamma)
     return modulator * log_pt * (-config.focal_alpha)
@@ -199,18 +208,22 @@ def cross_entropy(class_logits, target_category: int):
 
 
 def dice(pred_probabilities, target_mask, config: LossConfig):
-    """Soft Dice 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps)."""
+    """Soft Dice 1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps).
+
+    Sums run along the last axis: one (S,) row gives a scalar and a
+    (P, S) row batch gives the (P,) per-row losses.
+    """
     p = ad.as_var(pred_probabilities)
     g = np.asarray(target_mask, dtype=np.float64)
     if p.shape != g.shape:
-        raise ValueError("dice: prediction and target must share one length")
+        raise ValueError("dice: prediction and target must share one shape")
     if np.any(p.value < 0.0) or np.any(p.value > 1.0):
         raise ValueError("dice: predictions must lie in [0, 1]")
     if not np.all((g == 0.0) | (g == 1.0)):
         raise ValueError("dice: target mask must be binary")
     eps = config.dice_epsilon
-    overlap = (p * g).sum() * 2.0 + eps
-    return 1.0 - overlap / (p.sum() + float(g.sum()) + eps)
+    overlap = (p * g).sum(axis=-1) * 2.0 + eps
+    return 1.0 - overlap / (p.sum(axis=-1) + g.sum(axis=-1) + eps)
 
 
 def combine_uncertainty(task_losses: dict, state):

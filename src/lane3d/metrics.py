@@ -32,6 +32,7 @@ class MatchReport:
     tp: int
     fp: int
     fn: int
+    correct: int  # true positives whose category also matches
     precision: float
     recall: float
     f1: float
@@ -49,7 +50,8 @@ class MatchReport:
         )
         acc = correct_categories / tp if tp > 0 else 0.0
         return MatchReport(
-            tp=tp, fp=fp, fn=fn, precision=precision, recall=recall,
+            tp=tp, fp=fp, fn=fn, correct=correct_categories,
+            precision=precision, recall=recall,
             f1=f1, acc=acc, matches=tuple(matches),
         )
 
@@ -247,5 +249,5 @@ def aggregate_reports(reports) -> MatchReport:
     tp = sum(r.tp for r in reports)
     fp = sum(r.fp for r in reports)
     fn = sum(r.fn for r in reports)
-    correct = sum(round(r.acc * r.tp) for r in reports)
-    return MatchReport.from_counts(tp, fp, fn, int(correct))
+    correct = sum(r.correct for r in reports)
+    return MatchReport.from_counts(tp, fp, fn, correct)

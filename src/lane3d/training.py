@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .geometry import Lane3D, build_default_anchors, resample_lane
-from .heads import HeadParameters, head_forward, assign_targets
+from .heads import BACKGROUND, IGNORE, HeadParameters, assign_targets, head_forward
 from .losses import LossConfig, balanced_l1_vector, chamfer, combine_uncertainty, dice, focal
 from .metrics import aggregate_reports, match_lanes, temporal_smoothness
 from .synth import BACKGROUND_CLASS, SceneConfig
@@ -170,7 +170,10 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
     """Differentiable total loss of one scene plus per-task values.
 
     Only the last frame is supervised; earlier frames matter through the
-    fused features (and the optional consistency penalty).
+    fused features (and the optional consistency penalty).  Classification
+    runs as one row-batched focal call over every non-ignored anchor, and
+    visibility as one row-batched Dice call over the positive rows, so the
+    tape does not grow with the anchor count.
     """
     cfg = train_config
     stations = anchors.stations
@@ -189,30 +192,30 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
 
     task_losses = {}
 
-    # classification: focal on positives and background, ignores skipped
-    cls_terms = []
-    for k, lane_idx in enumerate(assignment.lane_for_anchor):
-        if lane_idx >= 0:
-            cls_terms.append(focal(cls_logits[k], gt_lanes[lane_idx].category, loss_config))
-        elif lane_idx == -1:
-            cls_terms.append(focal(cls_logits[k], BACKGROUND_CLASS, loss_config))
-    task_losses["classification"] = (
-        ad.stack(cls_terms).mean() if cls_terms else ad.Var(0.0)
-    )
+    # classification: one focal over positives and background, ignores skipped
+    scored = np.flatnonzero(assignment.lane_for_anchor != IGNORE)
+    if scored.size:
+        targets = np.array([
+            gt_lanes[j].category if j != BACKGROUND else BACKGROUND_CLASS
+            for j in assignment.lane_for_anchor[scored]
+        ])
+        task_losses["classification"] = focal(cls_logits[scored], targets, loss_config).mean()
+    else:
+        task_losses["classification"] = ad.Var(0.0)
 
     if positives:
         pos_anchor = np.array([k for k, _ in positives])
         pos_lane = [gt_lanes[j] for _, j in positives]
         target_dx = np.stack([lane.x - anchors.base_x[k] for (k, _), lane in zip(positives, pos_lane)])
         target_dz = np.stack([lane.z - anchors.base_z[k] for (k, _), lane in zip(positives, pos_lane)])
-        weights = np.stack([lane.visibility for lane in pos_lane])
+        visibility = np.stack([lane.visibility for lane in pos_lane])
 
         pred_dx = dx[pos_anchor]
         pred_dz = dz[pos_anchor]
         n = len(positives) * s
         flat_pred = ad.stack([pred_dx.reshape((n,)), pred_dz.reshape((n,))]).reshape((2 * n,))
         flat_target = np.concatenate([target_dx.reshape(-1), target_dz.reshape(-1)])
-        flat_weights = np.concatenate([weights.reshape(-1), weights.reshape(-1)])
+        flat_weights = np.concatenate([visibility.reshape(-1), visibility.reshape(-1)])
         if flat_weights.sum() > 0:
             if cfg.use_balanced_l1:
                 task_losses["regression"] = balanced_l1_vector(
@@ -236,10 +239,9 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
                 chamfer_terms.append(chamfer(pred_points, gt_points))
             task_losses["curve"] = ad.stack(chamfer_terms).mean() * ramp
 
-        vis_terms = []
-        for (k, _), lane in zip(positives, pos_lane):
-            vis_terms.append(dice(ad.sigmoid(vis_logits[k]), lane.visibility, loss_config))
-        task_losses["visibility"] = ad.stack(vis_terms).mean()
+        task_losses["visibility"] = dice(
+            ad.sigmoid(vis_logits[pos_anchor]), visibility, loss_config
+        ).mean()
     else:
         task_losses["regression"] = ad.Var(0.0)
         task_losses["visibility"] = ad.Var(0.0)
@@ -434,14 +436,55 @@ def save_checkpoint(path, params: dict, epoch: int, config_hash: str, metrics=No
             fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
+def _is_manifest_entry(entry) -> bool:
+    """True for a [name, shape] pair with a list of non-negative int dims."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], list)
+        and all(isinstance(n, int) and n >= 0 for n in entry[1])
+    )
+
+
 def load_checkpoint(path):
+    """Parameters and header of a file written by ``save_checkpoint``.
+
+    Rejects, with a ValueError naming the file and the field, a header
+    that is not one JSON object, a missing or malformed ``manifest``,
+    manifest names other than PARAM_ORDER in order, a body too short for
+    a parameter, and bytes left over after the last one.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"checkpoint {path}: header: not a JSON line ({exc})") from None
+        if not isinstance(header, dict) or "manifest" not in header:
+            raise ValueError(f"checkpoint {path}: header: missing field 'manifest'")
+        manifest = header["manifest"]
+        if not isinstance(manifest, list) or not all(_is_manifest_entry(e) for e in manifest):
+            raise ValueError(f"checkpoint {path}: manifest: need a list of [name, shape] pairs")
+        names = [name for name, _ in manifest]
+        if names != list(PARAM_ORDER):
+            raise ValueError(
+                f"checkpoint {path}: manifest: parameter names {names} "
+                f"differ from {list(PARAM_ORDER)}"
+            )
         params = {}
-        for name, shape in header["manifest"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(np.float64)
-            params[name] = data.reshape(shape).copy()
+        for name, shape in manifest:
+            size = 8 * int(np.prod(shape, dtype=np.int64))
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(
+                    f"checkpoint {path}: {name}: body truncated ({len(data)} of {size} bytes)"
+                )
+            params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(
+            f"checkpoint {path}: body: {trailing} trailing bytes after {PARAM_ORDER[-1]}"
+        )
     return params, header
 
 

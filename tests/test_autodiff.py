@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,48 @@ def test_unused_leaf_gets_zero_gradient():
     f = a * a + 0.0 * b
     f.backward()
     assert float(b.grad) == 0.0
+
+
+def test_reachable_node_that_receives_nothing_gets_zeros():
+    # a node without a VJP sends nothing on, so its input receives nothing
+    a = ad.Var(np.array([1.0, 2.0]))
+    cut = ad.Var(a.value.sum(), (a,))
+    f = cut * 3.0
+    f.backward()
+    assert float(cut.grad) == 3.0
+    assert np.array_equal(a.grad, np.zeros(2))
+
+
+def test_accumulation_never_writes_into_a_shared_gradient():
+    # add hands one array to both parents and transpose a view of it, so
+    # a second contribution must not be added in place
+    x = ad.Var(np.arange(6.0).reshape(2, 3))
+    y = x.T
+    doubled = y + y
+    f = (doubled * 2.0).sum() + (x * 3.0).sum()
+    f.backward()
+    assert np.array_equal(doubled.grad, np.full((3, 2), 2.0))
+    assert np.array_equal(y.grad, np.full((3, 2), 4.0))
+    assert np.array_equal(x.grad, np.full((2, 3), 7.0))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [ad.exp, ad.tanh, ad.sigmoid, lambda v: ad.divide(1.0, v)],
+    ids=["exp", "tanh", "sigmoid", "divide"],
+)
+def test_dropped_graph_is_freed_by_reference_counting(op):
+    # a VJP that closed over its own output Var would make every graph a
+    # reference cycle that only the cyclic collector frees
+    gc.collect()
+    gc.disable()
+    try:
+        x = ad.Var(np.linspace(0.5, 2.0, 4))
+        op(x).sum().backward()
+        del x
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar():

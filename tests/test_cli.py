@@ -231,6 +231,19 @@ def test_eval_missing_checkpoint_shows_usage(small_config, tmp_path, capsys):
     assert "usage:" in err
 
 
+def test_eval_rejects_a_truncated_checkpoint(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    ckpt = out / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "checkpoint.bin" in err and "body truncated" in err
+
+
 def test_gradcheck_passes_and_is_repeatable(tmp_path, capsys):
     argv = ["gradcheck", "--inputs", "2", "--seed", "5"]
     assert main(argv) == 0

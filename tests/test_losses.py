@@ -245,6 +245,47 @@ def test_focal_gradient_matches_fd():
         assert report.max_relative_error < 1e-6, seed
 
 
+def test_row_wise_focal_equals_per_row_calls_bitwise():
+    rng = np.random.default_rng(7)
+    logits = rng.normal(size=(5, 6)) * 2.0
+    targets = rng.integers(0, 6, size=5)
+    rows = ad.Var(logits)
+    batched = focal(rows, targets, CFG)
+    batched.sum().backward()
+    assert batched.shape == (5,)
+    for i in range(5):
+        row = ad.Var(logits[i])
+        single = focal(row, int(targets[i]), CFG)
+        single.backward()
+        assert batched.value[i] == single.value
+        assert np.array_equal(rows.grad[i], row.grad)
+
+
+def test_row_wise_focal_rejects_a_bad_target_in_any_row():
+    with pytest.raises(ValueError, match="out of range"):
+        focal(np.zeros((3, 4)), np.array([0, 4, 1]), CFG)
+    with pytest.raises(ValueError, match="out of range"):
+        focal(np.zeros((3, 4)), np.array([0, 1, -1]), CFG)
+    with pytest.raises(ValueError, match="one target per row"):
+        focal(np.zeros((3, 4)), np.array([0, 1]), CFG)
+
+
+def test_row_wise_dice_equals_per_row_calls_bitwise():
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(4, 8)) * 1.5
+    masks = (rng.random((4, 8)) < 0.5).astype(float)
+    rows = ad.Var(raw)
+    batched = dice(ad.sigmoid(rows), masks, CFG)
+    batched.sum().backward()
+    assert batched.shape == (4,)
+    for i in range(4):
+        row = ad.Var(raw[i])
+        single = dice(ad.sigmoid(row), masks[i], CFG)
+        single.backward()
+        assert batched.value[i] == single.value
+        assert np.array_equal(rows.grad[i], row.grad)
+
+
 def test_dice_perfect_overlap():
     assert float(dice([1.0, 0.0], [1.0, 0.0], CFG).value) == 0.0
 

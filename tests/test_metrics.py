@@ -231,3 +231,14 @@ def test_aggregate_reports():
     assert np.isclose(agg.precision, 2 / 3)
     assert np.isclose(agg.recall, 0.5)
     assert agg.acc == 1.0
+
+
+def test_aggregate_reports_sums_the_integer_correct_count():
+    # acc = 1/49 and 1/49 * 49 == 0.9999999999999999 in float64, so the
+    # count must be carried, not rebuilt from the rate
+    inexact = MatchReport.from_counts(49, 0, 0, 1)
+    assert inexact.acc * inexact.tp != 1.0
+    agg = aggregate_reports([inexact, inexact, MatchReport.from_counts(3, 1, 0, 2)])
+    assert agg.correct == 4
+    assert agg.tp == 101
+    assert agg.acc == 4 / 101

@@ -1,7 +1,11 @@
+import gc
+import json
+
 import numpy as np
 import pytest
 
 import lane3d.autodiff as ad
+from lane3d.config import RunConfiguration
 from lane3d.losses import LossConfig, combine_uncertainty
 from lane3d.synth import SceneConfig, generate_dataset, generate_scene
 from lane3d.training import (
@@ -190,6 +194,89 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
             assert np.array_equal(la.x, lb.x)
             assert np.array_equal(la.visibility, lb.visibility)
             assert la.category == lb.category
+
+
+@pytest.fixture
+def saved_checkpoint(tmp_path):
+    params = init_parameters(SMALL, TrainConfig(seed=3))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, 1, "cafe01")
+    return path
+
+
+def _rewrite_header(path, edit):
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def test_load_checkpoint_rejects_a_truncated_body(saved_checkpoint):
+    saved_checkpoint.write_bytes(saved_checkpoint.read_bytes()[:-12])
+    with pytest.raises(ValueError, match=r"model\.ckpt: uncertainty\.s: body truncated"):
+        load_checkpoint(saved_checkpoint)
+
+
+def test_load_checkpoint_rejects_trailing_bytes(saved_checkpoint):
+    saved_checkpoint.write_bytes(saved_checkpoint.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match=r"model\.ckpt: body: 8 trailing bytes"):
+        load_checkpoint(saved_checkpoint)
+
+
+def test_load_checkpoint_rejects_a_header_without_manifest(saved_checkpoint):
+    _rewrite_header(saved_checkpoint, lambda h: h.pop("manifest"))
+    with pytest.raises(ValueError, match=r"model\.ckpt: header: missing field 'manifest'"):
+        load_checkpoint(saved_checkpoint)
+
+
+@pytest.mark.parametrize("edit", ["drop", "swap"])
+def test_load_checkpoint_rejects_manifest_names_other_than_param_order(saved_checkpoint, edit):
+    def change(header):
+        manifest = header["manifest"]
+        if edit == "drop":
+            manifest.remove(next(e for e in manifest if e[0] == "head.cls_b"))
+        else:
+            manifest[0], manifest[1] = manifest[1], manifest[0]
+
+    _rewrite_header(saved_checkpoint, change)
+    with pytest.raises(ValueError, match=r"model\.ckpt: manifest: parameter names"):
+        load_checkpoint(saved_checkpoint)
+
+
+def _pinned_scene():
+    cfg = RunConfiguration()
+    scene = generate_dataset(cfg.train_data_seed, 1, cfg.scene)[0]
+    return cfg, scene, init_parameters(cfg.scene, cfg.train)
+
+
+def test_scene_loss_tape_is_small_and_repeatable():
+    # classification and visibility each add one row-batched graph, not
+    # one graph per anchor
+    cfg, scene, params = _pinned_scene()
+
+    def tape_nodes():
+        pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
+        total, _ = scene_loss(pvars, scene, cfg.scene.anchors(), cfg.loss, cfg.train,
+                              cfg.train.curve_ramp_end)
+        return len(ad._topological_order(total))
+
+    first = tape_nodes()
+    assert first < 300
+    assert tape_nodes() == first
+
+
+def test_batch_gradients_leaves_no_reference_cycles():
+    cfg, scene, params = _pinned_scene()
+    anchors = cfg.scene.anchors()
+    args = (params, [scene], anchors, cfg.loss, cfg.train, cfg.train.curve_ramp_end)
+    batch_gradients(*args)  # first call may import and cache
+    gc.collect()
+    gc.disable()
+    try:
+        batch_gradients(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_uncertainty_s_converges_to_log_losses_through_optimizer():

@@ -39,6 +39,7 @@ from .training import (
     TrainingDiverged,
     ablation_table,
     evaluate_model,
+    init_parameters,
     load_checkpoint,
     run_ablation,
     save_checkpoint,
@@ -304,7 +305,8 @@ def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         args.parser.error(f"checkpoint not found: {ckpt}")
-    params, header = load_checkpoint(ckpt)
+    expected = init_parameters(config.scene, config.train)
+    params, header = load_checkpoint(ckpt, {name: p.shape for name, p in expected.items()})
     if args.scenes:
         scenes = load_scene_dataset(args.scenes)
     else:

@@ -16,12 +16,9 @@ import json
 from dataclasses import dataclass, field
 
 from .losses import LossConfig
+from .metrics import COVERAGE_FRACTION, DISTANCE_THRESHOLD
 from .synth import SceneConfig
 from .training import TrainConfig
-
-# Evaluation constants for lane matching (meters / fraction of stations).
-DEFAULT_DISTANCE_THRESHOLD = 1.5
-DEFAULT_COVERAGE_FRACTION = 0.75
 
 
 def _default_train() -> TrainConfig:
@@ -49,8 +46,8 @@ class RunConfiguration:
     scene: SceneConfig = field(default_factory=SceneConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     train: TrainConfig = field(default_factory=_default_train)
-    distance_threshold: float = DEFAULT_DISTANCE_THRESHOLD
-    coverage_fraction: float = DEFAULT_COVERAGE_FRACTION
+    distance_threshold: float = DISTANCE_THRESHOLD
+    coverage_fraction: float = COVERAGE_FRACTION
     num_train_scenes: int = 64
     num_eval_scenes: int = 32
     train_data_seed: int = 1000

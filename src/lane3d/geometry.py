@@ -1,4 +1,4 @@
-"""3D lane representation, fixed anchor family, decoding, and resampling.
+"""3D lanes, fixed anchors, decoding, resampling, and the ego-motion transform.
 
 Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
@@ -9,7 +9,7 @@ per anchor, base height 0; all curvature lives in the predicted offsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,6 +227,23 @@ def resample_lane(lane: Lane3D, target_stations) -> Lane3D:
         visibility=np.interp(target, lane.stations, lane.visibility),
         category=lane.category,
     )
+
+
+def transform_points(points: np.ndarray, forward: float, yaw_change: float) -> np.ndarray:
+    """Re-express (x, y, z) ego points of frame t in frame t+1.
+
+    The ego advances ``forward`` meters along its own heading and then
+    yaws by ``yaw_change``: p' = R(-yaw_change) @ (p - (0, forward)).
+    """
+    pts = np.asarray(points, dtype=np.float64).copy()
+    pts[:, 1] -= forward
+    sin, cos = np.sin(-yaw_change), np.cos(-yaw_change)
+    x = cos * pts[:, 0] - sin * pts[:, 1]
+    y = sin * pts[:, 0] + cos * pts[:, 1]
+    out = pts.copy()
+    out[:, 0] = x
+    out[:, 1] = y
+    return out
 
 
 def lane_points_var(x: "ad.Var", stations: np.ndarray, z: "ad.Var") -> "ad.Var":

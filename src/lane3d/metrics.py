@@ -7,18 +7,30 @@ coverage requirement is applied in both directions, which keeps the
 protocol symmetric under swapping predictions with ground truth.
 Matching among admissible pairs maximizes the number of matches and
 breaks ties by minimum total mean distance.
+
+Admissibility is tested for all pairs at once.  The gts are grouped by
+their exact station grid, each pred is put on a grid once (as is when
+its stations are allclose to the grid, else by linear interpolation
+with a mask of the grid stations inside its own range), and the
+(P, G, S) distances and visibility masks are broadcast.  This is exact,
+not an approximation of a per-pair test: ``np.interp`` computes each
+target on its own and the distances are elementwise, so every value
+equals the one a pair-by-pair resampling would give; the station counts
+are integer sums; and each admissible pair's mean distance is taken
+over the same compacted 1-D array of both-visible stations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Lane3D, VISIBILITY_THRESHOLD
-from .synth import transform_points
+from .geometry import Lane3D, VISIBILITY_THRESHOLD, transform_points
 
+# Lane matching defaults (meters / fraction of visible stations); the
+# run configuration and the trainer take theirs from here.
 DISTANCE_THRESHOLD = 1.5
 COVERAGE_FRACTION = 0.75
 
@@ -56,48 +68,28 @@ class MatchReport:
         )
 
 
-def _pair_geometry(pred: Lane3D, gt: Lane3D):
-    """Distances and visibility masks of a pred/gt pair on shared stations.
+def _on_grid(pred: Lane3D, grid: np.ndarray):
+    """(x, z, visibility, inside) of a pred on a gt station grid.
 
-    Identical station grids are used as-is; otherwise the pred is
-    linearly resampled onto the gt stations it covers.
+    A pred sampled on the grid is used as is; otherwise each field is
+    linearly interpolated onto the grid and ``inside`` marks the grid
+    stations within the pred's own range (none for a 1-station pred).
     """
-    if pred.stations.shape == gt.stations.shape and np.allclose(
-        pred.stations, gt.stations
-    ):
-        p, g = pred, gt
-    else:
-        inside = (gt.stations >= pred.stations[0]) & (gt.stations <= pred.stations[-1])
-        if not np.any(inside) or pred.stations.shape[0] < 2:
-            return None
-        from .geometry import resample_lane
-
-        p = resample_lane(pred, gt.stations[inside])
-        g = Lane3D(
-            stations=gt.stations[inside],
-            x=gt.x[inside],
-            z=gt.z[inside],
-            visibility=gt.visibility[inside],
-            category=gt.category,
-        )
-    dist = np.sqrt((p.x - g.x) ** 2 + (p.z - g.z) ** 2)
-    return dist, p.visible_mask(), g.visible_mask()
+    if pred.stations.shape == grid.shape and np.allclose(pred.stations, grid):
+        return pred.x, pred.z, pred.visibility, np.ones(grid.shape, dtype=bool)
+    if pred.stations.shape[0] < 2:  # no range to interpolate over
+        return (np.zeros(grid.shape),) * 3 + (np.zeros(grid.shape, dtype=bool),)
+    inside = (grid >= pred.stations[0]) & (grid <= pred.stations[-1])
+    fields = (np.interp(grid, pred.stations, f) for f in (pred.x, pred.z, pred.visibility))
+    return (*fields, inside)
 
 
-def _admissible(pred: Lane3D, gt: Lane3D, threshold: float, coverage: float):
-    """(admissible, mean distance over both-visible stations)."""
-    geom = _pair_geometry(pred, gt)
-    if geom is None:
-        return False, np.inf
-    dist, pred_vis, gt_vis = geom
-    both = pred_vis & gt_vis
-    covered = both & (dist <= threshold)
-    n_pred, n_gt = pred_vis.sum(), gt_vis.sum()
-    if n_pred == 0 or n_gt == 0:
-        return False, np.inf
-    ok = (covered.sum() >= coverage * n_gt) and (covered.sum() >= coverage * n_pred)
-    mean_dist = float(dist[both].mean()) if np.any(both) else np.inf
-    return bool(ok), mean_dist
+def _station_groups(lanes):
+    """(lane indices, shared stations) for each exact station grid."""
+    groups = {}
+    for index, lane in enumerate(lanes):
+        groups.setdefault(lane.stations.tobytes(), []).append(index)
+    return [(idx, lanes[idx[0]].stations) for idx in groups.values()]
 
 
 def match_lanes(
@@ -115,16 +107,24 @@ def match_lanes(
     if num_p == 0 or num_g == 0:
         return MatchReport.from_counts(0, num_p, num_g, 0)
     cost = np.full((num_p, num_g), _INADMISSIBLE)
-    dists = np.full((num_p, num_g), np.inf)
-    for i, pred in enumerate(preds):
-        for j, gt in enumerate(gts):
-            ok, mean_dist = _admissible(pred, gt, distance_threshold, coverage_fraction)
-            if ok:
-                cost[i, j] = mean_dist
-                dists[i, j] = mean_dist
+    for members, grid in _station_groups(gts):
+        gx = np.stack([gts[j].x for j in members])  # (G, S)
+        gz = np.stack([gts[j].z for j in members])
+        gt_vis = np.stack([gts[j].visible_mask() for j in members])
+        px, pz, pv, inside = (np.stack(f) for f in zip(*(_on_grid(p, grid) for p in preds)))
+        pred_vis = (pv >= VISIBILITY_THRESHOLD) & inside  # (P, S)
+        dist = np.sqrt((px[:, None] - gx) ** 2 + (pz[:, None] - gz) ** 2)  # (P, G, S)
+        both = pred_vis[:, None] & gt_vis
+        covered = (both & (dist <= distance_threshold)).sum(axis=2)
+        n_pred = pred_vis.sum(axis=1)[:, None]
+        n_gt = (gt_vis & inside[:, None]).sum(axis=2)
+        enough = (covered >= coverage_fraction * n_gt) & (covered >= coverage_fraction * n_pred)
+        ok = (n_pred > 0) & (n_gt > 0) & enough
+        for i, j in zip(*np.nonzero(ok)):
+            cost[i, members[j]] = float(dist[i, j][both[i, j]].mean())
     rows, cols = linear_sum_assignment(cost)
     matches = [
-        (int(i), int(j), float(dists[i, j]))
+        (int(i), int(j), float(cost[i, j]))
         for i, j in zip(rows, cols)
         if cost[i, j] < _INADMISSIBLE
     ]
@@ -133,19 +133,23 @@ def match_lanes(
     return MatchReport.from_counts(tp, num_p - tp, num_g - tp, correct, matches)
 
 
-def _transported_lane(lane: Lane3D, forward: float, yaw_change: float) -> Lane3D | None:
-    """Re-express a lane in the next ego frame; None if stations collapse."""
-    moved = transform_points(lane.points(), forward, yaw_change)
-    order = moved[:, 1]
-    if np.any(np.diff(order) <= 0):
-        return None
-    return Lane3D(
-        stations=order,
-        x=moved[:, 0],
-        z=moved[:, 2],
-        visibility=lane.visibility,
-        category=lane.category,
-    )
+def _transported_lanes(lanes, forward: float, yaw_change: float) -> list:
+    """A frame's lanes moved into the next ego frame by one transform.
+
+    A lane whose moved stations stop increasing (folded by the yaw) is dropped.
+    """
+    if not lanes:
+        return []
+    moved = transform_points(np.concatenate([lane.points() for lane in lanes]), forward, yaw_change)
+    out = []
+    stop = 0
+    for lane in lanes:
+        start, stop = stop, stop + lane.stations.shape[0]
+        x, stations, z = moved[start:stop].T
+        if np.all(np.diff(stations) > 0):
+            out.append(Lane3D(stations=stations, x=x, z=z,
+                              visibility=lane.visibility, category=lane.category))
+    return out
 
 
 def temporal_smoothness(
@@ -160,7 +164,8 @@ def temporal_smoothness(
     the (forward, yaw change) moving into frame t.  Frame t's lanes are
     rigidly transported into frame t+1 and matched against that frame's
     lanes; jitter averages the lateral discrepancy on stations visible on
-    both sides.  All steps unmatched is an error.
+    both sides.  NaN when no lanes match across any frame pair or the
+    matched lanes share no visible station.
     """
     ego_motion = np.asarray(ego_motion, dtype=np.float64)
     num_frames = len(frame_lanes)
@@ -169,20 +174,14 @@ def temporal_smoothness(
     if ego_motion.shape != (num_frames, 2):
         raise ValueError("temporal_smoothness: ego_motion must be (T, 2)")
     gaps = []
-    matched_any = False
     for t in range(num_frames - 1):
         forward, yaw_change = ego_motion[t + 1]
-        transported = []
-        for lane in frame_lanes[t]:
-            moved = _transported_lane(lane, forward, yaw_change)
-            if moved is not None:
-                transported.append(moved)
+        transported = _transported_lanes(frame_lanes[t], forward, yaw_change)
         nxt = list(frame_lanes[t + 1])
         if not transported or not nxt:
             continue
         report = match_lanes(transported, nxt, distance_threshold, coverage_fraction)
         for i, j, _ in report.matches:
-            matched_any = True
             prev, cur = transported[i], nxt[j]
             inside = (prev.stations >= cur.stations[0]) & (prev.stations <= cur.stations[-1])
             if not np.any(inside):
@@ -194,11 +193,7 @@ def temporal_smoothness(
             )
             if np.any(both):
                 gaps.append(np.abs(x_cur[both] - prev.x[inside][both]))
-    if not matched_any:
-        raise ValueError("temporal_smoothness: no lanes matched across any frame pair")
-    if not gaps:
-        raise ValueError("temporal_smoothness: matched lanes share no visible stations")
-    return float(np.concatenate(gaps).mean())
+    return float(np.concatenate(gaps).mean()) if gaps else float("nan")
 
 
 METRIC_COLUMNS = (

@@ -17,7 +17,7 @@ noise-free twin with the same seed carries identical lanes and poses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -217,23 +217,6 @@ def sample_lane_in_frame(lane: WorldLane, pose: Pose, stations) -> Lane3D:
         visibility=visible.astype(np.float64),
         category=lane.category,
     )
-
-
-def transform_points(points: np.ndarray, forward: float, yaw_change: float) -> np.ndarray:
-    """Re-express (x, y, z) ego points of frame t in frame t+1.
-
-    The ego advances ``forward`` meters along its own heading and then
-    yaws by ``yaw_change``: p' = R(-yaw_change) @ (p - (0, forward)).
-    """
-    pts = np.asarray(points, dtype=np.float64).copy()
-    pts[:, 1] -= forward
-    sin, cos = np.sin(-yaw_change), np.cos(-yaw_change)
-    x = cos * pts[:, 0] - sin * pts[:, 1]
-    y = sin * pts[:, 0] + cos * pts[:, 1]
-    out = pts.copy()
-    out[:, 0] = x
-    out[:, 1] = y
-    return out
 
 
 def feature_encode(

@@ -18,15 +18,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import Lane3D, build_default_anchors, resample_lane
+from .geometry import Lane3D, resample_lane
 from .heads import BACKGROUND, IGNORE, HeadParameters, assign_targets, head_forward
 from .losses import LossConfig, balanced_l1_vector, chamfer, combine_uncertainty, dice, focal
-from .metrics import aggregate_reports, match_lanes, temporal_smoothness
+from .metrics import (
+    COVERAGE_FRACTION,
+    DISTANCE_THRESHOLD,
+    aggregate_reports,
+    match_lanes,
+    temporal_smoothness,
+)
 from .synth import BACKGROUND_CLASS, SceneConfig
 from .temporal import LstmParameters, fuse_all_anchors
 
@@ -447,13 +452,15 @@ def _is_manifest_entry(entry) -> bool:
     )
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, shapes: dict | None = None):
     """Parameters and header of a file written by ``save_checkpoint``.
 
     Rejects, with a ValueError naming the file and the field, a header
     that is not one JSON object, a missing or malformed ``manifest``,
-    manifest names other than PARAM_ORDER in order, a body too short for
-    a parameter, and bytes left over after the last one.
+    manifest names other than PARAM_ORDER in order, a manifest shape
+    other than the one ``shapes`` gives for that name (when given), a
+    body too short for a parameter, and bytes left over after the last
+    one.
     """
     with open(path, "rb") as fh:
         try:
@@ -473,6 +480,11 @@ def load_checkpoint(path):
             )
         params = {}
         for name, shape in manifest:
+            if shapes is not None and tuple(shape) != tuple(shapes[name]):
+                raise ValueError(
+                    f"checkpoint {path}: {name}: shape {tuple(shape)} differs from "
+                    f"{tuple(shapes[name])} of the run configuration"
+                )
             size = 8 * int(np.prod(shape, dtype=np.int64))
             data = fh.read(size)
             if len(data) != size:
@@ -539,13 +551,14 @@ def evaluate_model(
     scenes,
     scene_config: SceneConfig,
     use_lstm_fusion: bool,
-    distance_threshold: float = 1.5,
-    coverage_fraction: float = 0.75,
+    distance_threshold: float = DISTANCE_THRESHOLD,
+    coverage_fraction: float = COVERAGE_FRACTION,
 ):
     """Per-scene match reports and jitters, plus the aggregate report.
 
-    Jitter is NaN for scenes where no lanes match across any frame pair;
-    the aggregate jitter averages the finite entries.
+    Jitter is NaN for single-frame scenes and for scenes where no lanes
+    match across any frame pair; the aggregate jitter averages the
+    finite entries.
     """
     reports = []
     jitters = []
@@ -555,17 +568,8 @@ def evaluate_model(
         reports.append(
             match_lanes(per_frame[-1], gt, distance_threshold, coverage_fraction)
         )
-        if scene.num_frames >= 2:
-            try:
-                jitters.append(
-                    temporal_smoothness(
-                        per_frame, scene.ego_motion, distance_threshold, coverage_fraction
-                    )
-                )
-            except ValueError:
-                jitters.append(np.nan)
-        else:
-            jitters.append(np.nan)
+        jitters.append(np.nan if scene.num_frames < 2 else temporal_smoothness(
+            per_frame, scene.ego_motion, distance_threshold, coverage_fraction))
     aggregate = aggregate_reports(reports)
     finite = [j for j in jitters if np.isfinite(j)]
     mean_jitter = float(np.mean(finite)) if finite else float("nan")
@@ -592,8 +596,8 @@ def run_ablation(
     eval_scenes,
     scene_config: SceneConfig,
     loss_config: LossConfig | None = None,
-    distance_threshold: float = 1.5,
-    coverage_fraction: float = 0.75,
+    distance_threshold: float = DISTANCE_THRESHOLD,
+    coverage_fraction: float = COVERAGE_FRACTION,
 ):
     """Five configurations, each adding one component; shared seed/budget."""
     results = []

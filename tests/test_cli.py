@@ -244,6 +244,20 @@ def test_eval_rejects_a_truncated_checkpoint(small_config, tmp_path, capsys):
     assert "checkpoint.bin" in err and "body truncated" in err
 
 
+def test_eval_rejects_a_checkpoint_of_another_configuration(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    # a 24-channel checkpoint evaluated under the default 128-channel config
+    code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: lstm.w_ih: shape (96, 24) differs from (512, 128)" in err
+    assert "matmul" not in err
+
+
 def test_gradcheck_passes_and_is_repeatable(tmp_path, capsys):
     argv = ["gradcheck", "--inputs", "2", "--seed", "5"]
     assert main(argv) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lane3d.geometry import transform_points
 from lane3d.synth import (
     Pose,
     SceneConfig,
@@ -14,7 +15,6 @@ from lane3d.synth import (
     generate_scene,
     read_scene,
     sample_lane_in_frame,
-    transform_points,
     write_scene,
 )
 

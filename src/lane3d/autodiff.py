@@ -322,18 +322,16 @@ def tanh(a):
     return out
 
 
-def _sigmoid_values(v):
-    out = np.empty_like(v)
+def sigmoid_values(v):
+    """Overflow-free logistic: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) otherwise."""
     pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(np.where(pos, -v, v))  # never positive, so never overflows
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a):
     a = as_var(a)
-    value = _sigmoid_values(a.value)
+    value = sigmoid_values(a.value)
     out = Var(value, (a,))
     out._vjp = lambda g: (g * value * (1.0 - value),)
     return out

@@ -183,10 +183,10 @@ def _build_lstm(rng, num_frames):
         for t in range(num_frames):
             z = params["w_ih"] @ params["x"][t] + params["w_hh"] @ h + params["bias"]
             i, f, g, o = (
-                _np_sigmoid(z[0:hidden]),
-                _np_sigmoid(z[hidden : 2 * hidden]),
+                ad.sigmoid_values(z[0:hidden]),
+                ad.sigmoid_values(z[hidden : 2 * hidden]),
                 np.tanh(z[2 * hidden : 3 * hidden]),
-                _np_sigmoid(z[3 * hidden :]),
+                ad.sigmoid_values(z[3 * hidden :]),
             )
             c = f * c + i * g
             h = o * np.tanh(c)
@@ -202,15 +202,6 @@ def _build_lstm(rng, num_frames):
         return (fused * mix).sum()
 
     return fn, params
-
-
-def _np_sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def run_gradient_checks(

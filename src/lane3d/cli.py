@@ -50,7 +50,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-SIDECAR_NAME = "features.json"
+SCENE_NAME = "scene.json"
+FEATURES_NAME = "features.npy"
+FEATURES_DTYPE = np.dtype("<f8")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +100,8 @@ def _out_dir(config: RunConfiguration) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# scene files: per-frame lane documents plus one feature sidecar
+# scene files: per-frame lane documents, the (T, K, C) feature array and
+# a small JSON document with the seed and ego motion
 
 
 def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
@@ -106,46 +109,100 @@ def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
     dirpath.mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(scene.frames):
         write_lane_file(dirpath / f"frame_{t}.lanes.json", frame.lanes, config_hash)
-    sidecar = {
+    features = np.stack([frame.features for frame in scene.frames])
+    np.save(dirpath / FEATURES_NAME, features.astype(FEATURES_DTYPE, copy=False))
+    doc = {
         "config_hash": config_hash,
         "seed": scene.seed,
         "ego_motion": np.asarray(scene.ego_motion).tolist(),
-        "features": [frame.features.tolist() for frame in scene.frames],
     }
-    with open(dirpath / SIDECAR_NAME, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
+    with open(dirpath / SCENE_NAME, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _read_features(path) -> np.ndarray:
+    """The finite (T, K, C) little-endian float64 array of a features file."""
+    with open(path, "rb") as fh:
+        try:
+            features = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"features {path}: unreadable array ({exc})") from None
+        if fh.read(1):
+            raise ValueError(f"features {path}: trailing bytes after the array")
+    if features.dtype != FEATURES_DTYPE:
+        raise ValueError(f"features {path}: dtype {features.dtype.str}, expected <f8")
+    if features.ndim != 3 or features.shape[0] == 0:
+        raise ValueError(f"features {path}: shape {features.shape} is not (T >= 1, K, C)")
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"features {path}: non-finite feature values")
+    return features
 
 
 def read_scene_dir(dirpath) -> SceneSequence:
     dirpath = Path(dirpath)
-    sidecar_path = dirpath / SIDECAR_NAME
-    if not sidecar_path.exists():
-        raise ValueError(f"scene directory {dirpath}: missing {SIDECAR_NAME}")
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    features = [np.asarray(f, dtype=np.float64) for f in sidecar["features"]]
+    for name in (SCENE_NAME, FEATURES_NAME):
+        if not (dirpath / name).is_file():
+            raise ValueError(
+                f"scene directory {dirpath}: missing {name} "
+                "(regenerate the scenes with `lane3d generate`)"
+            )
+    features = _read_features(dirpath / FEATURES_NAME)
+    num_frames = features.shape[0]
+    scene_path = dirpath / SCENE_NAME
+    with open(scene_path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"scene {scene_path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or "ego_motion" not in doc:
+        raise ValueError(f"scene {scene_path}: ego_motion: missing")
+    try:
+        ego_motion = np.asarray(doc["ego_motion"], dtype=np.float64)
+    except (ValueError, TypeError):
+        raise ValueError(f"scene {scene_path}: ego_motion: not a table of numbers") from None
+    if ego_motion.shape != (num_frames, 2):
+        raise ValueError(
+            f"scene {scene_path}: ego_motion: shape {ego_motion.shape} does not "
+            f"match the {num_frames} frames of {FEATURES_NAME}"
+        )
+    if not np.all(np.isfinite(ego_motion)):
+        raise ValueError(f"scene {scene_path}: ego_motion: non-finite values")
+    num_lane_files = len(list(dirpath.glob("frame_*.lanes.json")))
+    if num_lane_files != num_frames:
+        raise ValueError(
+            f"scene directory {dirpath}: {num_lane_files} frame_<t>.lanes.json "
+            f"files for the {num_frames} frames of {FEATURES_NAME}"
+        )
     frames = []
-    for t, feats in enumerate(features):
+    for t in range(num_frames):
         lane_path = dirpath / f"frame_{t}.lanes.json"
         if not lane_path.exists():
             raise ValueError(f"scene directory {dirpath}: missing {lane_path.name}")
-        frames.append(FrameRecord(lanes=tuple(read_lane_file(lane_path)), features=feats))
+        frames.append(FrameRecord(lanes=tuple(read_lane_file(lane_path)), features=features[t]))
     return SceneSequence(
-        frames=tuple(frames),
-        ego_motion=np.asarray(sidecar["ego_motion"], dtype=np.float64),
-        seed=int(sidecar.get("seed", -1)),
+        frames=tuple(frames), ego_motion=ego_motion, seed=int(doc.get("seed", -1))
     )
 
 
-def load_scene_dataset(root) -> list:
+def load_scene_dataset(root, feature_shape) -> list:
+    """Every scene directory under root; each scene's (K, C) must equal feature_shape."""
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"scene dataset {root}: not a directory")
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not subdirs:
         raise ValueError(f"scene dataset {root}: no scene directories found")
-    return [read_scene_dir(p) for p in subdirs]
+    scenes = []
+    for path in subdirs:
+        scenes.append(read_scene_dir(path))
+        shape = scenes[-1].frames[0].features.shape
+        if shape != tuple(feature_shape):
+            raise ValueError(
+                f"scene {path / FEATURES_NAME}: (K, C) = {shape} differs from "
+                f"{tuple(feature_shape)} of the run configuration"
+            )
+    return scenes
 
 
 def _generate_split(config: RunConfiguration):
@@ -308,7 +365,9 @@ def cmd_eval(args) -> int:
     expected = init_parameters(config.scene, config.train)
     params, header = load_checkpoint(ckpt, {name: p.shape for name, p in expected.items()})
     if args.scenes:
-        scenes = load_scene_dataset(args.scenes)
+        scenes = load_scene_dataset(
+            args.scenes, (config.scene.num_anchors, config.scene.channels)
+        )
     else:
         _, scenes = _generate_split(config)
     reports, jitters, aggregate, mean_jitter = evaluate_model(

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-
 DEFAULT_LATERAL_SPAN = (-10.0, 10.0)
 DEFAULT_NUM_ANCHORS = 40
 DEFAULT_STATIONS = np.linspace(3.0, 103.0, 20)
@@ -244,12 +242,6 @@ def transform_points(points: np.ndarray, forward: float, yaw_change: float) -> n
     out[:, 0] = x
     out[:, 1] = y
     return out
-
-
-def lane_points_var(x: "ad.Var", stations: np.ndarray, z: "ad.Var") -> "ad.Var":
-    """Differentiable (n, 3) point matrix (x, y, z) from lane coordinates."""
-    y = ad.Var(np.asarray(stations, dtype=np.float64))
-    return ad.stack([x, y, z], axis=1)
 
 
 def write_lane_file(path, lanes, config_hash: str | None = None) -> None:

@@ -182,14 +182,6 @@ class AnchorAssignment:
         ]
         return sorted(pairs, key=lambda p: p[1])
 
-    @property
-    def background_anchors(self):
-        return np.flatnonzero(self.lane_for_anchor == BACKGROUND)
-
-    @property
-    def ignored_anchors(self):
-        return np.flatnonzero(self.lane_for_anchor == IGNORE)
-
 
 def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
     """Per-anchor mean |base_x - lane_x| over the anchor stations covered

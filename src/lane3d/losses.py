@@ -156,7 +156,7 @@ def chamfer_curve(pred, gt: Lane3D, visibility_threshold: float = VISIBILITY_THR
 
     The predicted side contributes every station; the ground-truth side
     only stations with visibility >= threshold.  ``pred`` may be a Lane3D
-    or a differentiable (n, 3) point matrix from lane_points_var.
+    or a differentiable (n, 3) point matrix.
     """
     mask = gt.visibility >= visibility_threshold
     if not np.any(mask):

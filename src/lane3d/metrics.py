@@ -68,14 +68,14 @@ class MatchReport:
         )
 
 
-def _on_grid(pred: Lane3D, grid: np.ndarray):
+def _on_grid(pred: Lane3D, grid: np.ndarray, on: bool):
     """(x, z, visibility, inside) of a pred on a gt station grid.
 
-    A pred sampled on the grid is used as is; otherwise each field is
-    linearly interpolated onto the grid and ``inside`` marks the grid
-    stations within the pred's own range (none for a 1-station pred).
+    A pred sampled on the grid (``on``) is used as is; otherwise each
+    field is linearly interpolated onto the grid and ``inside`` marks the
+    grid stations within the pred's own range (none for a 1-station pred).
     """
-    if pred.stations.shape == grid.shape and np.allclose(pred.stations, grid):
+    if on:
         return pred.x, pred.z, pred.visibility, np.ones(grid.shape, dtype=bool)
     if pred.stations.shape[0] < 2:  # no range to interpolate over
         return (np.zeros(grid.shape),) * 3 + (np.zeros(grid.shape, dtype=bool),)
@@ -111,7 +111,13 @@ def match_lanes(
         gx = np.stack([gts[j].x for j in members])  # (G, S)
         gz = np.stack([gts[j].z for j in members])
         gt_vis = np.stack([gts[j].visible_mask() for j in members])
-        px, pz, pv, inside = (np.stack(f) for f in zip(*(_on_grid(p, grid) for p in preds)))
+        # a pred is on the grid when its stations are allclose to it, i.e.
+        # all(isclose): one isclose decides it for every same-length pred
+        same = [i for i, p in enumerate(preds) if p.stations.shape == grid.shape]
+        on = np.zeros(num_p, dtype=bool)
+        if same:
+            on[same] = np.isclose(np.stack([preds[i].stations for i in same]), grid).all(axis=1)
+        px, pz, pv, inside = (np.stack(f) for f in zip(*map(_on_grid, preds, [grid] * num_p, on)))
         pred_vis = (pv >= VISIBILITY_THRESHOLD) & inside  # (P, S)
         dist = np.sqrt((px[:, None] - gx) ** 2 + (pz[:, None] - gz) ** 2)  # (P, G, S)
         both = pred_vis[:, None] & gt_vis

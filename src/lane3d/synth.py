@@ -16,9 +16,7 @@ noise-free twin with the same seed carries identical lanes and poses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -403,39 +401,3 @@ def generate_dataset(base_seed: int, count: int, config: SceneConfig | None = No
     """Scenes for seeds base_seed .. base_seed + count - 1."""
     return [generate_scene(base_seed + i, config) for i in range(count)]
 
-
-def write_scene(scene: SceneSequence, directory, scene_id: int) -> Path:
-    """One directory per scene: per-frame lane files plus a feature sidecar."""
-    root = Path(directory) / f"scene_{scene_id:04d}"
-    root.mkdir(parents=True, exist_ok=True)
-    for t, record in enumerate(scene.frames):
-        lanes_doc = [lane.to_dict() for lane in record.lanes]
-        (root / f"frame_{t:02d}_lanes.json").write_text(
-            json.dumps(lanes_doc, indent=1, sort_keys=True) + "\n"
-        )
-    sidecar = {
-        "seed": scene.seed,
-        "ego_motion": scene.ego_motion.tolist(),
-        "features": [record.features.tolist() for record in scene.frames],
-    }
-    (root / "features.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-    return root
-
-
-def read_scene(directory) -> SceneSequence:
-    root = Path(directory)
-    sidecar = json.loads((root / "features.json").read_text())
-    frames = []
-    for t, feats in enumerate(sidecar["features"]):
-        lanes_doc = json.loads((root / f"frame_{t:02d}_lanes.json").read_text())
-        frames.append(
-            FrameRecord(
-                lanes=tuple(Lane3D.from_dict(d) for d in lanes_doc),
-                features=np.asarray(feats, dtype=np.float64),
-            )
-        )
-    return SceneSequence(
-        frames=tuple(frames),
-        ego_motion=np.asarray(sidecar["ego_motion"], dtype=np.float64),
-        seed=int(sidecar["seed"]),
-    )

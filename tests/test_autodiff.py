@@ -134,6 +134,42 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert y.value[1] == 1.0
 
 
+def _masked_sigmoid(v):
+    """The boolean-scatter formula sigmoid_values replaced, kept as an oracle."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+_SIGMOID_SPECIALS = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [np.array(x) for x in _SIGMOID_SPECIALS]
+    + [_SIGMOID_SPECIALS[:3], _SIGMOID_SPECIALS[-3:], _SIGMOID_SPECIALS,
+       np.random.default_rng(0).normal(scale=12.0, size=(40, 128))],
+    ids=[f"0d[{x!r}]" for x in _SIGMOID_SPECIALS] + ["(3,)a", "(3,)b", "specials", "(40,128)"],
+)
+def test_sigmoid_values_bitwise_equal_the_masked_formula(v):
+    if v.shape == (40, 128):
+        v = v.copy()
+        v.flat[::97] = np.resize(_SIGMOID_SPECIALS, v.flat[::97].shape)
+    got, want = ad.sigmoid_values(v), _masked_sigmoid(v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # NaN sign bits included
+    x = ad.Var(v)
+    y = ad.sigmoid(x)
+    y.sum().backward()
+    assert y.value.tobytes() == want.tobytes()
+    assert x.grad.tobytes() == (1.0 * want * (1.0 - want)).tobytes()
+
+
 def test_broadcast_gradient_sums_to_parent_shape():
     a = ad.Var(np.ones((3, 4)))
     b = ad.Var(np.ones(4))

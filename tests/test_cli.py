@@ -7,7 +7,7 @@ from lane3d.cli import main, read_scene_dir, write_scene_dir
 from lane3d.config import RunConfiguration, save_run_configuration
 from lane3d.geometry import read_lane_file, write_lane_file
 from lane3d.synth import SceneConfig, generate_dataset, generate_scene
-from lane3d.training import TrainConfig, load_checkpoint
+from lane3d.training import TrainConfig, init_parameters, load_checkpoint, save_checkpoint
 
 SMALL_SCENE = SceneConfig(
     num_lanes_range=(1, 2),
@@ -60,7 +60,9 @@ def test_generate_writes_the_expected_tree(small_config, tmp_path, capsys):
         dirs = sorted((out / split).iterdir())
         assert len(dirs) == count
         for d in dirs:
-            assert (d / "features.json").exists()
+            assert (d / "features.npy").exists()
+            assert (d / "scene.json").exists()
+            assert not (d / "features.json").exists()
             assert (d / "frame_0.lanes.json").exists()
             assert (d / "frame_1.lanes.json").exists()
 
@@ -86,9 +88,10 @@ def test_generate_seed_flag_changes_the_data(small_config, tmp_path):
         main(["generate", "--config", str(path), "--out", str(out_b), "--seed", "9"])
         == 0
     )
-    a = (out_a / "train" / "scene_0000" / "features.json").read_bytes()
-    b = (out_b / "train" / "scene_0000" / "features.json").read_bytes()
-    assert a != b
+    for name in ("features.npy", "scene.json"):
+        a = (out_a / "train" / "scene_0000" / name).read_bytes()
+        b = (out_b / "train" / "scene_0000" / name).read_bytes()
+        assert a != b, name
 
 
 def test_generate_rejects_bad_stations(small_config, tmp_path, capsys):
@@ -116,6 +119,128 @@ def test_scene_dir_round_trip(tmp_path):
             assert np.array_equal(la.z, lb.z)
             assert np.array_equal(la.visibility, lb.visibility)
             assert la.category == lb.category
+
+
+def _old_json_sidecar(d):
+    scene = read_scene_dir(d)
+    (d / "scene.json").unlink()
+    (d / "features.npy").unlink()
+    sidecar = {
+        "seed": scene.seed,
+        "ego_motion": scene.ego_motion.tolist(),
+        "features": [frame.features.tolist() for frame in scene.frames],
+    }
+    (d / "features.json").write_text(json.dumps(sidecar))
+
+
+def _edit_scene_doc(d, **fields):
+    doc = json.loads((d / "scene.json").read_text())
+    doc.update(fields)
+    (d / "scene.json").write_text(json.dumps(doc))
+
+
+def _edit_features(d, edit):
+    np.save(d / "features.npy", edit(np.load(d / "features.npy")))
+
+
+def _set_first(value):
+    def edit(features):
+        features.flat[0] = value
+        return features
+
+    return edit
+
+
+# (case, how the written scene directory is broken, words the error must carry)
+BROKEN_SCENE_DIRS = [
+    ("missing-scene-json", lambda d: (d / "scene.json").unlink(), ["missing scene.json"]),
+    ("missing-features", lambda d: (d / "features.npy").unlink(), ["missing features.npy"]),
+    ("old-json-sidecar", _old_json_sidecar, ["missing scene.json", "lane3d generate"]),
+    ("float32", lambda d: _edit_features(d, lambda f: f.astype(np.float32)),
+     ["features.npy", "dtype <f4"]),
+    ("big-endian", lambda d: _edit_features(d, lambda f: f.astype(">f8")),
+     ["features.npy", "dtype >f8"]),
+    ("ndim-2", lambda d: _edit_features(d, lambda f: f[0]), ["features.npy", "shape (8, 24)"]),
+    ("ego-rows", lambda d: _edit_scene_doc(d, ego_motion=[[0.0, 0.0]] * 3),
+     ["scene.json", "ego_motion", "(3, 2)", "2 frames"]),
+    ("extra-lane-file", lambda d: (d / "frame_2.lanes.json").write_bytes(
+        (d / "frame_1.lanes.json").read_bytes()), ["3 frame_<t>.lanes.json", "2 frames"]),
+    ("missing-lane-file", lambda d: (d / "frame_1.lanes.json").unlink(),
+     ["1 frame_<t>.lanes.json", "2 frames"]),
+    ("nan-feature", lambda d: _edit_features(d, _set_first(np.nan)),
+     ["features.npy", "non-finite"]),
+    ("inf-feature", lambda d: _edit_features(d, _set_first(-np.inf)),
+     ["features.npy", "non-finite"]),
+    ("nan-ego-motion", lambda d: _edit_scene_doc(d, ego_motion=[[0.0, 0.0], [float("nan"), 0.0]]),
+     ["scene.json", "ego_motion", "non-finite"]),
+    ("ego-motion-missing", lambda d: (d / "scene.json").write_text('{"seed": 1}'),
+     ["scene.json", "ego_motion: missing"]),
+    ("scene-json-garbage", lambda d: (d / "scene.json").write_text("{broken"),
+     ["scene.json", "not valid JSON"]),
+    ("truncated-body", lambda d: (d / "features.npy").write_bytes(
+        (d / "features.npy").read_bytes()[:-5]), ["features.npy", "unreadable array"]),
+    ("trailing-bytes", lambda d: (d / "features.npy").write_bytes(
+        (d / "features.npy").read_bytes() + b"\0"), ["features.npy", "trailing bytes"]),
+]
+
+
+@pytest.mark.parametrize(
+    "breaks, words", [case[1:] for case in BROKEN_SCENE_DIRS],
+    ids=[case[0] for case in BROKEN_SCENE_DIRS],
+)
+def test_scene_dir_rejects(tmp_path, breaks, words):
+    d = tmp_path / "s"
+    write_scene_dir(d, generate_scene(12, SMALL_SCENE), "cafe00112233")
+    breaks(d)
+    with pytest.raises(ValueError) as info:
+        read_scene_dir(d)
+    for word in [str(d)] + words:
+        assert word in str(info.value), (word, str(info.value))
+
+
+def test_scene_dir_stores_features_as_one_binary_array(tmp_path):
+    scene = generate_scene(12, SMALL_SCENE)
+    write_scene_dir(tmp_path / "s", scene, "cafe00112233")
+    stored = np.load(tmp_path / "s" / "features.npy", allow_pickle=False)
+    assert stored.dtype.str == "<f8" and stored.shape == (2, 8, 24)
+    assert stored.tobytes() == np.stack([f.features for f in scene.frames]).tobytes()
+    doc = json.loads((tmp_path / "s" / "scene.json").read_text())
+    assert sorted(doc) == ["config_hash", "ego_motion", "seed"]
+
+
+def _checkpoint_of(cfg, path):
+    params = init_parameters(cfg.scene, cfg.train)
+    save_checkpoint(path, params, 0, cfg.config_hash())
+    return path
+
+
+def test_eval_rejects_an_old_scene_directory(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    _old_json_sidecar(gen / "eval" / "scene_0001")
+    ckpt = _checkpoint_of(cfg, tmp_path / "checkpoint.bin")
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--scenes", str(gen / "eval"), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "scene_0001: missing scene.json" in err and "lane3d generate" in err
+
+
+def test_eval_rejects_scenes_of_another_configuration(small_config, tmp_path, capsys):
+    _, path = small_config
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    # 24-channel scenes evaluated under the default 128-channel config
+    ckpt = _checkpoint_of(RunConfiguration(), tmp_path / "checkpoint.bin")
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--scenes", str(gen / "eval"),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "scene_0000/features.npy: (K, C) = (8, 24) differs from (40, 128)" in err
+    assert "matmul" not in err
 
 
 def test_lane_file_accepts_bare_lists(tmp_path):

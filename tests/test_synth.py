@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lane3d.cli import read_scene_dir, write_scene_dir
 from lane3d.geometry import transform_points
 from lane3d.synth import (
     Pose,
@@ -13,9 +14,7 @@ from lane3d.synth import (
     feature_decode,
     feature_encode,
     generate_scene,
-    read_scene,
     sample_lane_in_frame,
-    write_scene,
 )
 
 # small config keeps per-test generation cheap
@@ -205,12 +204,14 @@ def test_frame_average_variance_drops_as_one_over_t():
 
 def test_scene_write_read_roundtrip(tmp_path):
     scene = generate_scene(5, SMALL)
-    root = write_scene(scene, tmp_path, 5)
-    again = read_scene(root)
+    write_scene_dir(tmp_path / "scene_0005", scene, "cafe00112233")
+    again = read_scene_dir(tmp_path / "scene_0005")
     assert again.seed == scene.seed
-    assert np.array_equal(again.ego_motion, scene.ego_motion)
+    assert again.ego_motion.tobytes() == scene.ego_motion.tobytes()
+    assert len(again.frames) == len(scene.frames)
     for fa, fb in zip(again.frames, scene.frames):
-        assert np.array_equal(fa.features, fb.features)
+        assert fa.features.dtype == fb.features.dtype
+        assert fa.features.tobytes() == fb.features.tobytes()
         for la, lb in zip(fa.lanes, fb.lanes):
             assert np.array_equal(la.x, lb.x)
             assert np.array_equal(la.visibility, lb.visibility)

@@ -412,20 +412,6 @@ def where(condition, a, b):
     return out
 
 
-def evaluate_with_gradients(program, inputs):
-    """Run ``program`` on scalar leaves and return (output, gradients).
-
-    ``program`` takes a list of scalar Vars (one per entry of ``inputs``)
-    and returns a scalar Var; the result pairs its value with the exact
-    reverse-mode derivative for every input.
-    """
-    leaves = [Var(float(v)) for v in np.asarray(inputs, dtype=np.float64)]
-    out = program(leaves)
-    out.backward()
-    grads = np.array([float(leaf.grad) for leaf in leaves])
-    return float(out.value), grads
-
-
 @dataclass(frozen=True)
 class GradCheckReport:
     """Outcome of comparing analytic gradients against central differences."""

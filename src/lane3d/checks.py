@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from .losses import LossConfig
-from .temporal import fuse_sequence
+from .temporal import fuse_all_anchors
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -153,7 +153,7 @@ def _build_dice(rng, config):
 
 
 def _build_uncertainty(rng):
-    names = ("regression", "curve", "classification", "visibility")
+    names = ls.TASK_NAMES
     values = rng.uniform(0.1, 3.0, size=len(names))
     s = rng.normal(size=len(names))
 
@@ -166,6 +166,7 @@ def _build_uncertainty(rng):
 
 
 def _build_lstm(rng, num_frames):
+    # one anchor through the trainer's batched fuser: the K=1 case
     channels, hidden = 4, 3
     while True:
         params = {
@@ -174,14 +175,14 @@ def _build_lstm(rng, num_frames):
             "bias": rng.normal(size=4 * hidden) * 0.5,
             "proj_w": rng.normal(size=(channels, hidden)) * 0.5,
             "proj_b": rng.normal(size=channels) * 0.5,
-            "x": rng.normal(size=(num_frames, channels)),
+            "x": rng.normal(size=(1, num_frames, channels)),
         }
         # relu kinks: reject draws whose projection pre-activation sits
         # within a margin of zero anywhere
         h = np.zeros(hidden)
         c = np.zeros(hidden)
         for t in range(num_frames):
-            z = params["w_ih"] @ params["x"][t] + params["w_hh"] @ h + params["bias"]
+            z = params["w_ih"] @ params["x"][0, t] + params["w_hh"] @ h + params["bias"]
             i, f, g, o = (
                 ad.sigmoid_values(z[0:hidden]),
                 ad.sigmoid_values(z[hidden : 2 * hidden]),
@@ -197,8 +198,7 @@ def _build_lstm(rng, num_frames):
     mix = rng.normal(size=channels)
 
     def fn(p):
-        lstm = {k: p[k] for k in ("w_ih", "w_hh", "bias", "proj_w", "proj_b")}
-        fused = fuse_sequence(p["x"], lstm)
+        fused = fuse_all_anchors(p["x"], p)  # reads the five LSTM entries of p
         return (fused * mix).sum()
 
     return fn, params

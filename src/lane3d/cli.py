@@ -168,6 +168,9 @@ def read_scene_dir(dirpath) -> SceneSequence:
         )
     if not np.all(np.isfinite(ego_motion)):
         raise ValueError(f"scene {scene_path}: ego_motion: non-finite values")
+    seed = doc.get("seed", -1)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"scene {scene_path}: seed: {seed!r} is not an integer")
     num_lane_files = len(list(dirpath.glob("frame_*.lanes.json")))
     if num_lane_files != num_frames:
         raise ValueError(
@@ -180,9 +183,7 @@ def read_scene_dir(dirpath) -> SceneSequence:
         if not lane_path.exists():
             raise ValueError(f"scene directory {dirpath}: missing {lane_path.name}")
         frames.append(FrameRecord(lanes=tuple(read_lane_file(lane_path)), features=features[t]))
-    return SceneSequence(
-        frames=tuple(frames), ego_motion=ego_motion, seed=int(doc.get("seed", -1))
-    )
+    return SceneSequence(frames=tuple(frames), ego_motion=ego_motion, seed=seed)
 
 
 def load_scene_dataset(root, feature_shape) -> list:

@@ -1,4 +1,4 @@
-"""3D lanes, fixed anchors, decoding, resampling, and the ego-motion transform.
+"""3D lanes, fixed anchors, resampling, the ego-motion transform, lane files.
 
 Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
@@ -109,28 +109,6 @@ class AnchorSet:
         return self.stations.shape[0]
 
 
-@dataclass(frozen=True)
-class AnchorPrediction:
-    """Raw per-anchor network outputs before decoding."""
-
-    anchor_index: int
-    delta_x: np.ndarray
-    delta_z: np.ndarray
-    visibility_logits: np.ndarray
-    class_logits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta_x", np.asarray(self.delta_x, dtype=np.float64))
-        object.__setattr__(self, "delta_z", np.asarray(self.delta_z, dtype=np.float64))
-        object.__setattr__(
-            self, "visibility_logits", np.asarray(self.visibility_logits, dtype=np.float64)
-        )
-        object.__setattr__(self, "class_logits", np.asarray(self.class_logits, dtype=np.float64))
-        n = self.delta_x.shape[0]
-        if self.delta_z.shape != (n,) or self.visibility_logits.shape != (n,):
-            raise ValueError("AnchorPrediction: offset and logit lists must share one length")
-
-
 def build_default_anchors(
     num_anchors: int = DEFAULT_NUM_ANCHORS,
     lateral_span: tuple[float, float] = DEFAULT_LATERAL_SPAN,
@@ -159,45 +137,6 @@ def build_default_anchors(
         laterals = np.linspace(lo, hi, num_anchors)
     base_x = np.repeat(laterals[:, None], stations.shape[0], axis=1)
     return AnchorSet(stations=stations, base_x=base_x, base_z=np.zeros_like(base_x))
-
-
-def decode_anchor(
-    anchors: AnchorSet,
-    pred: AnchorPrediction,
-    visibility_threshold: float = VISIBILITY_THRESHOLD,
-) -> Lane3D:
-    """Additive decode: x = base_x + dx, z = base_z + dz, v = sigmoid(logit).
-
-    Stations below the visibility threshold stay in the record; callers
-    filter with ``visible_mask(visibility_threshold)``.
-    """
-    if not 0.0 <= visibility_threshold <= 1.0:
-        raise ValueError("decode_anchor: threshold must lie in [0, 1]")
-    k = pred.anchor_index
-    if not 0 <= k < anchors.num_anchors:
-        raise IndexError(f"decode_anchor: anchor index {k} out of range")
-    if pred.delta_x.shape[0] != anchors.num_stations:
-        raise ValueError("decode_anchor: prediction does not match anchor stations")
-    visibility = 1.0 / (1.0 + np.exp(-pred.visibility_logits))
-    return Lane3D(
-        stations=anchors.stations,
-        x=anchors.base_x[k] + pred.delta_x,
-        z=anchors.base_z[k] + pred.delta_z,
-        visibility=visibility,
-        category=int(np.argmax(pred.class_logits)),
-    )
-
-
-def encode_lane(anchors: AnchorSet, anchor_index: int, lane: Lane3D):
-    """Offsets that decode back to ``lane`` on the anchor's stations."""
-    if lane.stations.shape != anchors.stations.shape or not np.allclose(
-        lane.stations, anchors.stations
-    ):
-        raise ValueError("encode_lane: lane must be sampled on the anchor stations")
-    return (
-        lane.x - anchors.base_x[anchor_index],
-        lane.z - anchors.base_z[anchor_index],
-    )
 
 
 def resample_lane(lane: Lane3D, target_stations) -> Lane3D:

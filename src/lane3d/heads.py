@@ -1,9 +1,9 @@
 """Detection heads over per-anchor features, and anchor-target assignment.
 
-Each anchor's (fused) C-vector passes through an optional shared hidden
-layer (width C, relu) and three affine heads producing lateral/height
-offsets per station, visibility logits per station, and class logits.
-Outputs are raw; decode_anchor applies the activations.
+Each anchor's (fused) C-vector passes through a shared hidden layer
+(width C, relu) and three affine heads producing lateral/height offsets
+per station, visibility logits per station, and class logits.  Outputs
+are raw; training.predict_frames decodes them into lanes.
 
 Assignment gives every ground-truth lane the anchor with minimum mean
 lateral distance under a global one-to-one minimum-cost matching;
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .geometry import AnchorPrediction, AnchorSet, Lane3D, resample_lane
+from .geometry import AnchorSet, Lane3D, resample_lane
 
 BACKGROUND = -1
 IGNORE = -2
@@ -39,7 +39,7 @@ POSITIVE_THRESHOLD = 1.0
 
 @dataclass(frozen=True)
 class HeadParameters:
-    """Affine head weights; hidden_w/hidden_b may be None for linear heads.
+    """A shared (C, C) relu hidden layer, then three affine heads.
 
     offset head emits 2S values per anchor: delta-x for all stations,
     then delta-z for all stations.
@@ -51,14 +51,12 @@ class HeadParameters:
     vis_b: np.ndarray
     cls_w: np.ndarray
     cls_b: np.ndarray
-    hidden_w: np.ndarray | None = None
-    hidden_b: np.ndarray | None = None
+    hidden_w: np.ndarray
+    hidden_b: np.ndarray
 
     def __post_init__(self):
         for name in HEAD_PARAM_NAMES:
-            arr = getattr(self, name)
-            if arr is not None:
-                object.__setattr__(self, name, np.asarray(arr, dtype=np.float64))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         c = self.offset_w.shape[1]
         two_s = self.offset_w.shape[0]
         if two_s % 2 != 0:
@@ -70,11 +68,7 @@ class HeadParameters:
             raise ValueError("HeadParameters: visibility head shape mismatch")
         if self.cls_w.shape[1] != c or self.cls_b.shape != (self.cls_w.shape[0],):
             raise ValueError("HeadParameters: class head shape mismatch")
-        if (self.hidden_w is None) != (self.hidden_b is None):
-            raise ValueError("HeadParameters: hidden weights and bias go together")
-        if self.hidden_w is not None and (
-            self.hidden_w.shape != (c, c) or self.hidden_b.shape != (c,)
-        ):
+        if self.hidden_w.shape != (c, c) or self.hidden_b.shape != (c,):
             raise ValueError("HeadParameters: hidden layer must be (C, C) + (C,)")
 
     @property
@@ -95,7 +89,6 @@ class HeadParameters:
         num_stations: int,
         num_classes: int,
         rng=None,
-        hidden: bool = True,
     ) -> "HeadParameters":
         if num_classes < 2:
             raise ValueError("HeadParameters.initialize: need >= 2 classes")
@@ -103,8 +96,8 @@ class HeadParameters:
         scale = 1.0 / np.sqrt(channels)
         u = lambda *shape: rng.uniform(-scale, scale, size=shape)
         return HeadParameters(
-            hidden_w=u(channels, channels) if hidden else None,
-            hidden_b=u(channels) if hidden else None,
+            hidden_w=u(channels, channels),
+            hidden_b=u(channels),
             offset_w=u(2 * num_stations, channels),
             offset_b=u(2 * num_stations),
             vis_w=u(num_stations, channels),
@@ -116,14 +109,8 @@ class HeadParameters:
 
 def _as_head_vars(params) -> dict:
     if isinstance(params, HeadParameters):
-        return {
-            name: None if getattr(params, name) is None else ad.Var(getattr(params, name))
-            for name in HEAD_PARAM_NAMES
-        }
-    return {
-        name: (None if params.get(name) is None else ad.as_var(params[name]))
-        for name in HEAD_PARAM_NAMES
-    }
+        return {name: ad.Var(getattr(params, name)) for name in HEAD_PARAM_NAMES}
+    return {name: ad.as_var(params[name]) for name in HEAD_PARAM_NAMES}
 
 
 def head_forward(features, params):
@@ -136,33 +123,12 @@ def head_forward(features, params):
     x = ad.as_var(features)
     if x.ndim != 2 or x.shape[1] != p["offset_w"].shape[1]:
         raise ValueError("head_forward: features must be (K, C) matching the heads")
-    h = x
-    if p["hidden_w"] is not None:
-        h = ad.relu(h @ p["hidden_w"].T + p["hidden_b"])
+    h = ad.relu(x @ p["hidden_w"].T + p["hidden_b"])
     offsets = h @ p["offset_w"].T + p["offset_b"]
     vis = h @ p["vis_w"].T + p["vis_b"]
     cls = h @ p["cls_w"].T + p["cls_b"]
     s = p["offset_w"].shape[0] // 2
     return offsets[:, :s], offsets[:, s:], vis, cls
-
-
-def forward(features, params, anchors: AnchorSet):
-    """Inference-facing forward: one AnchorPrediction per anchor."""
-    dx, dz, vis, cls = head_forward(features, params)
-    if dx.shape[0] != anchors.num_anchors:
-        raise ValueError("forward: feature count must match the anchor count")
-    if dx.shape[1] != anchors.num_stations:
-        raise ValueError("forward: head station count must match the anchors")
-    return [
-        AnchorPrediction(
-            anchor_index=k,
-            delta_x=dx.value[k],
-            delta_z=dz.value[k],
-            visibility_logits=vis.value[k],
-            class_logits=cls.value[k],
-        )
-        for k in range(anchors.num_anchors)
-    ]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Training losses with analytic gradients.
 
-Balanced L1 regression, bidirectional Chamfer over point sets and lane
-curves, focal classification, soft Dice on visibility, and the
-uncertainty-weighted multi-task combination  sum_i e^{-s_i} L_i + s_i.
+Balanced L1 regression, bidirectional Chamfer over point sets, focal
+classification, soft Dice on visibility, and the uncertainty-weighted
+multi-task combination  sum_i e^{-s_i} L_i + s_i.
 Every loss accepts autodiff Vars (or plain arrays, treated as constants)
 and returns a scalar Var, so gradients flow wherever the caller needs.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import Lane3D, VISIBILITY_THRESHOLD
 
+# the four supervised tasks, in the order of the learned log-variances
 TASK_NAMES = ("regression", "curve", "classification", "visibility")
 
 CONTINUITY_TOL = 1e-9
@@ -64,33 +64,6 @@ class LossConfig:
         return LossConfig(**{k: float(v) for k, v in d.items() if k != "b"})
 
 
-@dataclass
-class UncertaintyState:
-    """Learnable log-variances s_i, one per task, initialized to 0."""
-
-    s: dict = None
-
-    def __post_init__(self):
-        if self.s is None:
-            self.s = {name: 0.0 for name in TASK_NAMES}
-        for name, value in self.s.items():
-            if not np.isfinite(value):
-                raise ValueError(f"UncertaintyState: s[{name}] must be finite")
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """A non-empty list of 3D points in meters."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise ValueError("PointSet: need a non-empty (n, 3) array")
-        object.__setattr__(self, "points", pts)
-
-
 def balanced_l1(delta, config: LossConfig):
     """Two-branch regression loss of a non-negative residual magnitude.
 
@@ -130,8 +103,6 @@ def balanced_l1_vector(predicted, target, weights, config: LossConfig):
 
 
 def _as_points(ps):
-    if isinstance(ps, PointSet):
-        return ad.Var(ps.points)
     ps = ad.as_var(ps)
     if ps.ndim != 2 or ps.shape[1] != 3 or ps.shape[0] == 0:
         raise ValueError("chamfer: need non-empty (n, 3) point arrays")
@@ -149,21 +120,6 @@ def chamfer(P, Q):
     diff = P.reshape((n, 1, 3)) - Q.reshape((1, m, 3))
     d2 = ad.square(diff).sum(axis=2)
     return ad.reduce_min(d2, axis=1).mean() + ad.reduce_min(d2, axis=0).mean()
-
-
-def chamfer_curve(pred, gt: Lane3D, visibility_threshold: float = VISIBILITY_THRESHOLD):
-    """Chamfer between a predicted lane and a visibility-filtered truth.
-
-    The predicted side contributes every station; the ground-truth side
-    only stations with visibility >= threshold.  ``pred`` may be a Lane3D
-    or a differentiable (n, 3) point matrix.
-    """
-    mask = gt.visibility >= visibility_threshold
-    if not np.any(mask):
-        raise ValueError("chamfer_curve: ground truth has no visible stations")
-    gt_points = gt.points()[mask]
-    pred_points = ad.Var(pred.points()) if isinstance(pred, Lane3D) else ad.as_var(pred)
-    return chamfer(pred_points, gt_points)
 
 
 def log_softmax(logits):
@@ -226,14 +182,13 @@ def dice(pred_probabilities, target_mask, config: LossConfig):
     return 1.0 - overlap / (p.sum(axis=-1) + g.sum(axis=-1) + eps)
 
 
-def combine_uncertainty(task_losses: dict, state):
+def combine_uncertainty(task_losses: dict, s_map: dict):
     """sum_i e^{-s_i} L_i + s_i over matching task keys.
 
-    ``state`` is an UncertaintyState or a dict of s values; both losses
-    and s entries may be Vars.  d/ds_i = 1 - e^{-s_i} L_i, so the
-    stationary point for frozen L_i sits at s_i = ln L_i.
+    ``s_map`` holds one s value per task; both losses and s entries may
+    be Vars.  d/ds_i = 1 - e^{-s_i} L_i, so the stationary point for
+    frozen L_i sits at s_i = ln L_i.
     """
-    s_map = state.s if isinstance(state, UncertaintyState) else state
     if set(task_losses.keys()) != set(s_map.keys()):
         raise ValueError("combine_uncertainty: task keys must match")
     total = None

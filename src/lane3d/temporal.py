@@ -19,29 +19,6 @@ PARAM_NAMES = ("w_ih", "w_hh", "bias", "proj_w", "proj_b")
 
 
 @dataclass(frozen=True)
-class TemporalFeatureSequence:
-    """T frames of C-dim features for one anchor, oldest first."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
-            raise ValueError("TemporalFeatureSequence: features must be (T, C), T,C >= 1")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("TemporalFeatureSequence: features must be finite")
-        object.__setattr__(self, "features", f)
-
-    @property
-    def num_frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
 class LstmParameters:
     """Gate weights stacked in (i, f, g, o) order plus the fusion projection.
 
@@ -107,7 +84,7 @@ def _as_param_vars(params) -> dict:
 
 
 def lstm_step(x, h_prev, c_prev, params):
-    """One LSTM cell update; works on (C,) vectors or (K, C) anchor batches.
+    """One LSTM cell update on a (K, C) anchor batch.
 
     i, f, o gates are sigmoids, candidate g is tanh, then
     c = f*c_prev + i*g and h = o*tanh(c).
@@ -115,12 +92,8 @@ def lstm_step(x, h_prev, c_prev, params):
     p = _as_param_vars(params)
     x, h_prev, c_prev = ad.as_var(x), ad.as_var(h_prev), ad.as_var(c_prev)
     hidden = p["w_hh"].shape[1]
-    if x.ndim == 1:
-        z = p["w_ih"] @ x + p["w_hh"] @ h_prev + p["bias"]
-        gate = lambda j: z[j * hidden : (j + 1) * hidden]
-    else:
-        z = x @ p["w_ih"].T + h_prev @ p["w_hh"].T + p["bias"]
-        gate = lambda j: z[:, j * hidden : (j + 1) * hidden]
+    z = x @ p["w_ih"].T + h_prev @ p["w_hh"].T + p["bias"]
+    gate = lambda j: z[:, j * hidden : (j + 1) * hidden]
     i = ad.sigmoid(gate(0))
     f = ad.sigmoid(gate(1))
     g = ad.tanh(gate(2))
@@ -130,36 +103,12 @@ def lstm_step(x, h_prev, c_prev, params):
     return h, c
 
 
-def fuse_sequence(seq, params):
-    """Fused feature relu(W h_T + b) after running the frames in order."""
-    feats = seq.features if isinstance(seq, TemporalFeatureSequence) else seq
-    feats = ad.as_var(feats)
-    if feats.ndim != 2:
-        raise ValueError("fuse_sequence: need a (T, C) sequence")
-    p = _as_param_vars(params)
-    hidden = p["w_hh"].shape[1]
-    h = ad.Var(np.zeros(hidden))
-    c = ad.Var(np.zeros(hidden))
-    for t in range(feats.shape[0]):
-        h, c = lstm_step(feats[t], h, c, p)
-    return ad.relu(p["proj_w"] @ h + p["proj_b"])
-
-
 def fuse_all_anchors(batch, params):
     """Fuse a (K, T, C) anchor batch with shared parameters; returns (K, C).
 
     Anchors are independent: the batch dimension only rides through the
-    matrix products, so each row equals fuse_sequence on that row.
+    matrix products, so row k depends on anchor k's frames alone.
     """
-    if isinstance(batch, (list, tuple)):
-        feats = [
-            s.features if isinstance(s, TemporalFeatureSequence) else np.asarray(s)
-            for s in batch
-        ]
-        shapes = {f.shape for f in feats}
-        if len(shapes) != 1:
-            raise ValueError("fuse_all_anchors: anchors must share T and C")
-        batch = np.stack(feats, axis=0)
     batch = ad.as_var(batch)
     if batch.ndim != 3:
         raise ValueError("fuse_all_anchors: need a (K, T, C) batch")

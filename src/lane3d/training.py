@@ -22,9 +22,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import Lane3D, resample_lane
+from .geometry import VISIBILITY_THRESHOLD, Lane3D, resample_lane
 from .heads import BACKGROUND, IGNORE, HeadParameters, assign_targets, head_forward
-from .losses import LossConfig, balanced_l1_vector, chamfer, combine_uncertainty, dice, focal
+from .losses import (
+    TASK_NAMES,
+    LossConfig,
+    balanced_l1_vector,
+    chamfer,
+    combine_uncertainty,
+    dice,
+    focal,
+)
 from .metrics import (
     COVERAGE_FRACTION,
     DISTANCE_THRESHOLD,
@@ -34,8 +42,6 @@ from .metrics import (
 )
 from .synth import BACKGROUND_CLASS, SceneConfig
 from .temporal import LstmParameters, fuse_all_anchors
-
-TASKS = ("regression", "curve", "classification", "visibility")
 
 PARAM_ORDER = (
     "lstm.w_ih",
@@ -54,15 +60,7 @@ PARAM_ORDER = (
     "uncertainty.s",
 )
 
-EPOCH_LOG_COLUMNS = (
-    "epoch",
-    "curve_ramp_weight",
-    "total",
-    "regression",
-    "curve",
-    "classification",
-    "visibility",
-)
+EPOCH_LOG_COLUMNS = ("epoch", "curve_ramp_weight", "total") + TASK_NAMES
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,7 +134,7 @@ def init_parameters(scene_config: SceneConfig, train_config: TrainConfig) -> dic
         "head.vis_b": heads.vis_b,
         "head.cls_w": heads.cls_w,
         "head.cls_b": heads.cls_b,
-        "uncertainty.s": np.zeros(len(TASKS)),
+        "uncertainty.s": np.zeros(len(TASK_NAMES)),
     }
     return {name: np.array(params[name], dtype=np.float64) for name in PARAM_ORDER}
 
@@ -152,6 +150,8 @@ def _head_vars(pvars):
 def _equidistant_gt(lane: Lane3D) -> Lane3D:
     """Ground truth resampled to equidistant stations across its visible span."""
     visible = np.flatnonzero(lane.visible_mask())
+    if visible.size == 0:
+        raise ValueError("curve loss: ground-truth lane has no visible station")
     lo, hi = lane.stations[visible[0]], lane.stations[visible[-1]]
     if hi <= lo:
         return lane
@@ -255,7 +255,7 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
 
     if cfg.use_uncertainty:
         s_var = pvars["uncertainty.s"]
-        s_map = {name: s_var[i] for i, name in enumerate(TASKS) if name in task_losses}
+        s_map = {name: s_var[i] for i, name in enumerate(TASK_NAMES) if name in task_losses}
         total = combine_uncertainty(task_losses, s_map)
     else:
         total = None
@@ -401,7 +401,7 @@ def train(
             for name, v in task_means.items():
                 epoch_tasks[name] = epoch_tasks.get(name, 0.0) + v
             steps += 1
-        means = {name: epoch_tasks.get(name, 0.0) / steps for name in TASKS}
+        means = {name: epoch_tasks.get(name, 0.0) / steps for name in TASK_NAMES}
         final_losses = dict(means)
         final_losses["total"] = epoch_total / steps
         rows.append(
@@ -411,7 +411,7 @@ def train(
                     f"{curve_ramp_weight(epoch, train_config):.6f}",
                     f"{epoch_total / steps:.9f}",
                 ]
-                + [f"{means[name]:.9f}" for name in TASKS]
+                + [f"{means[name]:.9f}" for name in TASK_NAMES]
             )
         )
     if log_path is not None:
@@ -500,20 +500,22 @@ def load_checkpoint(path, shapes: dict | None = None):
     return params, header
 
 
-def predict_frames(params: dict, scene, scene_config: SceneConfig,
-                   use_lstm_fusion: bool, visibility_threshold: float = 0.5):
+def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusion: bool):
     """Decoded lane predictions for every frame of a scene.
 
     Frame t sees frames 0..t; histories shorter than the full sequence
     are left-padded by repeating the oldest frame so the fuser always
     runs the window length it was trained on.  Anchors whose class
-    output is background or that claim no visible station yield no lane.
+    output is background or that claim no visible station (none at or
+    above VISIBILITY_THRESHOLD) yield no lane; the rest decode as
+    x = base_x + dx, z = base_z + dz, visibility = sigmoid(logit), and
+    category = argmax of the class logits.
     """
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)  # (T, K, C)
     total = feats.shape[0]
-    hv = {k.split(".", 1)[1]: ad.Var(v) for k, v in params.items() if k.startswith("head.")}
-    lv = {k.split(".", 1)[1]: ad.Var(v) for k, v in params.items() if k.startswith("lstm.")}
+    pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
+    hv, lv = _head_vars(pvars), _lstm_vars(pvars)
     per_frame = []
     for t in range(total):
         if use_lstm_fusion:
@@ -531,7 +533,7 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig,
             if category == BACKGROUND_CLASS:
                 continue
             visibility = 1.0 / (1.0 + np.exp(-vis_logits.value[k]))
-            if not np.any(visibility >= visibility_threshold):
+            if not np.any(visibility >= VISIBILITY_THRESHOLD):
                 continue
             lanes.append(
                 Lane3D(

@@ -227,14 +227,6 @@ def test_stack_splits_gradient():
     assert np.array_equal(b.grad, [3.0, 4.0])
 
 
-def test_evaluate_with_gradients_quadratic():
-    value, grads = ad.evaluate_with_gradients(
-        lambda xs: xs[0] * xs[0] + xs[1] * xs[0], [3.0, 5.0]
-    )
-    assert np.isclose(value, 24.0)
-    assert np.allclose(grads, [11.0, 3.0])
-
-
 def _rel_err(a, n):
     return abs(a - n) / max(1.0, abs(a), abs(n))
 

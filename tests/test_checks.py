@@ -71,6 +71,15 @@ def test_corrupt_gradient_is_caught_and_named():
     assert worst_result(results).name in failing
 
 
+def test_corrupt_transpose_reaches_the_trainers_fusion_path():
+    # the batched fuser transposes its weights at every step; the audit
+    # runs that path, so a wrong transpose rule must fail all three
+    with corrupt_gradient("transpose", factor=1.5):
+        results = run_gradient_checks(num_inputs=2)
+    failing = {r.name for r in results if not r.passed}
+    assert failing == {"lstm_fusion_T1", "lstm_fusion_T2", "lstm_fusion_T3"}
+
+
 def test_corrupt_gradient_hits_shared_primitives():
     with corrupt_gradient("multiply", factor=2.0):
         results = run_gradient_checks(num_inputs=2)

@@ -181,6 +181,11 @@ BROKEN_SCENE_DIRS = [
         (d / "features.npy").read_bytes()[:-5]), ["features.npy", "unreadable array"]),
     ("trailing-bytes", lambda d: (d / "features.npy").write_bytes(
         (d / "features.npy").read_bytes() + b"\0"), ["features.npy", "trailing bytes"]),
+    ("seed-string", lambda d: _edit_scene_doc(d, seed="abc"), ["scene.json", "seed", "'abc'"]),
+    ("seed-float", lambda d: _edit_scene_doc(d, seed=1.7), ["scene.json", "seed", "1.7"]),
+    ("seed-integral-float", lambda d: _edit_scene_doc(d, seed=12.0), ["scene.json", "seed", "12.0"]),
+    ("seed-bool", lambda d: _edit_scene_doc(d, seed=True), ["scene.json", "seed", "True"]),
+    ("seed-null", lambda d: _edit_scene_doc(d, seed=None), ["scene.json", "seed", "None"]),
 ]
 
 

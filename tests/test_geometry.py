@@ -1,18 +1,13 @@
-"""Lane representation, anchor layout, decode/encode, resampling."""
+"""Lane representation, anchor layout, resampling, and the anchor decode
+(run by training.predict_frames)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from lane3d.geometry import (
-    AnchorPrediction,
-    Lane3D,
-    build_default_anchors,
-    decode_anchor,
-    encode_lane,
-    resample_lane,
-)
+from lane3d.geometry import Lane3D, build_default_anchors, resample_lane
+from lane3d.training import predict_frames
 
 
 def test_lane_validation():
@@ -69,23 +64,39 @@ def test_invalid_layouts_rejected():
         build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 5.0])
 
 
-def _pred(k, dx, dz, vlog, clog):
-    return AnchorPrediction(anchor_index=k, delta_x=dx, delta_z=dz,
-                            visibility_logits=vlog, class_logits=np.asarray(clog, float))
+def _decode(hand_set_model, span, stations, dx, dz, vis_logits, class_logits):
+    """Lanes training.predict_frames decodes from the given raw head outputs."""
+    scene_config, params, scene = hand_set_model(
+        stations, span, dx, dz, vis_logits, class_logits
+    )
+    return predict_frames(params, scene, scene_config, use_lstm_fusion=False)[-1]
 
 
-def test_zero_offset_decode_is_anchor_geometry():
-    anchors = build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 10.0])
-    lane = decode_anchor(anchors, _pred(2, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]))
+def _one_foreground(num_anchors, k, row):
+    """(K, n) rows: ``row`` at anchor k, zeros elsewhere."""
+    out = np.zeros((num_anchors, len(row)))
+    out[k] = row
+    return out
+
+
+def test_zero_offset_decode_is_anchor_geometry(hand_set_model):
+    zeros = np.zeros((3, 2))
+    lanes = _decode(hand_set_model, (-1.0, 1.0), [5.0, 10.0],
+                    zeros, zeros, zeros, np.tile([0.0, 1.0], (3, 1)))
+    assert len(lanes) == 3
+    lane = lanes[2]
     assert np.array_equal(lane.x, [1.0, 1.0])
     assert np.array_equal(lane.z, [0.0, 0.0])
     assert np.array_equal(lane.visibility, [0.5, 0.5])  # sigmoid(0)
-    assert lane.category == 0
+    assert lane.category == 1
 
 
-def test_additive_decode():
-    anchors = build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 10.0])
-    lane = decode_anchor(anchors, _pred(2, [0.5, 0.5], [0.1, 0.2], [10.0, -10.0], [0.0, 3.0]))
+def test_additive_decode(hand_set_model):
+    cls = np.tile([1.0, 0.0], (3, 1))  # background but anchor 2
+    cls[2] = [0.0, 3.0]
+    (lane,) = _decode(hand_set_model, (-1.0, 1.0), [5.0, 10.0],
+                      _one_foreground(3, 2, [0.5, 0.5]), _one_foreground(3, 2, [0.1, 0.2]),
+                      _one_foreground(3, 2, [10.0, -10.0]), cls)
     assert np.allclose(lane.x, [1.5, 1.5])
     assert np.allclose(lane.z, [0.1, 0.2])
     assert lane.visibility[0] > 0.99 and lane.visibility[1] < 0.01
@@ -93,35 +104,52 @@ def test_additive_decode():
     assert np.array_equal(lane.visible_mask(0.5), [True, False])
 
 
-def test_decode_affine_in_offsets():
-    anchors = build_default_anchors(4, (-2.0, 2.0), stations=[5.0, 10.0, 15.0])
+def test_decode_drops_background_and_invisible_anchors(hand_set_model):
+    # anchor 0 is background, anchor 1 sees no station, anchor 2 is a lane
+    vis = np.array([[5.0, 5.0], [-1.0, -1.0], [5.0, -1.0]])
+    cls = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+    zeros = np.zeros((3, 2))
+    lanes = _decode(hand_set_model, (-1.0, 1.0), [5.0, 10.0], zeros, zeros, vis, cls)
+    assert [lane.x[0] for lane in lanes] == [1.0]
+
+
+def test_decode_affine_in_offsets(hand_set_model):
     rng = np.random.default_rng(3)
+    stations, span = [5.0, 10.0, 15.0], (-2.0, 2.0)
+    cls = np.tile([1.0, 0.0], (4, 1))  # background but anchor 1
+    cls[1] = [0.0, 1.0]
+    zeros = np.zeros((4, 3))
     for _ in range(10):
         o1 = rng.normal(size=3)
         o2 = rng.normal(size=3)
-        z = rng.normal(size=3)
-        a = decode_anchor(anchors, _pred(1, o1 + o2, z, np.zeros(3), [1.0, 0.0]))
-        b = decode_anchor(anchors, _pred(1, o1, z, np.zeros(3), [1.0, 0.0]))
+        z = _one_foreground(4, 1, rng.normal(size=3))
+        (a,) = _decode(hand_set_model, span, stations,
+                       _one_foreground(4, 1, o1 + o2), z, zeros, cls)
+        (b,) = _decode(hand_set_model, span, stations,
+                       _one_foreground(4, 1, o1), z, zeros, cls)
         assert np.allclose(a.x, b.x + o2, atol=1e-12)
 
 
-def test_decode_encode_roundtrip():
-    anchors = build_default_anchors(5, (-3.0, 3.0), stations=[3.0, 8.0, 13.0])
+def test_decode_encode_roundtrip(hand_set_model):
+    # the regression targets scene_loss encodes (lane - anchor base)
+    # decode back to the lane
+    stations, span = [3.0, 8.0, 13.0], (-3.0, 3.0)
+    anchors = build_default_anchors(5, span, stations=stations)
     rng = np.random.default_rng(11)
-    for k in range(5):
-        lane = Lane3D(stations=anchors.stations, x=rng.normal(size=3),
-                      z=rng.normal(size=3), visibility=[1.0, 1.0, 1.0], category=1)
-        dx, dz = encode_lane(anchors, k, lane)
-        back = decode_anchor(anchors, _pred(k, dx, dz, np.full(3, 50.0), [0.0, 5.0]))
+    lanes = [
+        Lane3D(stations=anchors.stations, x=rng.normal(size=3),
+               z=rng.normal(size=3), visibility=[1.0, 1.0, 1.0], category=1)
+        for _ in range(5)
+    ]
+    dx = np.stack([lane.x - anchors.base_x[k] for k, lane in enumerate(lanes)])
+    dz = np.stack([lane.z - anchors.base_z[k] for k, lane in enumerate(lanes)])
+    back = _decode(hand_set_model, span, stations, dx, dz,
+                   np.full((5, 3), 50.0), np.tile([0.0, 5.0], (5, 1)))
+    assert len(back) == 5
+    for lane, decoded in zip(lanes, back):
         # a + (x - a) can be one ulp off x in floats; z is exact (base 0)
-        assert np.allclose(back.x, lane.x, rtol=0.0, atol=1e-12)
-        assert np.array_equal(back.z, lane.z)
-
-
-def test_decode_index_out_of_range():
-    anchors = build_default_anchors(2, (-1.0, 1.0), stations=[5.0])
-    with pytest.raises(IndexError):
-        decode_anchor(anchors, _pred(5, [0.0], [0.0], [0.0], [1.0, 0.0]))
+        assert np.allclose(decoded.x, lane.x, rtol=0.0, atol=1e-12)
+        assert np.array_equal(decoded.z, lane.z)
 
 
 def test_resample_identity():

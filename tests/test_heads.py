@@ -14,21 +14,9 @@ from lane3d.heads import (
     IGNORE,
     HeadParameters,
     assign_targets,
-    forward,
     head_forward,
     mean_lateral_distance,
 )
-
-
-def _affine_params(c, s, ncls, rng, zero_bias=False):
-    p = HeadParameters.initialize(c, s, ncls, rng=rng, hidden=False)
-    if zero_bias:
-        p = HeadParameters(
-            offset_w=p.offset_w, offset_b=np.zeros_like(p.offset_b),
-            vis_w=p.vis_w, vis_b=np.zeros_like(p.vis_b),
-            cls_w=p.cls_w, cls_b=np.zeros_like(p.cls_b),
-        )
-    return p
 
 
 def test_parameter_validation():
@@ -40,6 +28,19 @@ def test_parameter_validation():
             vis_b=np.zeros(2),
             cls_w=np.zeros((4, 3)),
             cls_b=np.zeros(4),
+            hidden_w=np.zeros((3, 3)),
+            hidden_b=np.zeros(3),
+        )
+    with pytest.raises(ValueError):
+        HeadParameters(
+            offset_w=np.zeros((4, 3)),
+            offset_b=np.zeros(4),
+            vis_w=np.zeros((2, 3)),
+            vis_b=np.zeros(2),
+            cls_w=np.zeros((4, 3)),
+            cls_b=np.zeros(4),
+            hidden_w=np.zeros((3, 2)),  # hidden layer must be (C, C)
+            hidden_b=np.zeros(3),
         )
     with pytest.raises(ValueError):
         HeadParameters.initialize(4, 3, num_classes=1)
@@ -68,34 +69,22 @@ def test_duplicate_features_identical_predictions():
 
 def test_affine_heads_are_exactly_linear_with_zero_bias():
     rng = np.random.default_rng(3)
-    params = _affine_params(5, 3, 4, rng, zero_bias=True)
-    u = rng.normal(size=(2, 5))
-    v = rng.normal(size=(2, 5))
-    a, b = 2.5, -1.25
+    p = HeadParameters.initialize(5, 3, 4, rng=rng)
+    # an identity hidden layer passes non-negative features through the relu
+    params = HeadParameters(
+        hidden_w=np.eye(5), hidden_b=np.zeros(5),
+        offset_w=p.offset_w, offset_b=np.zeros_like(p.offset_b),
+        vis_w=p.vis_w, vis_b=np.zeros_like(p.vis_b),
+        cls_w=p.cls_w, cls_b=np.zeros_like(p.cls_b),
+    )
+    u = np.abs(rng.normal(size=(2, 5)))
+    v = np.abs(rng.normal(size=(2, 5)))
+    a, b = 2.5, 1.25
     outs_combo = head_forward(a * u + b * v, params)
     outs_u = head_forward(u, params)
     outs_v = head_forward(v, params)
     for combo, fu, fv in zip(outs_combo, outs_u, outs_v):
         assert np.allclose(combo.value, a * fu.value + b * fv.value, atol=1e-12)
-
-
-def test_forward_produces_anchor_predictions():
-    anchors = build_default_anchors(4, (-2.0, 2.0), stations=[5.0, 10.0, 15.0])
-    params = HeadParameters.initialize(8, 3, 5, rng=4)
-    feats = np.random.default_rng(5).normal(size=(4, 8))
-    preds = forward(feats, params, anchors)
-    assert len(preds) == 4
-    for k, p in enumerate(preds):
-        assert p.anchor_index == k
-        assert p.delta_x.shape == (3,)
-        assert p.class_logits.shape == (5,)
-
-
-def test_forward_rejects_anchor_mismatch():
-    anchors = build_default_anchors(4, (-2.0, 2.0), stations=[5.0, 10.0, 15.0])
-    params = HeadParameters.initialize(8, 3, 5, rng=4)
-    with pytest.raises(ValueError):
-        forward(np.zeros((3, 8)), params, anchors)
 
 
 def test_head_gradients_match_fd():

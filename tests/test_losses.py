@@ -9,17 +9,15 @@ from lane3d import autodiff as ad
 from lane3d.geometry import Lane3D
 from lane3d.losses import (
     LossConfig,
-    PointSet,
-    UncertaintyState,
     balanced_l1,
     balanced_l1_vector,
     chamfer,
-    chamfer_curve,
     combine_uncertainty,
     cross_entropy,
     dice,
     focal,
 )
+from lane3d.training import TrainConfig, scene_loss
 
 CFG = LossConfig()
 
@@ -119,27 +117,25 @@ def test_balanced_l1_vector_rejects_zero_weights():
 
 
 def test_chamfer_identical_sets_zero():
-    P = PointSet(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]))
+    P = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     assert float(chamfer(P, P).value) == 0.0
 
 
 def test_chamfer_three_four_five():
-    out = chamfer(PointSet([[0.0, 0.0, 0.0]]), PointSet([[3.0, 4.0, 0.0]]))
+    out = chamfer([[0.0, 0.0, 0.0]], [[3.0, 4.0, 0.0]])
     assert np.isclose(float(out.value), 50.0, atol=1e-12)
 
 
 def test_chamfer_two_versus_one():
-    out = chamfer(
-        PointSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), PointSet([[0.0, 0.0, 0.0]])
-    )
+    out = chamfer([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
     assert np.isclose(float(out.value), 0.5, atol=1e-12)
 
 
 def test_chamfer_rejects_empty():
     with pytest.raises(ValueError):
-        PointSet(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
         chamfer(np.zeros((0, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        chamfer(np.ones((2, 3)), np.zeros((0, 3)))
 
 
 def test_chamfer_symmetry_and_translation_invariance():
@@ -165,39 +161,56 @@ def test_chamfer_gradient_matches_fd():
         assert report.max_relative_error < 1e-6, seed
 
 
-def _lane(x, vis, stations=None, z=None):
+def _lane(x, vis):
     x = np.asarray(x, dtype=np.float64)
-    stations = np.arange(5.0, 5.0 + 5.0 * len(x), 5.0) if stations is None else stations
-    z = np.zeros_like(x) if z is None else z
-    return Lane3D(stations=stations, x=x, z=z, visibility=vis, category=1)
+    stations = np.arange(5.0, 5.0 + 5.0 * len(x), 5.0)
+    return Lane3D(stations=stations, x=x, z=np.zeros_like(x), visibility=vis, category=1)
 
 
-def test_chamfer_curve_exact_match():
+def _curve_loss(hand_set_model, pred_x, gt):
+    """The curve task of training.scene_loss at ramp weight 1: one anchor
+    (base x = 0, height 0) predicting ``pred_x`` on gt's stations."""
+    n = len(pred_x)
+    scene_config, params, scene = hand_set_model(
+        gt.stations, (-1.0, 1.0), [pred_x], np.zeros((1, n)), np.zeros((1, n)),
+        [[0.0, 1.0]], lanes=[gt],
+    )
+    pvars = {name: ad.Var(value) for name, value in params.items()}
+    config = TrainConfig(use_lstm_fusion=False, curve_ramp_start=0, curve_ramp_end=0)
+    _, values = scene_loss(pvars, scene, scene_config.anchors(), CFG, config, epoch=0)
+    return values["curve"]
+
+
+def test_chamfer_curve_exact_match(hand_set_model):
     gt = _lane([0.5, 0.7, 0.9], [1.0, 1.0, 1.0])
-    assert float(chamfer_curve(gt, gt).value) == 0.0
+    assert _curve_loss(hand_set_model, gt.x, gt) == 0.0
 
 
-def test_chamfer_curve_parallel_shift():
+def test_chamfer_curve_parallel_shift(hand_set_model):
     n = 5
     gt = _lane(np.zeros(n), np.ones(n))
-    pred = _lane(np.full(n, 0.1), np.ones(n))
-    out = chamfer_curve(pred, gt)
-    assert np.isclose(float(out.value), 0.02, atol=1e-12)
+    out = _curve_loss(hand_set_model, np.full(n, 0.1), gt)
+    assert np.isclose(out, 0.02, atol=1e-12)
 
 
-def test_chamfer_curve_filters_invisible_gt():
-    # invisible far-off gt station excluded: pred y=15 pays only the 5 m
-    # longitudinal gap to the nearest visible point, (0+0+25)/3 + 0
+def test_chamfer_curve_filters_invisible_gt(hand_set_model):
+    # the invisible far-off gt station is excluded and the visible span
+    # [5, 10] resampled to y = 5, 7.5, 10: pred y=15 pays the 5 m gap to
+    # y=10 and gt y=7.5 the 2.5 m gap to y=5 or 10, (25/3) + (6.25/3)
     gt = _lane([0.0, 0.0, 50.0], [1.0, 1.0, 0.0])
-    pred = _lane([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    out = float(chamfer_curve(pred, gt).value)
+    out = _curve_loss(hand_set_model, np.zeros(3), gt)
+    assert np.isclose(out, 31.25 / 3.0, atol=1e-12)
+    # an invisible station inside the visible span is dropped after the
+    # resampling: only pred y=10 pays, 25 m^2 to gt y=5 or 15
+    gt = _lane([0.0, 50.0, 0.0], [1.0, 0.0, 1.0])
+    out = _curve_loss(hand_set_model, np.zeros(3), gt)
     assert np.isclose(out, 25.0 / 3.0, atol=1e-12)
 
 
-def test_chamfer_curve_rejects_fully_invisible_gt():
+def test_chamfer_curve_rejects_fully_invisible_gt(hand_set_model):
     gt = _lane([0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        chamfer_curve(gt, gt)
+    with pytest.raises(ValueError, match="no visible station"):
+        _curve_loss(hand_set_model, gt.x, gt)
 
 
 def test_focal_reduces_to_cross_entropy_at_equal_logits():
@@ -333,7 +346,7 @@ def test_dice_gradient_matches_fd():
 def test_uncertainty_zero_s_sums_losses():
     out = combine_uncertainty(
         {"regression": 1.0, "curve": 2.0, "classification": 3.0, "visibility": 4.0},
-        UncertaintyState(),
+        {"regression": 0.0, "curve": 0.0, "classification": 0.0, "visibility": 0.0},
     )
     assert np.isclose(float(out.value), 10.0, atol=1e-12)
 

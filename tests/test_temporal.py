@@ -1,4 +1,4 @@
-"""LSTM cell, sequence fusion, backpropagation through time."""
+"""LSTM cell, batched per-anchor fusion, backpropagation through time."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from lane3d import autodiff as ad
 from lane3d.temporal import (
     PARAM_NAMES,
     LstmParameters,
-    TemporalFeatureSequence,
     fuse_all_anchors,
-    fuse_sequence,
     lstm_step,
 )
 
@@ -26,13 +24,27 @@ def _zero_params(c, h):
     )
 
 
+def _numpy_fuse(batch, params):
+    """Plain-numpy LSTM recurrence over one anchor's (T, C) frames, oldest first."""
+    hidden = params.hidden_size
+    h, c = np.zeros(hidden), np.zeros(hidden)
+    for x in batch:
+        z = params.w_ih @ x + params.w_hh @ h + params.bias
+        i, f, o = (1.0 / (1.0 + np.exp(-z[j * hidden : (j + 1) * hidden])) for j in (0, 1, 3))
+        g = np.tanh(z[2 * hidden : 3 * hidden])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return np.maximum(params.proj_w @ h + params.proj_b, 0.0)
+
+
 def test_sequence_validation():
+    params = LstmParameters.initialize(4, 4, rng=0)
+    # a bare (T, C) sequence is not a (K, T, C) anchor batch
     with pytest.raises(ValueError):
-        TemporalFeatureSequence(np.zeros((0, 4)))
+        fuse_all_anchors(np.zeros((3, 4)), params)
     with pytest.raises(ValueError):
-        TemporalFeatureSequence(np.array([[np.inf, 0.0]]))
-    seq = TemporalFeatureSequence(np.zeros((3, 8)))
-    assert seq.num_frames == 3 and seq.channels == 8
+        fuse_all_anchors(np.zeros((1, 2, 3, 4)), params)
+    assert fuse_all_anchors(np.zeros((1, 3, 4)), params).shape == (1, 4)
 
 
 def test_parameter_shape_validation():
@@ -68,32 +80,31 @@ def test_initialize_ranges_and_forget_bias():
 
 def test_zero_parameters_give_zero_state():
     params = _zero_params(3, 2)
-    h, c = lstm_step(np.ones(3), np.zeros(2), np.zeros(2), params)
+    h, c = lstm_step(np.ones((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), params)
     # gates i=f=o=0.5, g=0 at zero pre-activations
-    assert np.array_equal(c.value, [0.0, 0.0])
-    assert np.array_equal(h.value, [0.0, 0.0])
+    assert np.array_equal(c.value, [[0.0, 0.0]])
+    assert np.array_equal(h.value, [[0.0, 0.0]])
 
 
 def test_zero_cell_ignores_forget_gate():
     rng = np.random.default_rng(5)
     params = LstmParameters.initialize(4, 4, rng=rng)
-    x = rng.normal(size=4)
-    h1, c1 = lstm_step(x, np.zeros(4), np.zeros(4), params)
+    x = rng.normal(size=(2, 4))
+    h1, c1 = lstm_step(x, np.zeros((2, 4)), np.zeros((2, 4)), params)
     # with c_prev = 0, c = i*g regardless of the forget gate
-    p = {n: ad.Var(getattr(params, n)) for n in PARAM_NAMES}
-    z = params.w_ih @ x + params.bias
-    i = 1.0 / (1.0 + np.exp(-z[0:4]))
-    g = np.tanh(z[8:12])
+    z = x @ params.w_ih.T + params.bias
+    i = 1.0 / (1.0 + np.exp(-z[:, 0:4]))
+    g = np.tanh(z[:, 8:12])
     assert np.allclose(c1.value, i * g, atol=1e-12)
 
 
 def test_state_bounds():
     rng = np.random.default_rng(9)
     params = LstmParameters.initialize(5, 3, rng=rng)
-    h = np.zeros(3)
-    c = np.zeros(3)
+    h = np.zeros((2, 3))
+    c = np.zeros((2, 3))
     for _ in range(50):
-        x = rng.normal(scale=3.0, size=5)
+        x = rng.normal(scale=3.0, size=(2, 5))
         h_v, c_v = lstm_step(x, h, c, params)
         assert np.all(np.abs(h_v.value) <= 1.0)
         assert np.all(np.abs(c_v.value) <= np.abs(c) + 1.0 + 1e-12)
@@ -103,17 +114,17 @@ def test_state_bounds():
 def test_fuse_single_frame_reduction():
     rng = np.random.default_rng(2)
     params = LstmParameters.initialize(4, 4, rng=rng)
-    x = rng.normal(size=(1, 4))
-    fused = fuse_sequence(x, params)
-    h1, _ = lstm_step(x[0], np.zeros(4), np.zeros(4), params)
-    manual = np.maximum(params.proj_w @ h1.value + params.proj_b, 0.0)
+    x = rng.normal(size=(1, 1, 4))
+    fused = fuse_all_anchors(x, params)
+    h1, _ = lstm_step(x[:, 0], np.zeros((1, 4)), np.zeros((1, 4)), params)
+    manual = np.maximum(h1.value @ params.proj_w.T + params.proj_b, 0.0)
     assert np.allclose(fused.value, manual, atol=1e-12)
 
 
 def test_fuse_zero_parameters_zero_output():
     params = _zero_params(4, 4)
-    fused = fuse_sequence(np.ones((3, 4)), params)
-    assert np.array_equal(fused.value, np.zeros(4))
+    fused = fuse_all_anchors(np.ones((2, 3, 4)), params)
+    assert np.array_equal(fused.value, np.zeros((2, 4)))
 
 
 def test_relu_clamps_negative_projection():
@@ -124,8 +135,8 @@ def test_relu_clamps_negative_projection():
         proj_w=np.zeros((2, 1)),
         proj_b=np.array([-1.0, -2.0]),
     )
-    fused = fuse_sequence(np.ones((2, 2)), params)
-    assert np.array_equal(fused.value, [0.0, 0.0])
+    fused = fuse_all_anchors(np.ones((1, 2, 2)), params)
+    assert np.array_equal(fused.value, [[0.0, 0.0]])
 
 
 def test_fuse_all_anchors_matches_per_anchor():
@@ -134,8 +145,7 @@ def test_fuse_all_anchors_matches_per_anchor():
     batch = rng.normal(size=(4, 3, 6))
     fused = fuse_all_anchors(batch, params).value
     for k in range(4):
-        single = fuse_sequence(batch[k], params).value
-        assert np.allclose(fused[k], single, atol=1e-12)
+        assert np.allclose(fused[k], _numpy_fuse(batch[k], params), rtol=0.0, atol=1e-12)
 
 
 def test_identical_sequences_fuse_identically():
@@ -172,6 +182,7 @@ def test_anchor_independence():
 
 def test_inconsistent_anchor_shapes_rejected():
     params = LstmParameters.initialize(4, 4, rng=0)
+    # ragged anchors cannot form one (K, T, C) batch
     with pytest.raises(ValueError):
         fuse_all_anchors([np.zeros((2, 4)), np.zeros((3, 4))], params)
 
@@ -180,16 +191,16 @@ def test_inconsistent_anchor_shapes_rejected():
 def test_bptt_gradients_match_fd(num_frames):
     # gradient of a scalar of the fused output w.r.t. every parameter
     def program(p):
-        fused = fuse_sequence(p["x"], {n: p[n] for n in PARAM_NAMES})
+        fused = fuse_all_anchors(p["x"], {n: p[n] for n in PARAM_NAMES})
         return (fused * weights).sum()
 
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
         c, h = 3, 4
         init = LstmParameters.initialize(c, h, rng=rng)
-        weights = rng.normal(size=c)
+        weights = rng.normal(size=(2, c))
         params = {n: getattr(init, n) for n in PARAM_NAMES}
-        params["x"] = rng.normal(size=(num_frames, c))
+        params["x"] = rng.normal(size=(2, num_frames, c))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, (num_frames, seed)
 
@@ -203,8 +214,8 @@ def test_step_gradients_match_fd():
         rng = np.random.default_rng(400 + seed)
         init = LstmParameters.initialize(4, 4, rng=rng)
         params = {n: getattr(init, n) for n in PARAM_NAMES}
-        params["x"] = rng.normal(size=4)
-        params["h0"] = rng.normal(size=4) * 0.5
-        params["c0"] = rng.normal(size=4)
+        params["x"] = rng.normal(size=(2, 4))
+        params["h0"] = rng.normal(size=(2, 4)) * 0.5
+        params["c0"] = rng.normal(size=(2, 4))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, seed

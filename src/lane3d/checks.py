@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from .losses import LossConfig
-from .temporal import fuse_all_anchors
+from .temporal import fuse_all_anchors, lstm_step
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_STEP = 1e-5
@@ -74,7 +74,7 @@ def _check_many(name, build, num_inputs, step, tolerance, base_seed=0):
         if report.max_relative_error >= worst:
             worst = report.max_relative_error
             worst_seed = seed
-            worst_param = max(report.per_parameter, key=report.per_parameter.get)
+            worst_param = report.worst_parameter()
     return CheckResult(
         name=name,
         num_inputs=num_inputs,
@@ -170,35 +170,26 @@ def _build_lstm(rng, num_frames):
     channels, hidden = 4, 3
     while True:
         params = {
-            "w_ih": rng.normal(size=(4 * hidden, channels)) * 0.5,
-            "w_hh": rng.normal(size=(4 * hidden, hidden)) * 0.5,
-            "bias": rng.normal(size=4 * hidden) * 0.5,
-            "proj_w": rng.normal(size=(channels, hidden)) * 0.5,
-            "proj_b": rng.normal(size=channels) * 0.5,
+            "lstm.w_ih": rng.normal(size=(4 * hidden, channels)) * 0.5,
+            "lstm.w_hh": rng.normal(size=(4 * hidden, hidden)) * 0.5,
+            "lstm.bias": rng.normal(size=4 * hidden) * 0.5,
+            "lstm.proj_w": rng.normal(size=(channels, hidden)) * 0.5,
+            "lstm.proj_b": rng.normal(size=channels) * 0.5,
             "x": rng.normal(size=(1, num_frames, channels)),
         }
         # relu kinks: reject draws whose projection pre-activation sits
         # within a margin of zero anywhere
-        h = np.zeros(hidden)
-        c = np.zeros(hidden)
+        h = c = np.zeros((1, hidden))
         for t in range(num_frames):
-            z = params["w_ih"] @ params["x"][0, t] + params["w_hh"] @ h + params["bias"]
-            i, f, g, o = (
-                ad.sigmoid_values(z[0:hidden]),
-                ad.sigmoid_values(z[hidden : 2 * hidden]),
-                np.tanh(z[2 * hidden : 3 * hidden]),
-                ad.sigmoid_values(z[3 * hidden :]),
-            )
-            c = f * c + i * g
-            h = o * np.tanh(c)
-        pre = params["proj_w"] @ h + params["proj_b"]
+            h, c = lstm_step(params["x"][:, t], h, c, params)
+        pre = h.value @ params["lstm.proj_w"].T + params["lstm.proj_b"]
         if np.min(np.abs(pre)) > KINK_MARGIN:
             break
 
     mix = rng.normal(size=channels)
 
     def fn(p):
-        fused = fuse_all_anchors(p["x"], p)  # reads the five LSTM entries of p
+        fused = fuse_all_anchors(p["x"], p)  # reads the five lstm.* entries of p
         return (fused * mix).sum()
 
     return fn, params

@@ -14,6 +14,7 @@ failure (training divergence, unexpected I/O loss mid-run).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -238,20 +239,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # --seed seeds the audit's inputs, not the model, so it stays out of the hash
+    config = load_run_configuration(args.config) if args.config else RunConfiguration()
     hook = getattr(args, "corrupt_op", None)
-    if hook:
-        with corrupt_gradient(hook):
-            results = run_gradient_checks(
-                num_inputs=args.inputs, base_seed=args.seed or 0
-            )
-    else:
-        results = run_gradient_checks(num_inputs=args.inputs, base_seed=args.seed or 0)
+    with corrupt_gradient(hook) if hook else contextlib.nullcontext():
+        results = run_gradient_checks(
+            num_inputs=args.inputs, base_seed=args.seed or 0, loss_config=config.loss
+        )
     report = format_report(results)
     print(report)
     if getattr(args, "out", None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        config_hash = RunConfiguration().config_hash()
+        config_hash = config.config_hash()
         with open(out / "gradcheck_report.txt", "w") as fh:
             fh.write(f"# config_hash={config_hash}\n{report}\n")
     _log(f"gradcheck finished in {sum(r.seconds for r in results):.1f}s")

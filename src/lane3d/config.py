@@ -6,6 +6,10 @@ and evaluation constants, plus the dataset sizes and data seeds of the
 default benchmark. Serializing it to canonical JSON and hashing gives a
 short fingerprint that every output artifact carries, so a table or a
 checkpoint can always be traced back to the exact settings that made it.
+
+One codec, ``to_dict``/``from_dict``, is the JSON format of
+RunConfiguration and of its three sections (SceneConfig, LossConfig,
+TrainConfig).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .losses import LossConfig
@@ -64,46 +70,6 @@ class RunConfiguration:
         if not self.output_dir:
             raise ValueError("RunConfiguration: output_dir must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "scene": self.scene.to_dict(),
-            "loss": self.loss.to_dict(),
-            "train": self.train.to_dict(),
-            "distance_threshold": self.distance_threshold,
-            "coverage_fraction": self.coverage_fraction,
-            "num_train_scenes": self.num_train_scenes,
-            "num_eval_scenes": self.num_eval_scenes,
-            "train_data_seed": self.train_data_seed,
-            "eval_data_seed": self.eval_data_seed,
-            "output_dir": self.output_dir,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfiguration":
-        known = {f.name for f in dataclasses.fields(RunConfiguration)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"RunConfiguration: unknown fields {unknown}")
-        kwargs = {}
-        if "scene" in d:
-            kwargs["scene"] = SceneConfig.from_dict(d["scene"])
-        if "loss" in d:
-            kwargs["loss"] = LossConfig.from_dict(d["loss"])
-        if "train" in d:
-            kwargs["train"] = TrainConfig.from_dict(d["train"])
-        for name in (
-            "distance_threshold",
-            "coverage_fraction",
-            "num_train_scenes",
-            "num_eval_scenes",
-            "train_data_seed",
-            "eval_data_seed",
-            "output_dir",
-        ):
-            if name in d:
-                kwargs[name] = d[name]
-        return RunConfiguration(**kwargs)
-
     def with_overrides(self, **kwargs) -> "RunConfiguration":
         """New configuration with top-level or train-level fields replaced.
 
@@ -131,9 +97,80 @@ class RunConfiguration:
     def config_hash(self) -> str:
         # where outputs land does not change what the run computes, so
         # the fingerprint ignores it
-        document = self.to_dict()
+        document = to_dict(self)
         document.pop("output_dir")
         return config_hash(document)
+
+
+def to_dict(config) -> dict:
+    """Every init field of a config dataclass; sections nest, tuples become lists."""
+
+    document = {}
+    for f in dataclasses.fields(config):
+        if not f.init:
+            continue
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            value = to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        document[f.name] = value
+    return document
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# field annotation -> (what the JSON value must be, test of the value)
+_ACCEPTS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    tuple: ("an array of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", dict: "an object", type(None): "null"}
+
+
+def from_dict(cls, document, where: str = ""):
+    """Config dataclass ``cls`` from the JSON document ``to_dict`` writes.
+
+    Absent fields keep their defaults.  An unknown field, a value of the
+    wrong JSON type (a boolean is not a number, 2.5 is not an integer)
+    or a value the dataclass rejects raises a ValueError that starts
+    with the dotted field, e.g. ``train.use_chamfr``.
+    """
+
+    prefix = f"{where}: " if where else ""
+    if not isinstance(document, dict):
+        raise ValueError(f"{prefix}expected a JSON object, got {_JSON_TYPES[type(document)]}")
+    kinds = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls) if f.init}
+    kwargs = {}
+    for name, value in document.items():
+        path = f"{where}.{name}" if where else name
+        if name not in names:
+            raise ValueError(f"{path}: unknown field")
+        kind = kinds[name]
+        if dataclasses.is_dataclass(kind):
+            kwargs[name] = from_dict(kind, value, path)
+            continue
+        expected, accepts = _ACCEPTS[kind]
+        if not accepts(value):
+            raise ValueError(f"{path}: expected {expected}, got {_JSON_TYPES[type(value)]}")
+        kwargs[name] = kind(value)  # an integer in a float field becomes a float
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def canonical_json(document: dict) -> str:
@@ -151,7 +188,7 @@ def config_hash(document: dict) -> str:
 
 def save_run_configuration(path, config: RunConfiguration) -> None:
     with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(to_dict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -159,8 +196,9 @@ def load_run_configuration(path) -> RunConfiguration:
     with open(path) as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"configuration file {path}: invalid JSON ({exc})")
-    if not isinstance(document, dict):
-        raise ValueError(f"configuration file {path}: expected a JSON object")
-    return RunConfiguration.from_dict(document)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"configuration file {path}: invalid JSON ({exc})") from None
+    try:
+        return from_dict(RunConfiguration, document)
+    except ValueError as exc:
+        raise ValueError(f"configuration file {path}: {exc}") from None

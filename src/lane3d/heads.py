@@ -23,111 +23,28 @@ from .geometry import AnchorSet, Lane3D, resample_lane
 BACKGROUND = -1
 IGNORE = -2
 
-HEAD_PARAM_NAMES = (
-    "hidden_w",
-    "hidden_b",
-    "offset_w",
-    "offset_b",
-    "vis_w",
-    "vis_b",
-    "cls_w",
-    "cls_b",
-)
-
 POSITIVE_THRESHOLD = 1.0
-
-
-@dataclass(frozen=True)
-class HeadParameters:
-    """A shared (C, C) relu hidden layer, then three affine heads.
-
-    offset head emits 2S values per anchor: delta-x for all stations,
-    then delta-z for all stations.
-    """
-
-    offset_w: np.ndarray
-    offset_b: np.ndarray
-    vis_w: np.ndarray
-    vis_b: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-
-    def __post_init__(self):
-        for name in HEAD_PARAM_NAMES:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        c = self.offset_w.shape[1]
-        two_s = self.offset_w.shape[0]
-        if two_s % 2 != 0:
-            raise ValueError("HeadParameters: offset head must emit 2S values")
-        s = two_s // 2
-        if self.offset_b.shape != (two_s,):
-            raise ValueError("HeadParameters: offset bias shape mismatch")
-        if self.vis_w.shape != (s, c) or self.vis_b.shape != (s,):
-            raise ValueError("HeadParameters: visibility head shape mismatch")
-        if self.cls_w.shape[1] != c or self.cls_b.shape != (self.cls_w.shape[0],):
-            raise ValueError("HeadParameters: class head shape mismatch")
-        if self.hidden_w.shape != (c, c) or self.hidden_b.shape != (c,):
-            raise ValueError("HeadParameters: hidden layer must be (C, C) + (C,)")
-
-    @property
-    def channels(self) -> int:
-        return self.offset_w.shape[1]
-
-    @property
-    def num_stations(self) -> int:
-        return self.offset_w.shape[0] // 2
-
-    @property
-    def num_classes(self) -> int:
-        return self.cls_w.shape[0]
-
-    @staticmethod
-    def initialize(
-        channels: int,
-        num_stations: int,
-        num_classes: int,
-        rng=None,
-    ) -> "HeadParameters":
-        if num_classes < 2:
-            raise ValueError("HeadParameters.initialize: need >= 2 classes")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        scale = 1.0 / np.sqrt(channels)
-        u = lambda *shape: rng.uniform(-scale, scale, size=shape)
-        return HeadParameters(
-            hidden_w=u(channels, channels),
-            hidden_b=u(channels),
-            offset_w=u(2 * num_stations, channels),
-            offset_b=u(2 * num_stations),
-            vis_w=u(num_stations, channels),
-            vis_b=u(num_stations),
-            cls_w=u(num_classes, channels),
-            cls_b=u(num_classes),
-        )
-
-
-def _as_head_vars(params) -> dict:
-    if isinstance(params, HeadParameters):
-        return {name: ad.Var(getattr(params, name)) for name in HEAD_PARAM_NAMES}
-    return {name: ad.as_var(params[name]) for name in HEAD_PARAM_NAMES}
 
 
 def head_forward(features, params):
     """Map (K, C) features to raw head outputs.
 
     Returns Vars (delta_x, delta_z, visibility_logits, class_logits) of
-    shapes (K, S), (K, S), (K, S), (K, num_classes).
+    shapes (K, S), (K, S), (K, S), (K, num_classes).  Reads a shared
+    (C, C) relu hidden layer ``head.hidden_w``/``head.hidden_b``, then
+    three affine heads: ``head.offset_*`` emits 2S values per anchor
+    (delta-x for all stations, then delta-z), ``head.vis_*`` S values
+    and ``head.cls_*`` num_classes values.
     """
-    p = _as_head_vars(params)
+    p = {name: ad.as_var(value) for name, value in params.items() if name.startswith("head.")}
     x = ad.as_var(features)
-    if x.ndim != 2 or x.shape[1] != p["offset_w"].shape[1]:
+    if x.ndim != 2 or x.shape[1] != p["head.offset_w"].shape[1]:
         raise ValueError("head_forward: features must be (K, C) matching the heads")
-    h = ad.relu(x @ p["hidden_w"].T + p["hidden_b"])
-    offsets = h @ p["offset_w"].T + p["offset_b"]
-    vis = h @ p["vis_w"].T + p["vis_b"]
-    cls = h @ p["cls_w"].T + p["cls_b"]
-    s = p["offset_w"].shape[0] // 2
+    h = ad.relu(x @ p["head.hidden_w"].T + p["head.hidden_b"])
+    offsets = h @ p["head.offset_w"].T + p["head.offset_b"]
+    vis = h @ p["head.vis_w"].T + p["head.vis_b"]
+    cls = h @ p["head.cls_w"].T + p["head.cls_b"]
+    s = p["head.offset_w"].shape[0] // 2
     return offsets[:, :s], offsets[:, s:], vis, cls
 
 

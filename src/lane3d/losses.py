@@ -49,20 +49,6 @@ class LossConfig:
         if abs(self.alpha * np.log1p(b) - self.gamma) > CONTINUITY_TOL:
             raise ValueError("LossConfig: continuity constraint violated")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "focal_gamma": self.focal_gamma,
-            "focal_alpha": self.focal_alpha,
-            "dice_epsilon": self.dice_epsilon,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LossConfig":
-        return LossConfig(**{k: float(v) for k, v in d.items() if k != "b"})
-
 
 def balanced_l1(delta, config: LossConfig):
     """Two-branch regression loss of a non-negative residual magnitude.

@@ -103,22 +103,6 @@ class SceneConfig:
             self.num_anchors, self.lateral_span, np.asarray(self.stations)
         )
 
-    def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "SceneConfig":
-        kwargs = {}
-        for name, f in SceneConfig.__dataclass_fields__.items():
-            if name in d:
-                value = d[name]
-                kwargs[name] = tuple(value) if isinstance(value, list) else value
-        return SceneConfig(**kwargs)
-
 
 @dataclass(frozen=True)
 class WorldLane:

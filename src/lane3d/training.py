@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .geometry import VISIBILITY_THRESHOLD, Lane3D, resample_lane
-from .heads import BACKGROUND, IGNORE, HeadParameters, assign_targets, head_forward
+from .heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from .losses import (
     TASK_NAMES,
     LossConfig,
@@ -41,7 +41,7 @@ from .metrics import (
     temporal_smoothness,
 )
 from .synth import BACKGROUND_CLASS, SceneConfig
-from .temporal import LstmParameters, fuse_all_anchors
+from .temporal import fuse_all_anchors
 
 PARAM_ORDER = (
     "lstm.w_ih",
@@ -92,14 +92,6 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("TrainConfig: optimizer must be 'adam' or 'sgd'")
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        known = {k: v for k, v in d.items() if k in TrainConfig.__dataclass_fields__}
-        return TrainConfig(**known)
-
 
 def curve_ramp_weight(epoch: int, config: TrainConfig) -> float:
     """0 before the ramp, linear up to 1 across it, 1 after; non-decreasing."""
@@ -114,37 +106,36 @@ def curve_ramp_weight(epoch: int, config: TrainConfig) -> float:
 
 
 def init_parameters(scene_config: SceneConfig, train_config: TrainConfig) -> dict:
-    """All learnable arrays in checkpoint order, from the config seed."""
+    """All learnable arrays in checkpoint order, from the config seed.
+
+    One generator draws Uniform(-1/sqrt(C), 1/sqrt(C)) arrays in a fixed
+    order: the LSTM bias (forget-gate slice then shifted by +1), the rest
+    of the LSTM (hidden size C), then the heads.  The uncertainty
+    log-variances start at zero.
+    """
     rng = np.random.default_rng(train_config.seed)
     c = scene_config.channels
     s = scene_config.num_stations
-    lstm = LstmParameters.initialize(c, rng=rng)
-    heads = HeadParameters.initialize(c, s, scene_config.num_classes, rng=rng)
-    params = {
-        "lstm.w_ih": lstm.w_ih,
-        "lstm.w_hh": lstm.w_hh,
-        "lstm.bias": lstm.bias,
-        "lstm.proj_w": lstm.proj_w,
-        "lstm.proj_b": lstm.proj_b,
-        "head.hidden_w": heads.hidden_w,
-        "head.hidden_b": heads.hidden_b,
-        "head.offset_w": heads.offset_w,
-        "head.offset_b": heads.offset_b,
-        "head.vis_w": heads.vis_w,
-        "head.vis_b": heads.vis_b,
-        "head.cls_w": heads.cls_w,
-        "head.cls_b": heads.cls_b,
-        "uncertainty.s": np.zeros(len(TASK_NAMES)),
+    shapes = {
+        "lstm.bias": (4 * c,),
+        "lstm.w_ih": (4 * c, c),
+        "lstm.w_hh": (4 * c, c),
+        "lstm.proj_w": (c, c),
+        "lstm.proj_b": (c,),
+        "head.hidden_w": (c, c),
+        "head.hidden_b": (c,),
+        "head.offset_w": (2 * s, c),
+        "head.offset_b": (2 * s,),
+        "head.vis_w": (s, c),
+        "head.vis_b": (s,),
+        "head.cls_w": (scene_config.num_classes, c),
+        "head.cls_b": (scene_config.num_classes,),
     }
-    return {name: np.array(params[name], dtype=np.float64) for name in PARAM_ORDER}
-
-
-def _lstm_vars(pvars):
-    return {key.split(".", 1)[1]: pvars[key] for key in PARAM_ORDER if key.startswith("lstm.")}
-
-
-def _head_vars(pvars):
-    return {key.split(".", 1)[1]: pvars[key] for key in PARAM_ORDER if key.startswith("head.")}
+    scale = 1.0 / np.sqrt(c)
+    params = {name: rng.uniform(-scale, scale, size=shape) for name, shape in shapes.items()}
+    params["lstm.bias"][c : 2 * c] += 1.0
+    params["uncertainty.s"] = np.zeros(len(TASK_NAMES))
+    return {name: params[name] for name in PARAM_ORDER}
 
 
 def _equidistant_gt(lane: Lane3D) -> Lane3D:
@@ -186,10 +177,10 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
 
     feats = np.stack([f.features for f in scene.frames], axis=1)  # (K, T, C)
     if cfg.use_lstm_fusion:
-        fused = fuse_all_anchors(feats, _lstm_vars(pvars))
+        fused = fuse_all_anchors(feats, pvars)
     else:
         fused = ad.Var(feats[:, -1, :])
-    dx, dz, vis_logits, cls_logits = head_forward(fused, _head_vars(pvars))
+    dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
 
     gt_lanes = list(scene.frames[-1].lanes)
     assignment = assign_targets(anchors, gt_lanes)
@@ -277,11 +268,10 @@ def _consistency_penalty(pvars, scene, anchors, positives):
     into frame T-1 and compared against an interpolation of frame T-1's
     prediction at the transported stations.
     """
-    hv = _head_vars(pvars)
     prev_feats = ad.Var(scene.frames[-2].features)
     cur_feats = ad.Var(scene.frames[-1].features)
-    dx_prev, _, _, _ = head_forward(prev_feats, hv)
-    dx_cur, _, _, _ = head_forward(cur_feats, hv)
+    dx_prev, _, _, _ = head_forward(prev_feats, pvars)
+    dx_cur, _, _, _ = head_forward(cur_feats, pvars)
     forward, yaw_change = scene.ego_motion[-1]
     stations = anchors.stations
     sin, cos = np.sin(yaw_change), np.cos(yaw_change)
@@ -459,8 +449,8 @@ def load_checkpoint(path, shapes: dict | None = None):
     that is not one JSON object, a missing or malformed ``manifest``,
     manifest names other than PARAM_ORDER in order, a manifest shape
     other than the one ``shapes`` gives for that name (when given), a
-    body too short for a parameter, and bytes left over after the last
-    one.
+    body too short for a parameter, a NaN or infinite parameter value,
+    and bytes left over after the last one.
     """
     with open(path, "rb") as fh:
         try:
@@ -492,6 +482,8 @@ def load_checkpoint(path, shapes: dict | None = None):
                     f"checkpoint {path}: {name}: body truncated ({len(data)} of {size} bytes)"
                 )
             params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.all(np.isfinite(params[name])):
+                raise ValueError(f"checkpoint {path}: {name}: non-finite parameter values")
         trailing = len(fh.read())
     if trailing:
         raise ValueError(
@@ -509,13 +501,19 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
     output is background or that claim no visible station (none at or
     above VISIBILITY_THRESHOLD) yield no lane; the rest decode as
     x = base_x + dx, z = base_z + dz, visibility = sigmoid(logit), and
-    category = argmax of the class logits.
+    category = argmax of the class logits.  A scene whose (K, C) differs
+    from the configuration's is rejected.
     """
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)  # (T, K, C)
+    expected = (scene_config.num_anchors, scene_config.channels)
+    if feats.shape[1:] != expected:
+        raise ValueError(
+            f"predict_frames: scene features (K, C) = {feats.shape[1:]} differ from "
+            f"{expected} of the configuration"
+        )
     total = feats.shape[0]
     pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
-    hv, lv = _head_vars(pvars), _lstm_vars(pvars)
     per_frame = []
     for t in range(total):
         if use_lstm_fusion:
@@ -523,10 +521,10 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
             if t + 1 < total:
                 pad = np.repeat(feats[:1], total - (t + 1), axis=0)
                 window = np.concatenate([pad, window], axis=0)
-            fused = fuse_all_anchors(window.transpose(1, 0, 2), lv).value
+            fused = fuse_all_anchors(window.transpose(1, 0, 2), pvars).value
         else:
             fused = feats[t]
-        dx, dz, vis_logits, cls_logits = head_forward(fused, hv)
+        dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
         lanes = []
         for k in range(anchors.num_anchors):
             category = int(np.argmax(cls_logits.value[k]))

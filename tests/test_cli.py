@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from lane3d.checks import format_report, run_gradient_checks
 from lane3d.cli import main, read_scene_dir, write_scene_dir
 from lane3d.config import RunConfiguration, save_run_configuration
 from lane3d.geometry import read_lane_file, write_lane_file
+from lane3d.losses import LossConfig
 from lane3d.synth import SceneConfig, generate_dataset, generate_scene
 from lane3d.training import TrainConfig, init_parameters, load_checkpoint, save_checkpoint
 
@@ -374,6 +376,21 @@ def test_eval_rejects_a_truncated_checkpoint(small_config, tmp_path, capsys):
     assert "checkpoint.bin" in err and "body truncated" in err
 
 
+def test_eval_rejects_a_checkpoint_with_a_nan(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    params = init_parameters(cfg.scene, cfg.train)
+    params["head.cls_w"][1, 2] = np.nan
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(ckpt, params, 0, cfg.config_hash())
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: head.cls_w: non-finite parameter values" in err
+    assert not (tmp_path / "ev" / "eval_metrics.csv").exists()
+
+
 def test_eval_rejects_a_checkpoint_of_another_configuration(small_config, tmp_path, capsys):
     cfg, path = small_config
     out = tmp_path / "run"
@@ -413,6 +430,54 @@ def test_gradcheck_writes_report_with_hash(tmp_path, capsys):
     text = (out / "gradcheck_report.txt").read_text()
     assert text.startswith("# config_hash=")
     assert "worst offender" in text
+
+
+def test_gradcheck_audits_the_config_loss_and_stamps_its_hash(tmp_path, capsys):
+    cfg = RunConfiguration(loss=LossConfig(focal_gamma=3.0))
+    path = tmp_path / "focal.json"
+    save_run_configuration(path, cfg)
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--config", str(path), "--inputs", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    lines = (out / "gradcheck_report.txt").read_text().splitlines()
+    # --seed picks the audit's inputs and stays out of the hash
+    assert lines[0] == f"# config_hash={cfg.config_hash()}"
+    assert cfg.config_hash() != RunConfiguration().config_hash()
+    default = format_report(run_gradient_checks(num_inputs=2, base_seed=4))
+    custom = format_report(run_gradient_checks(num_inputs=2, base_seed=4, loss_config=cfg.loss))
+    assert "\n".join(lines[1:]) == custom != default
+
+
+def test_gradcheck_rejects_a_bad_config(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"loss": {"alpha": "x"}}))
+    assert main(["gradcheck", "--config", str(path), "--inputs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == (
+        f"lane3d: error: configuration file {path}: loss.alpha: expected a finite number, "
+        "got a string"
+    )
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"train": {"use_chamfr": False}},
+        {"scene": {"num_anchorz": 8}},
+        {"loss": {"alphaa": 0.5}},
+        {"scene": "oops"},
+        {"train": {"epochs": 2.5}},
+        {"loss": {"alpha": "x"}},
+    ],
+)
+def test_train_rejects_a_bad_config_in_one_line(tmp_path, capsys, document):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(document))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"configuration file {path}: " in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_ablate_emits_five_nested_rows(small_config, tmp_path, capsys):

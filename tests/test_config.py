@@ -3,13 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lane3d.config import (
     RunConfiguration,
     canonical_json,
     config_hash,
+    from_dict,
     load_run_configuration,
     save_run_configuration,
+    to_dict,
 )
 from lane3d.losses import LossConfig
 from lane3d.synth import SceneConfig
@@ -44,10 +48,10 @@ def test_round_trip_through_dict():
         num_eval_scenes=2,
         output_dir="elsewhere",
     )
-    back = RunConfiguration.from_dict(cfg.to_dict())
+    back = from_dict(RunConfiguration, to_dict(cfg))
     assert back == cfg
     # and the dict itself survives a JSON round trip bit-for-bit
-    assert RunConfiguration.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert from_dict(RunConfiguration, json.loads(json.dumps(to_dict(cfg)))) == cfg
 
 
 def test_file_round_trip(tmp_path):
@@ -58,10 +62,10 @@ def test_file_round_trip(tmp_path):
 
 
 def test_from_dict_rejects_unknown_fields():
-    d = RunConfiguration().to_dict()
+    d = to_dict(RunConfiguration())
     d["mystery"] = 1
     with pytest.raises(ValueError, match="mystery"):
-        RunConfiguration.from_dict(d)
+        from_dict(RunConfiguration, d)
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -137,3 +141,96 @@ def test_hash_covers_nested_fields():
         )
         seen.add(cfg.config_hash())
     assert len(seen) == 8
+
+
+def test_default_hash_is_pinned():
+    # every checkpoint and table of the default benchmark carries this value
+    assert RunConfiguration().config_hash() == "ccc5eb54741a"
+
+
+def test_to_dict_writes_every_init_field():
+    d = to_dict(RunConfiguration())
+    assert set(d["loss"]) == {"alpha", "beta", "gamma", "focal_gamma", "focal_alpha", "dice_epsilon"}
+    assert d["scene"]["num_lanes_range"] == [2, 4]
+    assert isinstance(d["scene"]["stations"], list) and len(d["scene"]["stations"]) == 20
+    assert d["train"]["use_consistency"] is False
+
+
+@pytest.mark.parametrize(
+    "document, field",
+    [
+        ({"train": {"use_chamfr": False}}, "train.use_chamfr: unknown field"),
+        ({"scene": {"num_anchorz": 8}}, "scene.num_anchorz: unknown field"),
+        ({"loss": {"alphaa": 0.5}}, "loss.alphaa: unknown field"),
+        ({"scene": "oops"}, "scene: expected a JSON object, got a string"),
+        ({"train": {"epochs": 2.5}}, "train.epochs: expected an integer, got a number"),
+        ({"loss": {"alpha": "x"}}, "loss.alpha: expected a finite number, got a string"),
+        ({"train": {"use_chamfer": 0}}, "train.use_chamfer: expected a boolean, got a number"),
+        ({"loss": {"beta": True}}, "loss.beta: expected a finite number, got a boolean"),
+        ({"scene": {"lateral_span": [-1, "x"]}}, "scene.lateral_span: expected an array"),
+        ({"distance_threshold": None}, "distance_threshold: expected a finite number, got null"),
+        ({"loss": {"alpha": -1.0}}, "loss: LossConfig: alpha"),
+    ],
+)
+def test_load_names_the_file_and_the_field(tmp_path, document, field):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as info:
+        load_run_configuration(path)
+    message = str(info.value)
+    assert message.startswith(f"configuration file {path}: {field}")
+    assert "\n" not in message
+
+
+def test_load_reads_json_integers_in_float_fields_as_floats(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"train": {"learning_rate": 1}, "loss": {"alpha": 1}}))
+    cfg = load_run_configuration(path)
+    assert isinstance(cfg.train.learning_rate, float) and cfg.train.learning_rate == 1.0
+    assert isinstance(cfg.loss.alpha, float)
+    # a partial section starts from that section's own defaults
+    written = RunConfiguration(train=TrainConfig(learning_rate=1.0), loss=LossConfig(alpha=1.0))
+    assert cfg.config_hash() == written.config_hash()
+
+
+def test_load_turns_arrays_into_tuples(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"scene": {"lateral_span": [-6, 6]}}))
+    assert load_run_configuration(path).scene.lateral_span == (-6, 6)
+
+
+_FIELDS = [f"{section}.{name}" for section, fields in to_dict(RunConfiguration()).items()
+           if isinstance(fields, dict) for name in fields]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw):
+    """Defaults with a few fields replaced by arbitrary JSON, plus stray keys."""
+    document = to_dict(RunConfiguration())
+    top = [name for name, value in document.items() if not isinstance(value, dict)]
+    for path in draw(st.lists(st.sampled_from(_FIELDS + top + ["scene", "loss", "train"]), max_size=3)):
+        *section, name = path.split(".")
+        target = document[section[0]] if section else document
+        if isinstance(target, dict):
+            target[name] = draw(_JSON)
+    if draw(st.booleans()):
+        document.update(draw(st.dictionaries(st.text(max_size=8), _JSON, max_size=2)))
+    return document
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_documents())
+def test_load_either_loads_or_names_the_file(tmp_path, document):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    try:
+        cfg = load_run_configuration(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"configuration file {path}: ")
+    else:
+        assert isinstance(cfg, RunConfiguration)

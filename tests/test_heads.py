@@ -12,47 +12,31 @@ from lane3d.geometry import Lane3D, build_default_anchors
 from lane3d.heads import (
     BACKGROUND,
     IGNORE,
-    HeadParameters,
     assign_targets,
     head_forward,
     mean_lateral_distance,
 )
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        HeadParameters(
-            offset_w=np.zeros((5, 3)),  # odd first dim
-            offset_b=np.zeros(5),
-            vis_w=np.zeros((2, 3)),
-            vis_b=np.zeros(2),
-            cls_w=np.zeros((4, 3)),
-            cls_b=np.zeros(4),
-            hidden_w=np.zeros((3, 3)),
-            hidden_b=np.zeros(3),
-        )
-    with pytest.raises(ValueError):
-        HeadParameters(
-            offset_w=np.zeros((4, 3)),
-            offset_b=np.zeros(4),
-            vis_w=np.zeros((2, 3)),
-            vis_b=np.zeros(2),
-            cls_w=np.zeros((4, 3)),
-            cls_b=np.zeros(4),
-            hidden_w=np.zeros((3, 2)),  # hidden layer must be (C, C)
-            hidden_b=np.zeros(3),
-        )
-    with pytest.raises(ValueError):
-        HeadParameters.initialize(4, 3, num_classes=1)
+def _heads(c, s, num_classes, rng):
+    """Uniform(-1/sqrt(C), 1/sqrt(C)) head entries in checkpoint order."""
+    rng = np.random.default_rng(rng)
+    scale = 1.0 / np.sqrt(c)
+    u = lambda *shape: rng.uniform(-scale, scale, size=shape)
+    return {
+        "head.hidden_w": u(c, c),
+        "head.hidden_b": u(c),
+        "head.offset_w": u(2 * s, c),
+        "head.offset_b": u(2 * s),
+        "head.vis_w": u(s, c),
+        "head.vis_b": u(s),
+        "head.cls_w": u(num_classes, c),
+        "head.cls_b": u(num_classes),
+    }
 
 
 def test_zero_everything_gives_zero_outputs():
-    params = HeadParameters(
-        offset_w=np.zeros((6, 4)), offset_b=np.zeros(6),
-        vis_w=np.zeros((3, 4)), vis_b=np.zeros(3),
-        cls_w=np.zeros((5, 4)), cls_b=np.zeros(5),
-        hidden_w=np.zeros((4, 4)), hidden_b=np.zeros(4),
-    )
+    params = {name: np.zeros_like(value) for name, value in _heads(4, 3, 5, rng=0).items()}
     dx, dz, vis, cls = head_forward(np.zeros((2, 4)), params)
     for out, shape in ((dx, (2, 3)), (dz, (2, 3)), (vis, (2, 3)), (cls, (2, 5))):
         assert out.shape == shape
@@ -60,7 +44,7 @@ def test_zero_everything_gives_zero_outputs():
 
 
 def test_duplicate_features_identical_predictions():
-    params = HeadParameters.initialize(6, 4, 5, rng=1)
+    params = _heads(6, 4, 5, rng=1)
     feats = np.tile(np.random.default_rng(2).normal(size=6), (2, 1))
     dx, dz, vis, cls = head_forward(feats, params)
     assert np.array_equal(dx.value[0], dx.value[1])
@@ -69,14 +53,11 @@ def test_duplicate_features_identical_predictions():
 
 def test_affine_heads_are_exactly_linear_with_zero_bias():
     rng = np.random.default_rng(3)
-    p = HeadParameters.initialize(5, 3, 4, rng=rng)
+    params = _heads(5, 3, 4, rng)
     # an identity hidden layer passes non-negative features through the relu
-    params = HeadParameters(
-        hidden_w=np.eye(5), hidden_b=np.zeros(5),
-        offset_w=p.offset_w, offset_b=np.zeros_like(p.offset_b),
-        vis_w=p.vis_w, vis_b=np.zeros_like(p.vis_b),
-        cls_w=p.cls_w, cls_b=np.zeros_like(p.cls_b),
-    )
+    params["head.hidden_w"] = np.eye(5)
+    for name in ("head.hidden_b", "head.offset_b", "head.vis_b", "head.cls_b"):
+        params[name] = np.zeros_like(params[name])
     u = np.abs(rng.normal(size=(2, 5)))
     v = np.abs(rng.normal(size=(2, 5)))
     a, b = 2.5, 1.25
@@ -88,17 +69,13 @@ def test_affine_heads_are_exactly_linear_with_zero_bias():
 
 
 def test_head_gradients_match_fd():
-    names = ("hidden_w", "hidden_b", "offset_w", "offset_b",
-             "vis_w", "vis_b", "cls_w", "cls_b")
-
     def program(p):
-        dx, dz, vis, cls = head_forward(p["feats"], {n: p[n] for n in names})
+        dx, dz, vis, cls = head_forward(p["feats"], p)
         return dx.sum() + ad.square(dz).sum() + ad.sigmoid(vis).sum() + ad.tanh(cls).sum()
 
     for seed in range(5):
         rng = np.random.default_rng(500 + seed)
-        init = HeadParameters.initialize(4, 3, 4, rng=rng)
-        params = {n: getattr(init, n) for n in names}
+        params = _heads(4, 3, 4, rng)
         params["feats"] = rng.normal(size=(2, 4))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, seed

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lane3d.cli import read_scene_dir, write_scene_dir
+from lane3d.config import from_dict, to_dict
 from lane3d.geometry import transform_points
 from lane3d.synth import (
     Pose,
@@ -40,7 +44,7 @@ def test_config_validation():
 
 
 def test_config_roundtrip():
-    cfg = SceneConfig.from_dict(SMALL.to_dict())
+    cfg = from_dict(SceneConfig, json.loads(json.dumps(to_dict(SMALL))))
     assert cfg == SMALL
 
 
@@ -79,7 +83,7 @@ def test_lanes_persist_across_frames():
 
 def test_noise_free_twin_shares_geometry():
     noisy_cfg = SMALL
-    clean_cfg = SceneConfig(**{**SMALL.to_dict(), "noise_sigma": 0.0})
+    clean_cfg = replace(SMALL, noise_sigma=0.0)
     noisy = generate_scene(11, noisy_cfg)
     clean = generate_scene(11, clean_cfg)
     for fn, fc in zip(noisy.frames, clean.frames):
@@ -90,7 +94,7 @@ def test_noise_free_twin_shares_geometry():
 
 
 def test_zero_noise_features_decode_to_truth():
-    clean_cfg = SceneConfig(**{**SMALL.to_dict(), "noise_sigma": 0.0})
+    clean_cfg = replace(SMALL, noise_sigma=0.0)
     scene = generate_scene(3, clean_cfg)
     anchors = clean_cfg.anchors()
     s = clean_cfg.num_stations
@@ -183,7 +187,7 @@ def test_frame_average_variance_drops_as_one_over_t():
         lateral_offset_range=(-5.0, 5.0), noise_sigma=0.5,
         ego_speed_range=(0.0, 0.0), yaw_rate_range=(0.0, 0.0),
     )
-    clean_cfg = SceneConfig(**{**cfg.to_dict(), "noise_sigma": 0.0})
+    clean_cfg = replace(cfg, noise_sigma=0.0)
     t = cfg.num_frames
     s = cfg.num_stations
     single, averaged = [], []
@@ -219,7 +223,7 @@ def test_scene_write_read_roundtrip(tmp_path):
 
 
 def test_single_frame_scene():
-    cfg = SceneConfig(**{**SMALL.to_dict(), "num_frames": 1})
+    cfg = replace(SMALL, num_frames=1)
     scene = generate_scene(9, cfg)
     assert scene.num_frames == 1
     assert np.array_equal(scene.ego_motion, [[0.0, 0.0]])

@@ -6,39 +6,52 @@ import numpy as np
 import pytest
 
 from lane3d import autodiff as ad
-from lane3d.temporal import (
-    PARAM_NAMES,
-    LstmParameters,
-    fuse_all_anchors,
-    lstm_step,
-)
+from lane3d.synth import SceneConfig
+from lane3d.temporal import fuse_all_anchors, lstm_step
+from lane3d.training import TrainConfig, init_parameters
+
+
+def _lstm(c, h, rng):
+    """Uniform(-1/sqrt(H), 1/sqrt(H)) LSTM entries, forget-gate bias +1."""
+    rng = np.random.default_rng(rng)
+    scale = 1.0 / np.sqrt(h)
+    u = lambda *shape: rng.uniform(-scale, scale, size=shape)
+    bias = u(4 * h)
+    bias[h : 2 * h] += 1.0
+    return {
+        "lstm.w_ih": u(4 * h, c),
+        "lstm.w_hh": u(4 * h, h),
+        "lstm.bias": bias,
+        "lstm.proj_w": u(c, h),
+        "lstm.proj_b": u(c),
+    }
 
 
 def _zero_params(c, h):
-    return LstmParameters(
-        w_ih=np.zeros((4 * h, c)),
-        w_hh=np.zeros((4 * h, h)),
-        bias=np.zeros(4 * h),
-        proj_w=np.zeros((c, h)),
-        proj_b=np.zeros(c),
-    )
+    return {
+        "lstm.w_ih": np.zeros((4 * h, c)),
+        "lstm.w_hh": np.zeros((4 * h, h)),
+        "lstm.bias": np.zeros(4 * h),
+        "lstm.proj_w": np.zeros((c, h)),
+        "lstm.proj_b": np.zeros(c),
+    }
 
 
 def _numpy_fuse(batch, params):
     """Plain-numpy LSTM recurrence over one anchor's (T, C) frames, oldest first."""
-    hidden = params.hidden_size
+    hidden = params["lstm.w_hh"].shape[1]
     h, c = np.zeros(hidden), np.zeros(hidden)
     for x in batch:
-        z = params.w_ih @ x + params.w_hh @ h + params.bias
+        z = params["lstm.w_ih"] @ x + params["lstm.w_hh"] @ h + params["lstm.bias"]
         i, f, o = (1.0 / (1.0 + np.exp(-z[j * hidden : (j + 1) * hidden])) for j in (0, 1, 3))
         g = np.tanh(z[2 * hidden : 3 * hidden])
         c = f * c + i * g
         h = o * np.tanh(c)
-    return np.maximum(params.proj_w @ h + params.proj_b, 0.0)
+    return np.maximum(params["lstm.proj_w"] @ h + params["lstm.proj_b"], 0.0)
 
 
 def test_sequence_validation():
-    params = LstmParameters.initialize(4, 4, rng=0)
+    params = _lstm(4, 4, rng=0)
     # a bare (T, C) sequence is not a (K, T, C) anchor batch
     with pytest.raises(ValueError):
         fuse_all_anchors(np.zeros((3, 4)), params)
@@ -47,35 +60,19 @@ def test_sequence_validation():
     assert fuse_all_anchors(np.zeros((1, 3, 4)), params).shape == (1, 4)
 
 
-def test_parameter_shape_validation():
-    with pytest.raises(ValueError):
-        LstmParameters(
-            w_ih=np.zeros((6, 2)),  # 6 not divisible by 4
-            w_hh=np.zeros((6, 1)),
-            bias=np.zeros(6),
-            proj_w=np.zeros((2, 1)),
-            proj_b=np.zeros(2),
-        )
-    with pytest.raises(ValueError):
-        LstmParameters(
-            w_ih=np.zeros((8, 2)),
-            w_hh=np.zeros((8, 3)),  # H mismatch
-            bias=np.zeros(8),
-            proj_w=np.zeros((2, 2)),
-            proj_b=np.zeros(2),
-        )
-
-
 def test_initialize_ranges_and_forget_bias():
-    params = LstmParameters.initialize(channels=6, hidden_size=4, rng=0)
-    assert params.hidden_size == 4 and params.channels == 6
-    scale = 0.5  # 1/sqrt(4)
-    assert np.all(np.abs(params.w_ih) <= scale)
-    assert np.all(np.abs(params.w_hh) <= scale)
-    assert np.all(np.abs(params.proj_w) <= scale)
+    scene = SceneConfig(stations=(3.0, 10.0, 20.0), channels=16, num_classes=3)
+    params = init_parameters(scene, TrainConfig(seed=0))
+    c = scene.channels
+    scale = 0.25  # 1/sqrt(C)
+    bias = params.pop("lstm.bias")
+    assert bias.shape == (4 * c,)
     # forget-gate slice sits in [1 - scale, 1 + scale], the rest in [-scale, scale]
-    assert np.all(params.bias[4:8] >= 1.0 - scale)
-    assert np.all(np.abs(np.concatenate([params.bias[:4], params.bias[8:]])) <= scale)
+    assert np.all(np.abs(bias[c : 2 * c] - 1.0) <= scale)
+    assert np.all(np.abs(np.concatenate([bias[:c], bias[2 * c :]])) <= scale)
+    assert np.array_equal(params.pop("uncertainty.s"), np.zeros(4))
+    for name, value in params.items():
+        assert np.all(np.abs(value) <= scale), name
 
 
 def test_zero_parameters_give_zero_state():
@@ -88,11 +85,11 @@ def test_zero_parameters_give_zero_state():
 
 def test_zero_cell_ignores_forget_gate():
     rng = np.random.default_rng(5)
-    params = LstmParameters.initialize(4, 4, rng=rng)
+    params = _lstm(4, 4, rng)
     x = rng.normal(size=(2, 4))
     h1, c1 = lstm_step(x, np.zeros((2, 4)), np.zeros((2, 4)), params)
     # with c_prev = 0, c = i*g regardless of the forget gate
-    z = x @ params.w_ih.T + params.bias
+    z = x @ params["lstm.w_ih"].T + params["lstm.bias"]
     i = 1.0 / (1.0 + np.exp(-z[:, 0:4]))
     g = np.tanh(z[:, 8:12])
     assert np.allclose(c1.value, i * g, atol=1e-12)
@@ -100,7 +97,7 @@ def test_zero_cell_ignores_forget_gate():
 
 def test_state_bounds():
     rng = np.random.default_rng(9)
-    params = LstmParameters.initialize(5, 3, rng=rng)
+    params = _lstm(5, 3, rng)
     h = np.zeros((2, 3))
     c = np.zeros((2, 3))
     for _ in range(50):
@@ -113,11 +110,11 @@ def test_state_bounds():
 
 def test_fuse_single_frame_reduction():
     rng = np.random.default_rng(2)
-    params = LstmParameters.initialize(4, 4, rng=rng)
+    params = _lstm(4, 4, rng)
     x = rng.normal(size=(1, 1, 4))
     fused = fuse_all_anchors(x, params)
     h1, _ = lstm_step(x[:, 0], np.zeros((1, 4)), np.zeros((1, 4)), params)
-    manual = np.maximum(h1.value @ params.proj_w.T + params.proj_b, 0.0)
+    manual = np.maximum(h1.value @ params["lstm.proj_w"].T + params["lstm.proj_b"], 0.0)
     assert np.allclose(fused.value, manual, atol=1e-12)
 
 
@@ -128,20 +125,14 @@ def test_fuse_zero_parameters_zero_output():
 
 
 def test_relu_clamps_negative_projection():
-    params = LstmParameters(
-        w_ih=np.zeros((4, 2)),
-        w_hh=np.zeros((4, 1)),
-        bias=np.zeros(4),
-        proj_w=np.zeros((2, 1)),
-        proj_b=np.array([-1.0, -2.0]),
-    )
+    params = {**_zero_params(2, 1), "lstm.proj_b": np.array([-1.0, -2.0])}
     fused = fuse_all_anchors(np.ones((1, 2, 2)), params)
     assert np.array_equal(fused.value, [[0.0, 0.0]])
 
 
 def test_fuse_all_anchors_matches_per_anchor():
     rng = np.random.default_rng(13)
-    params = LstmParameters.initialize(6, 5, rng=rng)
+    params = _lstm(6, 5, rng)
     batch = rng.normal(size=(4, 3, 6))
     fused = fuse_all_anchors(batch, params).value
     for k in range(4):
@@ -150,7 +141,7 @@ def test_fuse_all_anchors_matches_per_anchor():
 
 def test_identical_sequences_fuse_identically():
     rng = np.random.default_rng(21)
-    params = LstmParameters.initialize(4, 4, rng=rng)
+    params = _lstm(4, 4, rng)
     seq = rng.normal(size=(3, 4))
     batch = np.stack([seq, seq], axis=0)
     fused = fuse_all_anchors(batch, params).value
@@ -159,7 +150,7 @@ def test_identical_sequences_fuse_identically():
 
 def test_anchor_permutation_equivariance():
     rng = np.random.default_rng(22)
-    params = LstmParameters.initialize(4, 4, rng=rng)
+    params = _lstm(4, 4, rng)
     batch = rng.normal(size=(5, 3, 4))
     perm = np.array([3, 0, 4, 1, 2])
     fused = fuse_all_anchors(batch, params).value
@@ -169,7 +160,7 @@ def test_anchor_permutation_equivariance():
 
 def test_anchor_independence():
     rng = np.random.default_rng(23)
-    params = LstmParameters.initialize(4, 4, rng=rng)
+    params = _lstm(4, 4, rng)
     batch = rng.normal(size=(3, 2, 4))
     zeroed = batch.copy()
     zeroed[1] = 0.0
@@ -181,7 +172,7 @@ def test_anchor_independence():
 
 
 def test_inconsistent_anchor_shapes_rejected():
-    params = LstmParameters.initialize(4, 4, rng=0)
+    params = _lstm(4, 4, rng=0)
     # ragged anchors cannot form one (K, T, C) batch
     with pytest.raises(ValueError):
         fuse_all_anchors([np.zeros((2, 4)), np.zeros((3, 4))], params)
@@ -191,15 +182,14 @@ def test_inconsistent_anchor_shapes_rejected():
 def test_bptt_gradients_match_fd(num_frames):
     # gradient of a scalar of the fused output w.r.t. every parameter
     def program(p):
-        fused = fuse_all_anchors(p["x"], {n: p[n] for n in PARAM_NAMES})
+        fused = fuse_all_anchors(p["x"], p)
         return (fused * weights).sum()
 
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
         c, h = 3, 4
-        init = LstmParameters.initialize(c, h, rng=rng)
+        params = _lstm(c, h, rng)
         weights = rng.normal(size=(2, c))
-        params = {n: getattr(init, n) for n in PARAM_NAMES}
         params["x"] = rng.normal(size=(2, num_frames, c))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, (num_frames, seed)
@@ -207,13 +197,12 @@ def test_bptt_gradients_match_fd(num_frames):
 
 def test_step_gradients_match_fd():
     def program(p):
-        h, c = lstm_step(p["x"], p["h0"], p["c0"], {n: p[n] for n in PARAM_NAMES})
+        h, c = lstm_step(p["x"], p["h0"], p["c0"], p)
         return h.sum() + ad.square(c).sum()
 
     for seed in range(5):
         rng = np.random.default_rng(400 + seed)
-        init = LstmParameters.initialize(4, 4, rng=rng)
-        params = {n: getattr(init, n) for n in PARAM_NAMES}
+        params = _lstm(4, 4, rng)
         params["x"] = rng.normal(size=(2, 4))
         params["h0"] = rng.normal(size=(2, 4)) * 0.5
         params["c0"] = rng.normal(size=(2, 4))

@@ -15,7 +15,7 @@ def tiny_expression():
     print("== a hand-built expression ==")
     x = ad.Var(np.array([1.0, 2.0, 3.0]))
     w = ad.Var(np.array([0.5, -1.0, 2.0]))
-    y = (ad.tanh(x * w) ** 2).sum()
+    y = (ad.sigmoid(x * w) ** 2).sum()
     y.backward()
     print(f"value         : {y.value:.6f}")
     print(f"dy/dx         : {np.array2string(x.grad, precision=6)}")
@@ -23,7 +23,7 @@ def tiny_expression():
 
     # the same derivative by brute perturbation
     def f(values):
-        return float(np.sum(np.tanh(values * w.value) ** 2))
+        return float(np.sum((1.0 / (1.0 + np.exp(-values * w.value))) ** 2))
 
     h = 1e-6
     numeric = np.array(
@@ -56,8 +56,8 @@ def packaged_suite():
     print(format_report(run_gradient_checks(num_inputs=10)))
     print()
 
-    print("== negative control: corrupt tanh's backward rule ==")
-    with corrupt_gradient("tanh", factor=1.5):
+    print("== negative control: corrupt the LSTM cell's backward rule ==")
+    with corrupt_gradient("lstm_cell", factor=1.5):
         results = run_gradient_checks(num_inputs=3)
     print(format_report(results))
 

@@ -9,16 +9,34 @@ Kink conventions: ``relu`` and ``absolute`` use subgradient 0 at the kink,
 and ``reduce_min`` routes the gradient into the first (lowest-index)
 minimiser of each reduced slice.
 
-Two invariants keep a training tape cheap:
+Leaves are either differentiable (``Var(value)``) or constant
+(``as_var(value)`` on anything that is not already a Var: literals,
+targets, masks, input features).  Four invariants keep a training tape
+cheap:
 
+- Constants are skipped.  ``backward`` first marks the nodes that some
+  differentiable leaf reaches; a VJP runs only on such a node, and it
+  is handed one flag per parent and returns ``None`` for every parent
+  no differentiable leaf reaches, without computing that gradient.
+  Nodes that no differentiable leaf reaches keep ``grad = None``.  The
+  marking happens inside ``backward`` alone, so forward-only graphs
+  (evaluation, central differences) pay nothing for it.
 - Gradients are allocated lazily.  ``backward`` gives a node a gradient
   only when one of its children sends one, and skips the VJP of a node
-  that received nothing.  Every reachable node that received nothing
-  gets zeros at the end, so ``grad`` is set on the whole graph.
+  that received nothing.  Every marked node that received nothing gets
+  zeros at the end.  A node's first contribution is kept as handed over
+  (it may be a view another node shares); the second is summed into a
+  new buffer, and later ones are added into that buffer in place.
 - A VJP closure must never reference its own output ``Var``; it captures
   its inputs and plain value arrays only.  Graph edges then point from
   child to parent alone, so a dropped graph is freed by reference
   counting instead of waiting for the cyclic garbage collector.
+- Gradient sums are fixed by the graph's shape: contributions reach a
+  node in the order ``_topological_order`` lists its children, and that
+  order follows each node's parent order.  ``lstm_cell`` therefore keeps
+  the parent order ``(x, w_ih.T, bias, c_prev, h_prev, w_hh.T)`` of the
+  composition it replaces, so every parameter gradient of a fused
+  recurrence is summed over time steps in the same order, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +54,7 @@ class Var:
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjp")
+    constant = False
 
     def __init__(self, value, _parents=(), _vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -110,24 +129,44 @@ class Var:
     def backward(self):
         """Backpropagate from this scalar output.
 
-        Fills ``grad`` on every node reachable from this output; leaves
-        participating in the graph but not influencing the output get
-        zero gradients.  A forward pass alone never touches ``grad``.
+        Fills ``grad`` on every node of the graph that a differentiable
+        leaf reaches; leaves participating in the graph but not
+        influencing the output get zero gradients, and nodes that only
+        constants reach keep ``grad = None``.  A forward pass alone never
+        touches ``grad``.
         """
         if self.value.shape != ():
             raise ValueError("backward() requires a scalar output")
         order = _topological_order(self)
+        # needs[id(node)], for each node some differentiable leaf reaches:
+        # one flag per parent, "some differentiable leaf reaches it"
+        needs = {}
         for node in order:
             node.grad = None
+            if node._parents:
+                need = tuple([id(p) in needs for p in node._parents])
+                if True in need:
+                    needs[id(node)] = need
+            elif not node.constant:
+                needs[id(node)] = ()
         self.grad = np.ones_like(self.value)
+        owned = set()  # nodes whose grad buffer backward allocated itself
         for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+            need = needs.get(id(node))
+            if not need or node._vjp is None or node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                # out-of-place: a VJP may hand back a view of node.grad
-                parent.grad = g if parent.grad is None else parent.grad + g
+            for parent, g in zip(node._parents, node._vjp(node.grad, need)):
+                if g is None:
+                    continue
+                if parent.grad is None:
+                    parent.grad = g  # may be a view another node shares
+                elif id(parent) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned.add(id(parent))
         for node in order:
-            if node.grad is None:
+            if node.grad is None and id(node) in needs:
                 node.grad = np.zeros_like(node.value)
 
 
@@ -150,11 +189,18 @@ def _topological_order(root):
     return order
 
 
+class _Constant(Var):
+    """A leaf whose gradient nobody reads; ``backward`` skips it."""
+
+    __slots__ = ()
+    constant = True
+
+
 def as_var(x):
     """Coerce numbers and arrays to constant leaf Vars; pass Vars through."""
     if isinstance(x, Var):
         return x
-    return Var(x)
+    return _Constant(x)
 
 
 def _sum_to_shape(g, shape):
@@ -170,30 +216,36 @@ def _sum_to_shape(g, shape):
 def add(a, b):
     a, b = as_var(a), as_var(b)
     out = Var(a.value + b.value, (a, b))
-    out._vjp = lambda g: (_sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape))
+    out._vjp = lambda g, need: (
+        _sum_to_shape(g, a.shape) if need[0] else None,
+        _sum_to_shape(g, b.shape) if need[1] else None,
+    )
     return out
 
 
 def subtract(a, b):
     a, b = as_var(a), as_var(b)
     out = Var(a.value - b.value, (a, b))
-    out._vjp = lambda g: (_sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape))
+    out._vjp = lambda g, need: (
+        _sum_to_shape(g, a.shape) if need[0] else None,
+        _sum_to_shape(-g, b.shape) if need[1] else None,
+    )
     return out
 
 
 def negative(a):
     a = as_var(a)
     out = Var(-a.value, (a,))
-    out._vjp = lambda g: (-g,)
+    out._vjp = lambda g, need: (-g,)
     return out
 
 
 def multiply(a, b):
     a, b = as_var(a), as_var(b)
     out = Var(a.value * b.value, (a, b))
-    out._vjp = lambda g: (
-        _sum_to_shape(g * b.value, a.shape),
-        _sum_to_shape(g * a.value, b.shape),
+    out._vjp = lambda g, need: (
+        _sum_to_shape(g * b.value, a.shape) if need[0] else None,
+        _sum_to_shape(g * a.value, b.shape) if need[1] else None,
     )
     return out
 
@@ -205,9 +257,9 @@ def divide(a, b):
     inv = 1.0 / b.value
     value = a.value * inv
     out = Var(value, (a, b))
-    out._vjp = lambda g: (
-        _sum_to_shape(g * inv, a.shape),
-        _sum_to_shape(-g * value * inv, b.shape),
+    out._vjp = lambda g, need: (
+        _sum_to_shape(g * inv, a.shape) if need[0] else None,
+        _sum_to_shape(-g * value * inv, b.shape) if need[1] else None,
     )
     return out
 
@@ -216,15 +268,16 @@ def matmul(a, b):
     a, b = as_var(a), as_var(b)
     out = Var(a.value @ b.value, (a, b))
 
-    def vjp(g):
+    def vjp(g, need):
         av, bv = a.value, b.value
         if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
+            return (g @ bv.T if need[0] else None, av.T @ g if need[1] else None)
         if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
+            return (np.outer(g, bv) if need[0] else None, av.T @ g if need[1] else None)
         if av.ndim == 1 and bv.ndim == 2:
-            return bv @ g, np.outer(av, g)
-        return g * bv, g * av  # vector dot product
+            return (bv @ g if need[0] else None, np.outer(av, g) if need[1] else None)
+        # vector dot product
+        return (g * bv if need[0] else None, g * av if need[1] else None)
 
     out._vjp = vjp
     return out
@@ -233,25 +286,37 @@ def matmul(a, b):
 def transpose(a):
     a = as_var(a)
     out = Var(a.value.T, (a,))
-    out._vjp = lambda g: (g.T,)
+    out._vjp = lambda g, need: (g.T,)
     return out
 
 
 def reshape(a, shape):
     a = as_var(a)
     out = Var(a.value.reshape(shape), (a,))
-    out._vjp = lambda g: (g.reshape(a.shape),)
+    out._vjp = lambda g, need: (g.reshape(a.shape),)
     return out
+
+
+def _is_basic_index(index):
+    """Ints and slices only: each entry is selected at most once."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(p, (slice, int, np.integer)) and not isinstance(p, bool) for p in parts
+    )
 
 
 def take(a, index):
     """Select entries with a constant index expression (slice/int/array)."""
     a = as_var(a)
     out = Var(a.value[index], (a,))
+    basic = _is_basic_index(index)
 
-    def vjp(g):
+    def vjp(g, need):
         ga = np.zeros_like(a.value)
-        np.add.at(ga, index, g)
+        if basic:  # no repeated entries: np.add.at's 0 + g, without its overhead
+            ga[index] += g
+        else:
+            np.add.at(ga, index, g)
         return (ga,)
 
     out._vjp = vjp
@@ -261,7 +326,9 @@ def take(a, index):
 def stack(vars_, axis=0):
     vars_ = [as_var(v) for v in vars_]
     out = Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_))
-    out._vjp = lambda g: tuple(np.take(g, i, axis=axis) for i in range(len(vars_)))
+    out._vjp = lambda g, need: tuple(
+        np.take(g, i, axis=axis) if n else None for i, n in enumerate(need)
+    )
     return out
 
 
@@ -278,7 +345,7 @@ def power(a, exponent):
         raise ValueError("power: negative base with non-integer exponent")
     out = Var(a.value ** p, (a,))
 
-    def vjp(g):
+    def vjp(g, need):
         if p == 0.0:
             return (np.zeros_like(a.value),)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -293,7 +360,7 @@ def power(a, exponent):
 def square(a):
     a = as_var(a)
     out = Var(a.value * a.value, (a,))
-    out._vjp = lambda g: (g * 2.0 * a.value,)
+    out._vjp = lambda g, need: (g * 2.0 * a.value,)
     return out
 
 
@@ -302,7 +369,7 @@ def log(a):
     if np.any(a.value <= 0.0):
         raise ValueError("log: non-positive argument")
     out = Var(np.log(a.value), (a,))
-    out._vjp = lambda g: (g / a.value,)
+    out._vjp = lambda g, need: (g / a.value,)
     return out
 
 
@@ -310,15 +377,7 @@ def exp(a):
     a = as_var(a)
     value = np.exp(a.value)
     out = Var(value, (a,))
-    out._vjp = lambda g: (g * value,)
-    return out
-
-
-def tanh(a):
-    a = as_var(a)
-    value = np.tanh(a.value)
-    out = Var(value, (a,))
-    out._vjp = lambda g: (g * (1.0 - value * value),)
+    out._vjp = lambda g, need: (g * value,)
     return out
 
 
@@ -326,14 +385,63 @@ def sigmoid_values(v):
     """Overflow-free logistic: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) otherwise."""
     pos = v >= 0
     e = np.exp(np.where(pos, -v, v))  # never positive, so never overflows
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a):
     a = as_var(a)
     value = sigmoid_values(a.value)
     out = Var(value, (a,))
-    out._vjp = lambda g: (g * value * (1.0 - value),)
+    out._vjp = lambda g, need: (g * value * (1.0 - value),)
+    return out
+
+
+def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
+    """One LSTM step on a (K, C) batch; returns [h, c] as one (K, 2H) Var.
+
+    ``w_ih_t`` (C, 4H) and ``w_hh_t`` (H, 4H) are the transposed weights,
+    gates stacked (i, f, g, o) along 4H: i, f, o are sigmoids, g is tanh,
+    c = f*c_prev + i*g and h = o*tanh(c).  The forward runs the ufuncs of
+    the matmul/add/slice/sigmoid/tanh/multiply composition in its order,
+    and the VJP evaluates that composition's VJP expressions, so values
+    and gradients equal it bit for bit.  The parent order is part of that
+    contract (see the module docstring).
+    """
+    parents = tuple(as_var(v) for v in (x, w_ih_t, bias, c_prev, h_prev, w_hh_t))
+    x, w_ih_t, bias, c_prev, h_prev, w_hh_t = parents
+    hidden = w_hh_t.shape[0]
+    gates = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
+    z = x.value @ w_ih_t.value + h_prev.value @ w_hh_t.value + bias.value
+    i = sigmoid_values(z[:, gates[0]])
+    f = sigmoid_values(z[:, gates[1]])
+    g = np.tanh(z[:, gates[2]])
+    o = sigmoid_values(z[:, gates[3]])
+    c = f * c_prev.value + i * g
+    tanh_c = np.tanh(c)
+    out = Var(np.concatenate([o * tanh_c, c], axis=1), parents)
+
+    def vjp(grad, need):
+        dh, dc = grad[:, :hidden], grad[:, hidden:]
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev.value * f * (1.0 - f),
+            dc * i * (1.0 - g * g),
+            dh * tanh_c * o * (1.0 - o),
+        ], axis=1)
+        # the composition sums four zero-padded gate slices into dz, which
+        # turns -0.0 into +0.0; adding 0.0 does the same
+        dz += 0.0
+        return (
+            dz @ w_ih_t.value.T if need[0] else None,
+            x.value.T @ dz if need[1] else None,
+            _sum_to_shape(dz, bias.shape) if need[2] else None,
+            dc * f if need[3] else None,
+            dz @ w_hh_t.value.T if need[4] else None,
+            h_prev.value.T @ dz if need[5] else None,
+        )
+
+    out._vjp = vjp
     return out
 
 
@@ -341,7 +449,7 @@ def relu(a):
     a = as_var(a)
     mask = a.value > 0.0  # subgradient 0 at the kink
     out = Var(np.where(mask, a.value, 0.0), (a,))
-    out._vjp = lambda g: (g * mask,)
+    out._vjp = lambda g, need: (g * mask,)
     return out
 
 
@@ -349,7 +457,7 @@ def absolute(a):
     a = as_var(a)
     sign = np.sign(a.value)  # sign(0) == 0: subgradient 0 at the kink
     out = Var(np.abs(a.value), (a,))
-    out._vjp = lambda g: (g * sign,)
+    out._vjp = lambda g, need: (g * sign,)
     return out
 
 
@@ -357,7 +465,7 @@ def reduce_sum(a, axis=None, keepdims=False):
     a = as_var(a)
     out = Var(a.value.sum(axis=axis, keepdims=keepdims), (a,))
 
-    def vjp(g):
+    def vjp(g, need):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
@@ -382,7 +490,7 @@ def reduce_min(a, axis=None):
         flat_idx = int(np.argmin(a.value))
         out = Var(a.value.reshape(-1)[flat_idx], (a,))
 
-        def vjp(g):
+        def vjp(g, need):
             ga = np.zeros_like(a.value)
             ga.reshape(-1)[flat_idx] = g
             return (ga,)
@@ -391,7 +499,7 @@ def reduce_min(a, axis=None):
         idx = np.expand_dims(np.argmin(a.value, axis=axis), axis)
         out = Var(np.take_along_axis(a.value, idx, axis=axis).squeeze(axis), (a,))
 
-        def vjp(g):
+        def vjp(g, need):
             ga = np.zeros_like(a.value)
             np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
             return (ga,)
@@ -405,9 +513,9 @@ def where(condition, a, b):
     cond = np.asarray(condition, dtype=bool)
     a, b = as_var(a), as_var(b)
     out = Var(np.where(cond, a.value, b.value), (a, b))
-    out._vjp = lambda g: (
-        _sum_to_shape(np.where(cond, g, 0.0), a.shape),
-        _sum_to_shape(np.where(cond, 0.0, g), b.shape),
+    out._vjp = lambda g, need: (
+        _sum_to_shape(np.where(cond, g, 0.0), a.shape) if need[0] else None,
+        _sum_to_shape(np.where(cond, 0.0, g), b.shape) if need[1] else None,
     )
     return out
 

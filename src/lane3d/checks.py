@@ -258,7 +258,9 @@ def corrupt_gradient(op_name: str, factor: float = 1.5):
         out = original(*args, **kwargs)
         inner = out._vjp
         if inner is not None:
-            out._vjp = lambda g: tuple(p * factor for p in inner(g))
+            out._vjp = lambda g, need: tuple(
+                None if p is None else p * factor for p in inner(g, need)
+            )
         return out
 
     setattr(ad, op_name, wrapped)

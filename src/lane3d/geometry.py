@@ -63,14 +63,27 @@ class Lane3D:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Lane3D":
-        return Lane3D(
-            stations=d["stations"],
-            x=d["x"],
-            z=d["z"],
-            visibility=d["visibility"],
-            category=int(d["category"]),
-        )
+    def from_dict(d: dict, where: str = "lane") -> "Lane3D":
+        """The lane-file form: lists of finite numbers and a JSON integer
+        category.  Errors name ``where`` and the field; a missing field
+        raises KeyError and a non-object entry TypeError."""
+        arrays = {}
+        for name in ("stations", "x", "z", "visibility"):
+            values = d[name]
+            if not isinstance(values, list) or not all(
+                type(v) is float or type(v) is int for v in values
+            ):
+                raise ValueError(f"{where}: {name}: expected a list of numbers")
+            arrays[name] = np.array(values, dtype=np.float64)
+            if not np.all(np.isfinite(arrays[name])):
+                raise ValueError(f"{where}: {name}: non-finite values")
+        category = d["category"]
+        if type(category) is not int:
+            raise ValueError(f"{where}: category: {category!r} is not an integer")
+        try:
+            return Lane3D(category=category, **arrays)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,13 @@ def write_lane_file(path, lanes, config_hash: str | None = None) -> None:
 
 
 def read_lane_file(path):
-    """Read a lane file; accepts the wrapped form or a bare lane list."""
+    """Read a lane file; accepts the wrapped form or a bare lane list.
+
+    Each lane needs lists of finite numbers for ``stations``, ``x``,
+    ``z`` and ``visibility`` and a JSON integer ``category``.  A bad lane
+    is rejected with a message naming the file, the lane index and the
+    field.
+    """
     with open(path) as fh:
         try:
             document = json.load(fh)
@@ -207,7 +226,11 @@ def read_lane_file(path):
     entries = document.get("lanes") if isinstance(document, dict) else document
     if not isinstance(entries, list):
         raise ValueError(f"lane file {path}: expected a list of lanes")
-    try:
-        return [Lane3D.from_dict(entry) for entry in entries]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"lane file {path}: malformed lane entry ({exc})")
+    lanes = []
+    for index, entry in enumerate(entries):
+        where = f"lane file {path}: lane {index}"
+        try:
+            lanes.append(Lane3D.from_dict(entry, where))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{where}: malformed lane entry ({exc})")
+    return lanes

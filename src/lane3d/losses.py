@@ -19,6 +19,8 @@ from . import autodiff as ad
 TASK_NAMES = ("regression", "curve", "classification", "visibility")
 
 CONTINUITY_TOL = 1e-9
+# largest x with a finite e^x in float64
+MAX_EXPONENT = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,11 @@ class LossConfig:
             raise ValueError("LossConfig: focal parameters out of range")
         if self.dice_epsilon <= 0:
             raise ValueError("LossConfig: dice epsilon must be positive")
+        if not self.gamma / self.alpha < MAX_EXPONENT:
+            raise ValueError(
+                f"LossConfig: gamma/alpha = {self.gamma / self.alpha:.6g} overflows "
+                f"b = e^(gamma/alpha) - 1; keep it below {MAX_EXPONENT:.6g}"
+            )
         b = float(np.expm1(self.gamma / self.alpha))
         object.__setattr__(self, "b", b)
         if abs(self.alpha * np.log1p(b) - self.gamma) > CONTINUITY_TOL:

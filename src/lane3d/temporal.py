@@ -15,24 +15,17 @@ from . import autodiff as ad
 
 
 def lstm_step(x, h_prev, c_prev, params):
-    """One LSTM cell update on a (K, C) anchor batch.
+    """One LSTM cell update on a (K, C) anchor batch; returns (h, c).
 
     i, f, o gates are sigmoids, candidate g is tanh, then
     c = f*c_prev + i*g and h = o*tanh(c).  Reads ``lstm.w_ih`` (4H, C),
     ``lstm.w_hh`` (4H, H) and ``lstm.bias`` (4H,), gates stacked (i, f, g, o).
+    The fused ``autodiff.lstm_cell`` computes both states as one node.
     """
     w_ih, w_hh, bias = (ad.as_var(params[n]) for n in ("lstm.w_ih", "lstm.w_hh", "lstm.bias"))
-    x, h_prev, c_prev = ad.as_var(x), ad.as_var(h_prev), ad.as_var(c_prev)
     hidden = w_hh.shape[1]
-    z = x @ w_ih.T + h_prev @ w_hh.T + bias
-    gate = lambda j: z[:, j * hidden : (j + 1) * hidden]
-    i = ad.sigmoid(gate(0))
-    f = ad.sigmoid(gate(1))
-    g = ad.tanh(gate(2))
-    o = ad.sigmoid(gate(3))
-    c = f * c_prev + i * g
-    h = o * ad.tanh(c)
-    return h, c
+    hc = ad.lstm_cell(x, w_ih.T, bias, c_prev, h_prev, w_hh.T)
+    return hc[:, :hidden], hc[:, hidden:]
 
 
 def fuse_all_anchors(batch, params):
@@ -48,8 +41,8 @@ def fuse_all_anchors(batch, params):
     k, T, _ = batch.shape
     p = {name: ad.as_var(value) for name, value in params.items() if name.startswith("lstm.")}
     hidden = p["lstm.w_hh"].shape[1]
-    h = ad.Var(np.zeros((k, hidden)))
-    c = ad.Var(np.zeros((k, hidden)))
+    h = ad.as_var(np.zeros((k, hidden)))
+    c = ad.as_var(np.zeros((k, hidden)))
     for t in range(T):
         h, c = lstm_step(batch[:, t, :], h, c, p)
     return ad.relu(h @ p["lstm.proj_w"].T + p["lstm.proj_b"])

@@ -179,7 +179,7 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
     if cfg.use_lstm_fusion:
         fused = fuse_all_anchors(feats, pvars)
     else:
-        fused = ad.Var(feats[:, -1, :])
+        fused = ad.as_var(feats[:, -1, :])
     dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
 
     gt_lanes = list(scene.frames[-1].lanes)
@@ -197,7 +197,7 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
         ])
         task_losses["classification"] = focal(cls_logits[scored], targets, loss_config).mean()
     else:
-        task_losses["classification"] = ad.Var(0.0)
+        task_losses["classification"] = ad.as_var(0.0)
 
     if positives:
         pos_anchor = np.array([k for k, _ in positives])
@@ -221,7 +221,7 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
                 residual = ad.absolute(flat_pred - flat_target)
                 task_losses["regression"] = (residual * flat_weights).sum() / flat_weights.sum()
         else:
-            task_losses["regression"] = ad.Var(0.0)
+            task_losses["regression"] = ad.as_var(0.0)
 
         if cfg.use_chamfer:
             ramp = curve_ramp_weight(epoch, cfg)
@@ -229,7 +229,7 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
             for (k, _), lane in zip(positives, pos_lane):
                 pred_x = dx[k] + anchors.base_x[k]
                 pred_z = dz[k] + anchors.base_z[k]
-                pred_points = ad.stack([pred_x, ad.Var(stations), pred_z], axis=1)
+                pred_points = ad.stack([pred_x, ad.as_var(stations), pred_z], axis=1)
                 gt_eq = _equidistant_gt(lane)
                 gt_points = gt_eq.points()[gt_eq.visible_mask()]
                 chamfer_terms.append(chamfer(pred_points, gt_points))
@@ -239,10 +239,10 @@ def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
             ad.sigmoid(vis_logits[pos_anchor]), visibility, loss_config
         ).mean()
     else:
-        task_losses["regression"] = ad.Var(0.0)
-        task_losses["visibility"] = ad.Var(0.0)
+        task_losses["regression"] = ad.as_var(0.0)
+        task_losses["visibility"] = ad.as_var(0.0)
         if cfg.use_chamfer:
-            task_losses["curve"] = ad.Var(0.0)
+            task_losses["curve"] = ad.as_var(0.0)
 
     if cfg.use_uncertainty:
         s_var = pvars["uncertainty.s"]
@@ -268,8 +268,8 @@ def _consistency_penalty(pvars, scene, anchors, positives):
     into frame T-1 and compared against an interpolation of frame T-1's
     prediction at the transported stations.
     """
-    prev_feats = ad.Var(scene.frames[-2].features)
-    cur_feats = ad.Var(scene.frames[-1].features)
+    prev_feats = ad.as_var(scene.frames[-2].features)
+    cur_feats = ad.as_var(scene.frames[-1].features)
     dx_prev, _, _, _ = head_forward(prev_feats, pvars)
     dx_cur, _, _, _ = head_forward(cur_feats, pvars)
     forward, yaw_change = scene.ego_motion[-1]
@@ -285,10 +285,10 @@ def _consistency_penalty(pvars, scene, anchors, positives):
             continue
         x_moved = (x_prev * cos + sin * (stations - forward))[np.flatnonzero(inside)]
         w = _interp_matrix(y_moved[inside], stations)
-        x_cur = ad.matmul(ad.Var(w), dx_cur[k] + anchors.base_x[k])
+        x_cur = ad.matmul(ad.as_var(w), dx_cur[k] + anchors.base_x[k])
         terms.append(ad.square(x_moved - x_cur).mean())
     if not terms:
-        return ad.Var(0.0)
+        return ad.as_var(0.0)
     return ad.stack(terms).mean()
 
 
@@ -310,6 +310,9 @@ class AdamOptimizer:
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
+        """One Adam step in place.  Every element goes through
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) in that order."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name in PARAM_ORDER:
@@ -317,11 +320,20 @@ class AdamOptimizer:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1**self.t)
-            v_hat = self.v[name] / (1.0 - b2**self.t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            g2 = (1.0 - b2) * g
+            g2 *= g
+            v += g2
+            step = m / (1.0 - b1**self.t)
+            step *= self.learning_rate
+            denom = v / (1.0 - b2**self.t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            params[name] -= step
 
 
 def make_optimizer(config: TrainConfig):

@@ -276,6 +276,54 @@ def test_lane_file_rejects_garbage(tmp_path):
         read_lane_file(path)
 
 
+def _one_lane(**fields):
+    lane = generate_scene(3, SMALL_SCENE).frames[-1].lanes[0].to_dict()
+    lane.update(fields)
+    return lane
+
+
+BAD_LANES = [
+    ("nan-stations", {"stations": [float("nan")] * 6}, "stations: non-finite values"),
+    ("inf-x", {"x": [float("inf")] * 6}, "x: non-finite values"),
+    ("nan-z", {"z": [0.0] * 5 + [float("nan")]}, "z: non-finite values"),
+    ("nan-visibility", {"visibility": [float("nan")] * 6}, "visibility: non-finite values"),
+    ("string-x", {"x": ["1.0"] * 6}, "x: expected a list of numbers"),
+    ("bool-z", {"z": [True] * 6}, "z: expected a list of numbers"),
+    ("category-float", {"category": 1.7}, "category: 1.7 is not an integer"),
+    ("category-integral-float", {"category": 1.0}, "category: 1.0 is not an integer"),
+    ("category-bool", {"category": True}, "category: True is not an integer"),
+    ("category-string", {"category": "1"}, "category: '1' is not an integer"),
+    ("short-x", {"x": [0.0]}, "Lane3D: stations, x, z, visibility must share one length"),
+]
+
+
+@pytest.mark.parametrize("fields, words", [case[1:] for case in BAD_LANES],
+                         ids=[case[0] for case in BAD_LANES])
+def test_lane_file_names_the_file_lane_and_field(tmp_path, fields, words):
+    path = tmp_path / "bad.lanes.json"
+    path.write_text(json.dumps({"lanes": [_one_lane(), _one_lane(**fields)]}))
+    with pytest.raises(ValueError) as info:
+        read_lane_file(path)
+    assert f"lane file {path}: lane 1: {words}" in str(info.value)
+
+
+def test_eval_exits_1_on_a_lane_file_with_a_nan(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    lane_path = gen / "eval" / "scene_0001" / "frame_0.lanes.json"
+    doc = json.loads(lane_path.read_text())
+    doc["lanes"][0]["x"][2] = float("nan")
+    lane_path.write_text(json.dumps(doc))
+    ckpt = _checkpoint_of(cfg, tmp_path / "checkpoint.bin")
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--scenes", str(gen / "eval"), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"lane file {lane_path}: lane 0: x: non-finite values" in err
+
+
 def test_train_then_eval_checkpoint(small_config, tmp_path, capsys):
     cfg, path = small_config
     out = tmp_path / "run"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def test_config_rejects_bad_parameters():
         LossConfig(beta=0.0)
     with pytest.raises(ValueError):
         LossConfig(dice_epsilon=0.0)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(1e-300, 1.5), (1e-300, 1e300), (1.0, 710.0)])
+def test_config_rejects_an_overflowing_b_without_a_numpy_warning(alpha, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here first
+        with pytest.raises(ValueError, match=r"^LossConfig: gamma/alpha = .* overflows b"):
+            LossConfig(alpha=alpha, gamma=gamma)
+
+
+def test_config_accepts_the_largest_finite_b():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(LossConfig(alpha=1.0, gamma=709.0).b)
 
 
 def test_balanced_l1_zero():

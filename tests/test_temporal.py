@@ -208,3 +208,136 @@ def test_step_gradients_match_fd():
         params["c0"] = rng.normal(size=(2, 4))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, seed
+
+
+# ---------------------------------------------------------------------------
+# the fused cell against the composition it replaced
+
+
+def _tanh(a):
+    """The tanh primitive of the composition, kept here for the oracle."""
+    value = np.tanh(a.value)
+    out = ad.Var(value, (a,))
+    out._vjp = lambda g, need: (g * (1.0 - value * value),)
+    return out
+
+
+def _composed_step(x, h_prev, c_prev, params):
+    """The 19-node cell the fused ``autodiff.lstm_cell`` replaced."""
+    w_ih, w_hh, bias = (ad.as_var(params[n]) for n in ("lstm.w_ih", "lstm.w_hh", "lstm.bias"))
+    x, h_prev, c_prev = ad.as_var(x), ad.as_var(h_prev), ad.as_var(c_prev)
+    hidden = w_hh.shape[1]
+    z = x @ w_ih.T + h_prev @ w_hh.T + bias
+    gate = lambda j: z[:, j * hidden : (j + 1) * hidden]
+    i = ad.sigmoid(gate(0))
+    f = ad.sigmoid(gate(1))
+    g = _tanh(gate(2))
+    o = ad.sigmoid(gate(3))
+    c = f * c_prev + i * g
+    h = o * _tanh(c)
+    return h, c
+
+
+LSTM_NAMES = ("lstm.w_ih", "lstm.w_hh", "lstm.bias", "lstm.proj_w", "lstm.proj_b")
+
+
+def _recurrence(step, values, mixes, num_frames):
+    """Loss over h_T, c_T and the projection; grads of every input."""
+    leaves = {name: ad.Var(v) for name, v in values.items()}
+    h, c = leaves["h0"], leaves["c0"]
+    for t in range(num_frames):
+        h, c = step(leaves["x"][:, t, :], h, c, leaves)
+    proj = ad.relu(h @ leaves["lstm.proj_w"].T + leaves["lstm.proj_b"])
+    loss = (proj * mixes[0]).sum() + (h * mixes[1]).sum() + (c * mixes[2]).sum()
+    loss.backward()
+    return loss.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_cell_is_bitwise_the_composition(seed):
+    rng = np.random.default_rng(900 + seed)
+    k, num_frames, c, h = (int(v) for v in rng.integers([1, 1, 2, 1], [6, 5, 9, 7]))
+    values = _lstm(c, h, rng)
+    values.update(
+        x=rng.normal(size=(k, num_frames, c)),
+        h0=rng.normal(size=(k, h)) * 0.5,
+        c0=rng.normal(size=(k, h)),
+    )
+    mixes = (rng.normal(size=(k, c)), rng.normal(size=(k, h)), rng.normal(size=(k, h)))
+    want_loss, want = _recurrence(_composed_step, values, mixes, num_frames)
+    got_loss, got = _recurrence(lstm_step, values, mixes, num_frames)
+    assert got_loss.tobytes() == want_loss.tobytes()
+    assert sorted(got) == sorted(["x", "h0", "c0", *LSTM_NAMES])
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_fused_cell_keeps_the_sign_of_zero_gradients():
+    # zero weights give g = tanh(0) = +0, so the input-gate gradient
+    # dc*g*... is a signed zero; its sign must come out as in the composition
+    k, c, h = 3, 4, 2
+    values = {**_zero_params(c, h), "x": np.ones((k, 2, c)),
+              "h0": np.zeros((k, h)), "c0": np.ones((k, h))}
+    mixes = (np.zeros((k, c)), -np.ones((k, h)), -np.ones((k, h)))
+    want_loss, want = _recurrence(_composed_step, values, mixes, 2)
+    got_loss, got = _recurrence(lstm_step, values, mixes, 2)
+    assert got_loss.tobytes() == want_loss.tobytes()
+    assert np.any(want["lstm.bias"] == 0.0)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_fused_trainer_gradients_are_bitwise_the_composition(monkeypatch):
+    from lane3d import temporal, training
+    from lane3d.config import RunConfiguration
+    from lane3d.synth import generate_dataset
+
+    run = RunConfiguration()
+    scenes = generate_dataset(run.train_data_seed, 4, run.scene)
+    params = init_parameters(run.scene, run.train)
+    args = (scenes, run.scene.anchors(), run.loss, run.train, 0)
+    got_value, got, _ = training.batch_gradients(params, *args)
+    monkeypatch.setattr(temporal, "lstm_step", _composed_step)
+    want_value, want, _ = training.batch_gradients(params, *args)
+    assert got_value == want_value
+    for name in training.PARAM_ORDER:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_backward_runs_no_vjp_on_constant_only_nodes():
+    rng = np.random.default_rng(31)
+    values = _lstm(4, 3, rng)
+    values["lstm.proj_b"] = values["lstm.proj_b"] + 1.0  # keep the relu open
+    params = {name: ad.Var(v) for name, v in values.items()}
+    batch = rng.normal(size=(2, 3, 4))  # a constant: nobody reads its gradient
+    loss = (fuse_all_anchors(batch, params) * rng.normal(size=(2, 4))).sum()
+
+    nodes = _nodes(loss)
+    called = []
+    for node in nodes:
+        if node._vjp is not None:
+            inner = node._vjp
+            node._vjp = lambda g, need, node=node, inner=inner: (
+                called.append(node), inner(g, need))[1]
+    frame_takes = [n for n in nodes if n._parents and n._parents[0].constant
+                   and n._parents[0].shape == batch.shape]
+    assert len(frame_takes) == 3  # batch[:, t, :] for t = 0, 1, 2
+    loss.backward()
+    assert called and not any(node in frame_takes for node in called)
+    for node in nodes:
+        if node.constant or node in frame_takes:
+            assert node.grad is None
+    for name, var in params.items():
+        assert np.any(var.grad), name
+
+
+def _nodes(root):
+    out, stack, seen = [], [root], {id(root)}
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return out

@@ -127,6 +127,30 @@ def test_zero_learning_rate_leaves_parameters_bitwise_unchanged():
             assert np.array_equal(result.params[name], before[name]), (optimizer, name)
 
 
+def test_adam_in_place_is_bitwise_the_textbook_update():
+    rng = np.random.default_rng(17)
+    shapes = {name: (3, 2) if name.endswith(("_w", "w_ih", "w_hh")) else (3,) for name in PARAM_ORDER}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    want = {name: value.copy() for name, value in params.items()}
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    opt = AdamOptimizer(lr)
+    for t in range(1, 6):
+        # transposed views, as backward hands some gradients over
+        grads = {name: rng.normal(size=shape[::-1]).T for name, shape in shapes.items()}
+        grads[PARAM_ORDER[0]][0, 0] = 0.0
+        opt.step(params, grads)
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            want[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for name in PARAM_ORDER:
+        assert params[name].tobytes() == want[name].tobytes(), name
+
+
 def test_sgd_step_decreases_loss_at_seeded_points():
     scenes, cfg_scene = small_scenes(2)
     anchors = cfg_scene.anchors()

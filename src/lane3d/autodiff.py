@@ -526,7 +526,6 @@ class GradCheckReport:
 
     max_relative_error: float
     per_parameter: dict = field(default_factory=dict)
-    step: float = 1e-5
 
     def worst_parameter(self):
         return max(self.per_parameter, key=self.per_parameter.get)
@@ -583,5 +582,4 @@ def finite_difference_check(fn, params, step=1e-5):
     return GradCheckReport(
         max_relative_error=max(per_parameter.values()),
         per_parameter=per_parameter,
-        step=step,
     )

@@ -25,8 +25,8 @@ from . import losses as ls
 from .losses import LossConfig
 from .temporal import fuse_all_anchors, lstm_step
 
-DEFAULT_TOLERANCE = 1e-4
-DEFAULT_STEP = 1e-5
+TOLERANCE = 1e-4
+STEP = 1e-5
 DEFAULT_INPUTS_PER_CHECK = 100
 
 # Margin kept between sampled inputs and the nearest kink, in units of
@@ -58,7 +58,7 @@ class CheckResult:
         )
 
 
-def _check_many(name, build, num_inputs, step, tolerance, base_seed=0):
+def _check_many(name, build, num_inputs, base_seed):
     """Run one named check over ``num_inputs`` seeds; keep the worst error.
 
     ``build(rng)`` returns (fn, params) for finite_difference_check; it
@@ -70,7 +70,7 @@ def _check_many(name, build, num_inputs, step, tolerance, base_seed=0):
     for i in range(num_inputs):
         seed = base_seed + i
         fn, params = build(np.random.default_rng(seed))
-        report = ad.finite_difference_check(fn, params, step=step)
+        report = ad.finite_difference_check(fn, params, step=STEP)
         if report.max_relative_error >= worst:
             worst = report.max_relative_error
             worst_seed = seed
@@ -81,7 +81,7 @@ def _check_many(name, build, num_inputs, step, tolerance, base_seed=0):
         max_relative_error=worst,
         worst_seed=worst_seed,
         worst_parameter=worst_param,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         seconds=time.perf_counter() - started,
     )
 
@@ -197,8 +197,6 @@ def _build_lstm(rng, num_frames):
 
 def run_gradient_checks(
     num_inputs: int = DEFAULT_INPUTS_PER_CHECK,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
     base_seed: int = 0,
     loss_config: LossConfig | None = None,
 ):
@@ -217,7 +215,7 @@ def run_gradient_checks(
         ("lstm_fusion_T3", lambda rng: _build_lstm(rng, 3)),
     ]
     return [
-        _check_many(name, build, num_inputs, step, tolerance, base_seed=base_seed)
+        _check_many(name, build, num_inputs, base_seed)
         for name, build in checks
     ]
 

@@ -27,19 +27,6 @@ from .synth import SceneConfig
 from .training import TrainConfig
 
 
-def _default_train() -> TrainConfig:
-    # Benchmark budget: 60 epochs on 64 scenes. The fused model reaches
-    # its best eval F1 in this window and starts to memorize past it.
-    return TrainConfig(
-        epochs=60,
-        batch_size=4,
-        learning_rate=1e-3,
-        seed=11,
-        curve_ramp_start=5,
-        curve_ramp_end=15,
-    )
-
-
 @dataclass(frozen=True)
 class RunConfiguration:
     """Everything a subcommand needs, bundled and hashable.
@@ -51,7 +38,7 @@ class RunConfiguration:
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     loss: LossConfig = field(default_factory=LossConfig)
-    train: TrainConfig = field(default_factory=_default_train)
+    train: TrainConfig = field(default_factory=TrainConfig)
     distance_threshold: float = DISTANCE_THRESHOLD
     coverage_fraction: float = COVERAGE_FRACTION
     num_train_scenes: int = 64

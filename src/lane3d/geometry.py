@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_LATERAL_SPAN = (-10.0, 10.0)
-DEFAULT_NUM_ANCHORS = 40
-DEFAULT_STATIONS = np.linspace(3.0, 103.0, 20)
 VISIBILITY_THRESHOLD = 0.5
 
 
@@ -46,8 +43,8 @@ class Lane3D:
         if np.any(self.visibility < 0.0) or np.any(self.visibility > 1.0):
             raise ValueError("Lane3D: visibility must lie in [0, 1]")
 
-    def visible_mask(self, threshold: float = VISIBILITY_THRESHOLD) -> np.ndarray:
-        return self.visibility >= threshold
+    def visible_mask(self) -> np.ndarray:
+        return self.visibility >= VISIBILITY_THRESHOLD
 
     def points(self) -> np.ndarray:
         """All stations as (n, 3) points in (x, y, z) order."""
@@ -123,9 +120,7 @@ class AnchorSet:
 
 
 def build_default_anchors(
-    num_anchors: int = DEFAULT_NUM_ANCHORS,
-    lateral_span: tuple[float, float] = DEFAULT_LATERAL_SPAN,
-    stations=None,
+    num_anchors: int, lateral_span: tuple[float, float], stations
 ) -> AnchorSet:
     """Straight anchors evenly spaced across the lateral span, height 0.
 
@@ -137,9 +132,7 @@ def build_default_anchors(
     lo, hi = float(lateral_span[0]), float(lateral_span[1])
     if not hi > lo:
         raise ValueError("build_default_anchors: lateral span must be increasing")
-    stations = np.asarray(
-        DEFAULT_STATIONS if stations is None else stations, dtype=np.float64
-    )
+    stations = np.asarray(stations, dtype=np.float64)
     if stations.ndim != 1 or stations.shape[0] < 1:
         raise ValueError("build_default_anchors: stations must be a non-empty 1-d list")
     if stations.shape[0] >= 2 and not np.all(np.diff(stations) > 0):
@@ -218,11 +211,11 @@ def read_lane_file(path):
     is rejected with a message naming the file, the lane index and the
     field.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"lane file {path}: invalid JSON ({exc})")
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"lane file {path}: invalid JSON ({exc})") from None
     entries = document.get("lanes") if isinstance(document, dict) else document
     if not isinstance(entries, list):
         raise ValueError(f"lane file {path}: expected a list of lanes")

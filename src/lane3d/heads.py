@@ -84,26 +84,20 @@ def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
     return np.abs(anchors.base_x[:, cols] - x).mean(axis=1)
 
 
-def assign_targets(
-    anchors: AnchorSet,
-    gt_lanes,
-    positive_threshold: float = POSITIVE_THRESHOLD,
-) -> AnchorAssignment:
+def assign_targets(anchors: AnchorSet, gt_lanes) -> AnchorAssignment:
     """Globally optimal lane-to-anchor assignment.
 
     Each lane takes one anchor, chosen jointly to minimize the total mean
-    lateral distance; unchosen anchors within positive_threshold of some
+    lateral distance; unchosen anchors within POSITIVE_THRESHOLD of some
     lane are marked IGNORE, everything else BACKGROUND.
     """
-    if positive_threshold <= 0.0:
-        raise ValueError("assign_targets: positive threshold must be > 0")
     k = anchors.num_anchors
     lane_for_anchor = np.full(k, BACKGROUND, dtype=np.int64)
     if len(gt_lanes) == 0:
         return AnchorAssignment(lane_for_anchor, np.zeros((0, k)))
     cost = np.stack([mean_lateral_distance(anchors, lane) for lane in gt_lanes])
     rows, cols = linear_sum_assignment(cost)
-    near = np.any(cost <= positive_threshold, axis=0)
+    near = np.any(cost <= POSITIVE_THRESHOLD, axis=0)
     lane_for_anchor[near] = IGNORE
     for lane_idx, anchor_idx in zip(rows, cols):
         lane_for_anchor[anchor_idx] = lane_idx

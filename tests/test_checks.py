@@ -3,7 +3,7 @@ import pytest
 
 from lane3d import autodiff as ad
 from lane3d.checks import (
-    DEFAULT_TOLERANCE,
+    TOLERANCE,
     _signed_residuals,
     corrupt_gradient,
     format_report,
@@ -29,7 +29,7 @@ def test_suite_passes_and_covers_everything():
     assert tuple(r.name for r in results) == EXPECTED_CHECKS
     for r in results:
         assert r.passed, f"{r.name}: {r.max_relative_error}"
-        assert r.max_relative_error < DEFAULT_TOLERANCE
+        assert r.max_relative_error < TOLERANCE
         assert r.num_inputs == 5
 
 

@@ -274,6 +274,10 @@ def test_lane_file_rejects_garbage(tmp_path):
     path.write_text('{"lanes": [{"x": [1.0]}]}')
     with pytest.raises(ValueError, match="malformed lane"):
         read_lane_file(path)
+    path.write_bytes(b'{"lanes": []}\xff')
+    with pytest.raises(ValueError) as info:
+        read_lane_file(path)
+    assert str(info.value).startswith(f"lane file {path}: invalid JSON")
 
 
 def _one_lane(**fields):

@@ -145,7 +145,7 @@ def test_hash_covers_nested_fields():
 
 def test_default_hash_is_pinned():
     # every checkpoint and table of the default benchmark carries this value
-    assert RunConfiguration().config_hash() == "ccc5eb54741a"
+    assert RunConfiguration().config_hash() == "a9e3e06cc2c1"
 
 
 def test_to_dict_writes_every_init_field():
@@ -153,7 +153,10 @@ def test_to_dict_writes_every_init_field():
     assert set(d["loss"]) == {"alpha", "beta", "gamma", "focal_gamma", "focal_alpha", "dice_epsilon"}
     assert d["scene"]["num_lanes_range"] == [2, 4]
     assert isinstance(d["scene"]["stations"], list) and len(d["scene"]["stations"]) == 20
-    assert d["train"]["use_consistency"] is False
+    assert set(d["train"]) == {
+        "epochs", "batch_size", "learning_rate", "seed", "curve_ramp_start", "curve_ramp_end",
+        "use_balanced_l1", "use_chamfer", "use_uncertainty", "use_lstm_fusion",
+    }
 
 
 @pytest.mark.parametrize(
@@ -170,6 +173,8 @@ def test_to_dict_writes_every_init_field():
         ({"scene": {"lateral_span": [-1, "x"]}}, "scene.lateral_span: expected an array"),
         ({"distance_threshold": None}, "distance_threshold: expected a finite number, got null"),
         ({"loss": {"alpha": -1.0}}, "loss: LossConfig: alpha"),
+        ({"train": {"optimizer": "adam"}}, "train.optimizer: unknown field"),
+        ({"train": {"use_consistency": False}}, "train.use_consistency: unknown field"),
     ],
 )
 def test_load_names_the_file_and_the_field(tmp_path, document, field):
@@ -188,9 +193,11 @@ def test_load_reads_json_integers_in_float_fields_as_floats(tmp_path):
     cfg = load_run_configuration(path)
     assert isinstance(cfg.train.learning_rate, float) and cfg.train.learning_rate == 1.0
     assert isinstance(cfg.loss.alpha, float)
-    # a partial section starts from that section's own defaults
+    # a partial section starts from that section's own defaults, which for
+    # train are the benchmark's
     written = RunConfiguration(train=TrainConfig(learning_rate=1.0), loss=LossConfig(alpha=1.0))
     assert cfg.config_hash() == written.config_hash()
+    assert cfg.train == dataclasses.replace(RunConfiguration().train, learning_rate=1.0)
 
 
 def test_load_turns_arrays_into_tuples(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lane3d.geometry import Lane3D, build_default_anchors, resample_lane
+from lane3d.synth import SceneConfig
 from lane3d.training import predict_frames
 
 
@@ -46,7 +47,7 @@ def test_single_anchor_is_centered():
 
 
 def test_default_layout_spacing():
-    anchors = build_default_anchors()
+    anchors = SceneConfig().anchors()
     assert anchors.num_anchors == 40
     assert anchors.num_stations == 20
     assert np.isclose(anchors.stations[0], 3.0) and np.isclose(anchors.stations[-1], 103.0)
@@ -57,9 +58,9 @@ def test_default_layout_spacing():
 
 def test_invalid_layouts_rejected():
     with pytest.raises(ValueError):
-        build_default_anchors(0)
+        build_default_anchors(0, (-1.0, 1.0), [5.0])
     with pytest.raises(ValueError):
-        build_default_anchors(3, (1.0, -1.0))
+        build_default_anchors(3, (1.0, -1.0), [5.0])
     with pytest.raises(ValueError):
         build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 5.0])
 
@@ -101,7 +102,7 @@ def test_additive_decode(hand_set_model):
     assert np.allclose(lane.z, [0.1, 0.2])
     assert lane.visibility[0] > 0.99 and lane.visibility[1] < 0.01
     assert lane.category == 1
-    assert np.array_equal(lane.visible_mask(0.5), [True, False])
+    assert np.array_equal(lane.visible_mask(), [True, False])
 
 
 def test_decode_drops_background_and_invisible_anchors(hand_set_model):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import pytest
 
 from lane3d import autodiff as ad
 from lane3d.geometry import Lane3D, build_default_anchors
@@ -111,7 +110,7 @@ def test_no_lanes_all_background():
 def test_near_miss_anchor_marked_ignore():
     anchors = build_default_anchors(3, (-1.0, 1.0), stations=np.array([5.0, 10.0]))
     lane = _straight_lane(0.1, anchors.stations)  # near anchor 1 (x=0)
-    out = assign_targets(anchors, [lane], positive_threshold=1.0)
+    out = assign_targets(anchors, [lane])
     assert out.lane_for_anchor[1] == 0
     assert out.lane_for_anchor[2] == IGNORE  # 0.9 m away, unchosen
     assert out.lane_for_anchor[0] == BACKGROUND  # 1.1 m away
@@ -167,8 +166,3 @@ def test_assignment_matches_brute_force():
         if unique:
             assert chosen == {(i, c) for i, c in enumerate(best_cols)}, seed
 
-
-def test_assignment_rejects_bad_threshold():
-    anchors = build_default_anchors(2, (-1.0, 1.0), stations=np.array([5.0]))
-    with pytest.raises(ValueError):
-        assign_targets(anchors, [], positive_threshold=0.0)

@@ -1,4 +1,5 @@
-"""Modules of lane3d import in one direction only.
+"""Modules of lane3d import in one direction only, and the demos import
+only names that exist.
 
 Each module sits in a tier and may import only from lower tiers:
 autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
@@ -7,11 +8,14 @@ independent of each other.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lane3d"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lane3d"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 TIERS = (
     ("autodiff", "geometry"),
@@ -78,4 +82,45 @@ def test_the_scanner_sees_every_import_form(tmp_path):
     )
     assert sorted(target for _, target in _package_imports(probe)) == [
         "checks", "cli", "config", "geometry", "metrics", "synth", "training",
+    ]
+
+
+def _resolves(module, name):
+    """True if ``from module import name`` would succeed."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule not imported yet
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def _unresolved_imports(path):
+    """``from lane3d... import name`` lines whose name does not exist."""
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lane3d":
+            missing += [
+                f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                for alias in node.names
+                if not _resolves(node.module, alias.name)
+            ]
+    return missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports_resolve(path):
+    # parsed, not run: an API deletion that breaks a demo fails here cheaply
+    assert not _unresolved_imports(path)
+
+
+def test_the_demo_check_sees_a_missing_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from lane3d import autodiff, nonexistent_module\n"
+        "from lane3d.training import AdamOptimizer, make_optimizer\n"
+    )
+    assert _unresolved_imports(probe) == [
+        "probe.py:1 lane3d.nonexistent_module", "probe.py:2 lane3d.training.make_optimizer",
     ]

@@ -102,17 +102,36 @@ def _as_points(ps):
     return ps
 
 
-def chamfer(P, Q):
+def chamfer(P, Q, mask=None):
     """Bidirectional mean of nearest-neighbor squared distances.
 
     Gradients flow into both sets through the argmin pairs; nearest
-    neighbor ties resolve to the lowest index.
+    neighbor ties resolve to the lowest index.  Two (n, 3) and (m, 3)
+    sets give a scalar.  A row batch of (R, n, 3) predictions and
+    (R, m, 3) padded sets with a boolean (R, m) ``mask`` of their valid
+    points gives the (R,) per-row values; padded points take no part.
     """
-    P, Q = _as_points(P), _as_points(Q)
-    n, m = P.shape[0], Q.shape[0]
-    diff = P.reshape((n, 1, 3)) - Q.reshape((1, m, 3))
-    d2 = ad.square(diff).sum(axis=2)
-    return ad.reduce_min(d2, axis=1).mean() + ad.reduce_min(d2, axis=0).mean()
+    if mask is None:
+        P, Q = _as_points(P), _as_points(Q)
+        n, m = P.shape[0], Q.shape[0]
+        diff = P.reshape((n, 1, 3)) - Q.reshape((1, m, 3))
+        d2 = ad.square(diff).sum(axis=2)
+        return ad.reduce_min(d2, axis=1).mean() + ad.reduce_min(d2, axis=0).mean()
+    P, Q = ad.as_var(P), ad.as_var(Q)
+    mask = np.asarray(mask, dtype=bool)
+    if P.ndim != 3 or P.shape[2] != 3 or P.shape[1] == 0 or Q.ndim != 3 or Q.shape[2] != 3:
+        raise ValueError("chamfer: need (R, n, 3) and (R, m, 3) point batches")
+    rows, n, m = P.shape[0], P.shape[1], Q.shape[1]
+    if Q.shape[0] != rows or mask.shape != (rows, m):
+        raise ValueError("chamfer: need one (m,) validity row per pair")
+    count = mask.sum(axis=1)
+    if np.any(count == 0):
+        raise ValueError("chamfer: every row needs a valid point")
+    diff = P.reshape((rows, n, 1, 3)) - Q.reshape((rows, 1, m, 3))
+    d2 = ad.square(diff).sum(axis=3)
+    to_q = ad.reduce_min(ad.where(mask[:, None, :], d2, np.inf), axis=2).mean(axis=1)
+    to_p = (ad.reduce_min(d2, axis=1) * (mask / count[:, None])).sum(axis=1)
+    return to_q + to_p
 
 
 def log_softmax(logits):

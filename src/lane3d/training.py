@@ -8,10 +8,17 @@ task is multiplied by the progressive ramp weight before combination,
 and its ground-truth side is resampled onto equidistant stations across
 the visible extent.
 
+Each training step builds one tape per mini-batch: the batch's scenes
+are stacked to (B*K, T, C) and run once through fusion, the heads and
+each loss, with constant row weights that make every task the mean over
+the scenes of that scene's value.  A scene's targets depend only on the
+scene and the anchors, so ``train`` builds each batch's targets once,
+ahead of the epoch loop.
+
 Everything is deterministic given (config, seed): parameter init comes
-from one seeded generator, batches follow a fixed order, and gradient
-reduction order is fixed, so two runs produce bitwise-identical
-checkpoints and metric tables.
+from one seeded generator, batches follow a fixed order, and the
+gradient reduction order is fixed by the batch graph, so two runs
+produce bitwise-identical checkpoints and metric tables.
 """
 
 from __future__ import annotations
@@ -150,83 +157,156 @@ def _equidistant_gt(lane: Lane3D) -> Lane3D:
     return resample_lane(lane, targets)
 
 
-def scene_loss(pvars, scene, anchors, loss_config: LossConfig,
-               train_config: TrainConfig, epoch: int):
-    """Differentiable total loss of one scene plus per-task values.
+@dataclass(frozen=True)
+class MiniBatch:
+    """The constant side of one mini-batch's loss, stacked over its B scenes.
+
+    Rows index the B*K anchors of the batch, scene-major.  Each task of
+    scene b is the mean over its own rows, and the batch loss the mean
+    over scenes, so every row carries the constant weight 1 / (B * n_b)
+    with n_b the scene's row count for that task; a scene without rows
+    for a task adds 0 to it.  Regression entries are weighted by
+    visibility / (2 * B * the scene's visibility sum), since delta-x and
+    delta-z share it.
+    """
+
+    features: np.ndarray  # (B*K, T, C)
+    scored: np.ndarray  # rows scored by the focal: positive or background
+    classes: np.ndarray  # target class of each scored row
+    class_weights: np.ndarray
+    positive: np.ndarray  # positive rows, each scene's in lane order
+    base_x: np.ndarray  # (P, S) anchor base of each positive row
+    base_z: np.ndarray
+    offsets: np.ndarray  # (2, P, S) delta-x and delta-z targets
+    visibility: np.ndarray  # (P, S)
+    positive_weights: np.ndarray  # (P,)
+    regression_weights: np.ndarray  # (2, P, S)
+    stations: np.ndarray  # (P, S) anchor stations
+    curve_points: np.ndarray | None  # (P, m, 3) equidistant visible gt, padded
+    curve_mask: np.ndarray | None  # (P, m) its valid points
+
+
+def prepare_batch(scenes, anchors, use_chamfer: bool = True) -> MiniBatch:
+    """Targets of the last frame of each scene, stacked into one MiniBatch.
 
     Only the last frame is supervised; earlier frames matter through the
-    fused features.  Classification
-    runs as one row-batched focal call over every non-ignored anchor, and
-    visibility as one row-batched Dice call over the positive rows, so the
-    tape does not grow with the anchor count.
+    fused features.  Lanes are assigned to anchors with
+    ``assign_targets``; ignored anchors are not scored.  The Chamfer
+    ground truth is each positive lane resampled to equidistant stations
+    over its visible span, keeping its visible points; it is built only
+    with ``use_chamfer``.
+    """
+    if not scenes:
+        raise ValueError("prepare_batch: need at least one scene")
+    k, s = anchors.num_anchors, anchors.num_stations
+    batch = len(scenes)
+    scored, classes, class_weights = [], [], []
+    positive, lanes, positive_weights = [], [], []
+    for b, scene in enumerate(scenes):
+        gt_lanes = list(scene.frames[-1].lanes)
+        roles = assign_targets(anchors, gt_lanes).lane_for_anchor
+        rows = np.flatnonzero(roles != IGNORE)
+        scored.append(b * k + rows)
+        classes.append([gt_lanes[j].category if j != BACKGROUND else BACKGROUND_CLASS
+                        for j in roles[rows]])
+        class_weights.append(np.full(rows.size, 1.0 / (batch * max(rows.size, 1))))
+        pairs = sorted((int(j), int(a)) for a, j in enumerate(roles) if j >= 0)
+        positive.extend(b * k + a for _, a in pairs)
+        lanes.extend(gt_lanes[j] for j, _ in pairs)
+        positive_weights.append(np.full(len(pairs), 1.0 / (batch * max(len(pairs), 1))))
+    positive = np.array(positive, dtype=np.intp)
+    anchor = positive % k
+    visibility = np.array([lane.visibility for lane in lanes]).reshape(-1, s)
+    scene_of = positive // k
+    vis_sums = np.bincount(scene_of, visibility.sum(axis=1), minlength=batch)
+    # delta-x and delta-z entries share the visibility weights: 2x its sum
+    scale = np.divide(1.0, 2 * batch * vis_sums, out=np.zeros(batch), where=vis_sums > 0)
+    row_weights = visibility * scale[scene_of][:, None]
+    curve_points = curve_mask = None
+    if use_chamfer and lanes:
+        gt = [_equidistant_gt(lane) for lane in lanes]
+        points = [lane.points()[lane.visible_mask()] for lane in gt]
+        m = max(len(p) for p in points)
+        curve_points = np.zeros((len(points), m, 3))
+        curve_mask = np.zeros((len(points), m), dtype=bool)
+        for r, p in enumerate(points):
+            curve_points[r, : len(p)] = p
+            curve_mask[r, : len(p)] = True
+    return MiniBatch(
+        features=np.concatenate(
+            [np.stack([f.features for f in scene.frames], axis=1) for scene in scenes]),
+        scored=np.concatenate(scored),
+        classes=np.array([c for row in classes for c in row], dtype=np.int64),
+        class_weights=np.concatenate(class_weights),
+        positive=positive,
+        base_x=anchors.base_x[anchor],
+        base_z=anchors.base_z[anchor],
+        offsets=np.stack([
+            np.array([lane.x for lane in lanes]).reshape(-1, s) - anchors.base_x[anchor],
+            np.array([lane.z for lane in lanes]).reshape(-1, s) - anchors.base_z[anchor],
+        ]),
+        visibility=visibility,
+        positive_weights=np.concatenate(positive_weights),
+        regression_weights=np.stack([row_weights, row_weights]),
+        stations=np.broadcast_to(anchors.stations, (positive.size, s)),
+        curve_points=curve_points,
+        curve_mask=curve_mask,
+    )
+
+
+def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
+               train_config: TrainConfig, epoch: int):
+    """Differentiable total loss of one mini-batch plus per-task values.
+
+    One tape covers the batch: one fusion over its (B*K, T, C) features,
+    one head pass, and one row-batched call of each loss, weighted by the
+    batch's constant row weights so that each task is the mean over the
+    scenes of that scene's task value.  The total combines the tasks
+    (with the curve task scaled by the ramp weight) by learned
+    uncertainty or plain summation, which equals the mean of the scenes'
+    totals.
     """
     cfg = train_config
-    stations = anchors.stations
-    s = anchors.num_stations
-
-    feats = np.stack([f.features for f in scene.frames], axis=1)  # (K, T, C)
     if cfg.use_lstm_fusion:
-        fused = fuse_all_anchors(feats, pvars)
+        fused = fuse_all_anchors(batch.features, pvars)
     else:
-        fused = ad.as_var(feats[:, -1, :])
+        fused = ad.as_var(batch.features[:, -1, :])
     dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
 
-    gt_lanes = list(scene.frames[-1].lanes)
-    assignment = assign_targets(anchors, gt_lanes)
-    positives = assignment.positive_pairs
-
     task_losses = {}
-
-    # classification: one focal over positives and background, ignores skipped
-    scored = np.flatnonzero(assignment.lane_for_anchor != IGNORE)
-    if scored.size:
-        targets = np.array([
-            gt_lanes[j].category if j != BACKGROUND else BACKGROUND_CLASS
-            for j in assignment.lane_for_anchor[scored]
-        ])
-        task_losses["classification"] = focal(cls_logits[scored], targets, loss_config).mean()
+    if batch.scored.size:
+        rows = focal(cls_logits[batch.scored], batch.classes, loss_config)
+        task_losses["classification"] = (rows * batch.class_weights).sum()
     else:
         task_losses["classification"] = ad.as_var(0.0)
 
-    if positives:
-        pos_anchor = np.array([k for k, _ in positives])
-        pos_lane = [gt_lanes[j] for _, j in positives]
-        target_dx = np.stack([lane.x - anchors.base_x[k] for (k, _), lane in zip(positives, pos_lane)])
-        target_dz = np.stack([lane.z - anchors.base_z[k] for (k, _), lane in zip(positives, pos_lane)])
-        visibility = np.stack([lane.visibility for lane in pos_lane])
-
-        pred_dx = dx[pos_anchor]
-        pred_dz = dz[pos_anchor]
-        n = len(positives) * s
-        flat_pred = ad.stack([pred_dx.reshape((n,)), pred_dz.reshape((n,))]).reshape((2 * n,))
-        flat_target = np.concatenate([target_dx.reshape(-1), target_dz.reshape(-1)])
-        flat_weights = np.concatenate([visibility.reshape(-1), visibility.reshape(-1)])
-        if flat_weights.sum() > 0:
+    pos = batch.positive
+    if pos.size:
+        pred_dx, pred_dz = dx[pos], dz[pos]
+        weights = batch.regression_weights
+        if weights.sum() > 0:
+            pred = ad.stack([pred_dx, pred_dz])
             if cfg.use_balanced_l1:
+                # balanced_l1_vector divides by the weight sum; undo it
                 task_losses["regression"] = balanced_l1_vector(
-                    flat_pred, flat_target, flat_weights, loss_config
-                )
+                    pred.reshape((weights.size,)), batch.offsets.reshape(-1),
+                    weights.reshape(-1), loss_config,
+                ) * weights.sum()
             else:
-                residual = ad.absolute(flat_pred - flat_target)
-                task_losses["regression"] = (residual * flat_weights).sum() / flat_weights.sum()
+                residual = ad.absolute(pred - batch.offsets)
+                task_losses["regression"] = (residual * weights).sum()
         else:
             task_losses["regression"] = ad.as_var(0.0)
 
         if cfg.use_chamfer:
             ramp = curve_ramp_weight(epoch, cfg)
-            chamfer_terms = []
-            for (k, _), lane in zip(positives, pos_lane):
-                pred_x = dx[k] + anchors.base_x[k]
-                pred_z = dz[k] + anchors.base_z[k]
-                pred_points = ad.stack([pred_x, ad.as_var(stations), pred_z], axis=1)
-                gt_eq = _equidistant_gt(lane)
-                gt_points = gt_eq.points()[gt_eq.visible_mask()]
-                chamfer_terms.append(chamfer(pred_points, gt_points))
-            task_losses["curve"] = ad.stack(chamfer_terms).mean() * ramp
+            pred_points = ad.stack(
+                [pred_dx + batch.base_x, batch.stations, pred_dz + batch.base_z], axis=2)
+            rows = chamfer(pred_points, batch.curve_points, batch.curve_mask)
+            task_losses["curve"] = (rows * batch.positive_weights).sum() * ramp
 
-        task_losses["visibility"] = dice(
-            ad.sigmoid(vis_logits[pos_anchor]), visibility, loss_config
-        ).mean()
+        rows = dice(ad.sigmoid(vis_logits[pos]), batch.visibility, loss_config)
+        task_losses["visibility"] = (rows * batch.positive_weights).sum()
     else:
         task_losses["regression"] = ad.as_var(0.0)
         task_losses["visibility"] = ad.as_var(0.0)
@@ -284,26 +364,19 @@ class AdamOptimizer:
             params[name] -= step
 
 
-def batch_gradients(params: dict, scenes, anchors, loss_config, train_config, epoch):
-    """Mean loss over scenes and its gradients for every parameter."""
+def batch_gradients(params: dict, batch: MiniBatch, loss_config, train_config, epoch):
+    """Mean loss over the batch's scenes, its gradient for every parameter,
+    and each task's mean over the scenes: one tape, one backward."""
     pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
-    totals = []
-    task_sums = {}
-    for scene in scenes:
-        total, values = scene_loss(pvars, scene, anchors, loss_config, train_config, epoch)
-        totals.append(total)
-        for name, value in values.items():
-            task_sums[name] = task_sums.get(name, 0.0) + value
-    batch_total = ad.stack(totals).mean() if len(totals) > 1 else totals[0]
-    value = float(batch_total.value)
+    total, task_means = scene_loss(pvars, batch, loss_config, train_config, epoch)
+    value = float(total.value)
     if not np.isfinite(value):
         raise TrainingDiverged(f"total loss became non-finite ({value}) at epoch {epoch}")
-    batch_total.backward()
+    total.backward()
     grads = {
         name: (np.zeros_like(params[name]) if pvars[name].grad is None else pvars[name].grad)
         for name in PARAM_ORDER
     }
-    task_means = {name: task_sums[name] / len(scenes) for name in task_sums}
     return value, grads, task_means
 
 
@@ -329,16 +402,20 @@ def train(
     anchors = scene_config.anchors()
     params = init_parameters(scene_config, train_config)
     optimizer = AdamOptimizer(train_config.learning_rate)
+    size = train_config.batch_size
+    batches = [
+        prepare_batch(scenes[start : start + size], anchors, train_config.use_chamfer)
+        for start in range(0, len(scenes), size)
+    ]
     rows = []
     final_losses = {}
     for epoch in range(train_config.epochs):
         epoch_total = 0.0
         epoch_tasks = {}
         steps = 0
-        for start in range(0, len(scenes), train_config.batch_size):
-            batch = scenes[start : start + train_config.batch_size]
+        for batch in batches:
             value, grads, task_means = batch_gradients(
-                params, batch, anchors, loss_config, train_config, epoch
+                params, batch, loss_config, train_config, epoch
             )
             optimizer.step(params, grads)
             epoch_total += value

@@ -19,7 +19,7 @@ from lane3d.losses import (
     dice,
     focal,
 )
-from lane3d.training import TrainConfig, scene_loss
+from lane3d.training import TrainConfig, prepare_batch, scene_loss
 
 CFG = LossConfig()
 
@@ -177,6 +177,39 @@ def test_chamfer_gradient_matches_fd():
         assert report.max_relative_error < 1e-6, seed
 
 
+def test_chamfer_row_batch_matches_each_pair_and_skips_padding():
+    rng = np.random.default_rng(4)
+    P = rng.normal(size=(3, 4, 3))
+    sizes = (2, 5, 1)
+    Q = rng.normal(size=(3, 5, 3)) * 3.0  # padding far away must not count
+    mask = np.arange(5)[None, :] < np.array(sizes)[:, None]
+    rows = chamfer(P, Q, mask)
+    assert rows.shape == (3,)
+    for r, m in enumerate(sizes):
+        assert np.isclose(rows.value[r], chamfer(P[r], Q[r, :m]).value, rtol=1e-14, atol=0.0)
+
+
+def test_chamfer_row_batch_gradient_matches_fd():
+    rng = np.random.default_rng(9)
+    mask = np.array([[True, True, False], [True, True, True]])
+    params = {"P": rng.normal(size=(2, 4, 3)), "Q": rng.normal(size=(2, 3, 3)) + 2.0}
+    report = ad.finite_difference_check(
+        lambda p: (chamfer(p["P"], p["Q"], mask) * np.array([0.3, 0.7])).sum(), params, step=1e-6
+    )
+    assert report.max_relative_error < 1e-6
+    assert report.per_parameter["Q"] < 1e-6
+
+
+def test_chamfer_row_batch_rejects_bad_shapes():
+    P, Q = np.zeros((2, 3, 3)), np.ones((2, 4, 3))
+    with pytest.raises(ValueError, match="validity row"):
+        chamfer(P, Q, np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="valid point"):
+        chamfer(P, Q, np.array([[True] * 4, [False] * 4]))
+    with pytest.raises(ValueError, match="point batches"):
+        chamfer(P[0], Q[0], np.ones(4, dtype=bool))
+
+
 def _lane(x, vis):
     x = np.asarray(x, dtype=np.float64)
     stations = np.arange(5.0, 5.0 + 5.0 * len(x), 5.0)
@@ -193,7 +226,8 @@ def _curve_loss(hand_set_model, pred_x, gt):
     )
     pvars = {name: ad.Var(value) for name, value in params.items()}
     config = TrainConfig(use_lstm_fusion=False, curve_ramp_start=0, curve_ramp_end=0)
-    _, values = scene_loss(pvars, scene, scene_config.anchors(), CFG, config, epoch=0)
+    batch = prepare_batch([scene], scene_config.anchors())
+    _, values = scene_loss(pvars, batch, CFG, config, epoch=0)
     return values["curve"]
 
 

@@ -295,7 +295,7 @@ def test_fused_trainer_gradients_are_bitwise_the_composition(monkeypatch):
     run = RunConfiguration()
     scenes = generate_dataset(run.train_data_seed, 4, run.scene)
     params = init_parameters(run.scene, run.train)
-    args = (scenes, run.scene.anchors(), run.loss, run.train, 0)
+    args = (training.prepare_batch(scenes, run.scene.anchors()), run.loss, run.train, 0)
     got_value, got, _ = training.batch_gradients(params, *args)
     monkeypatch.setattr(temporal, "lstm_step", _composed_step)
     want_value, want, _ = training.batch_gradients(params, *args)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -7,20 +8,41 @@ import numpy as np
 import pytest
 
 import lane3d.autodiff as ad
+from lane3d.checks import KINK_MARGIN, STEP, TOLERANCE, corrupt_gradient
 from lane3d.config import RunConfiguration, from_dict, to_dict
-from lane3d.losses import LossConfig, combine_uncertainty
-from lane3d.synth import SceneConfig, generate_dataset, generate_scene
+from lane3d.geometry import Lane3D
+from lane3d.heads import BACKGROUND, IGNORE, assign_targets, head_forward
+from lane3d.losses import (
+    TASK_NAMES,
+    LossConfig,
+    balanced_l1_vector,
+    chamfer,
+    combine_uncertainty,
+    dice,
+    focal,
+)
+from lane3d.synth import (
+    BACKGROUND_CLASS,
+    FrameRecord,
+    SceneConfig,
+    SceneSequence,
+    generate_dataset,
+    generate_scene,
+)
+from lane3d.temporal import fuse_all_anchors, lstm_step
 from lane3d.training import (
     PARAM_ORDER,
     AdamOptimizer,
     TrainConfig,
     TrainingDiverged,
+    _equidistant_gt,
     batch_gradients,
     curve_ramp_weight,
     evaluate_model,
     init_parameters,
     load_checkpoint,
     predict_frames,
+    prepare_batch,
     run_ablation,
     ablation_table,
     save_checkpoint,
@@ -147,17 +169,17 @@ def test_adam_in_place_is_bitwise_the_textbook_update():
 
 def test_sgd_step_decreases_loss_at_seeded_points():
     scenes, cfg_scene = small_scenes(2)
-    anchors = cfg_scene.anchors()
+    batch = prepare_batch(scenes, cfg_scene.anchors())
     lc = LossConfig()
     for seed in (0, 1, 2):
         cfg = TrainConfig(seed=seed)
         params = init_parameters(cfg_scene, cfg)
-        value, grads, _ = batch_gradients(params, scenes, anchors, lc, cfg, epoch=0)
+        value, grads, _ = batch_gradients(params, batch, lc, cfg, epoch=0)
         decreased = False
         lr = 1e-2
         for _ in range(12):
             trial = {n: params[n] - lr * grads[n] for n in PARAM_ORDER}
-            new_value, _, _ = batch_gradients(trial, scenes, anchors, lc, cfg, epoch=0)
+            new_value, _, _ = batch_gradients(trial, batch, lc, cfg, epoch=0)
             if new_value < value:
                 decreased = True
                 break
@@ -171,8 +193,8 @@ def test_batch_gradients_of_duplicated_scene_match_single():
     lc = LossConfig()
     cfg = TrainConfig(seed=0)
     params = init_parameters(cfg_scene, cfg)
-    v1, g1, t1 = batch_gradients(params, scenes, anchors, lc, cfg, epoch=0)
-    v2, g2, t2 = batch_gradients(params, scenes * 2, anchors, lc, cfg, epoch=0)
+    v1, g1, t1 = batch_gradients(params, prepare_batch(scenes, anchors), lc, cfg, epoch=0)
+    v2, g2, t2 = batch_gradients(params, prepare_batch(scenes * 2, anchors), lc, cfg, epoch=0)
     assert np.isclose(v1, v2, rtol=0, atol=1e-12)
     for name in PARAM_ORDER:
         assert np.allclose(g1[name], g2[name], rtol=0, atol=1e-12)
@@ -298,26 +320,259 @@ def _pinned_scene():
     return cfg, scene, init_parameters(cfg.scene, cfg.train)
 
 
-def test_scene_loss_tape_is_small_and_repeatable():
-    # classification and visibility each add one row-batched graph, not
-    # one graph per anchor
-    cfg, scene, params = _pinned_scene()
+def test_batch_loss_tape_is_small_repeatable_and_flat_in_batch_size():
+    # one tape per mini-batch: fusion, the heads and each loss run once,
+    # so the node count does not depend on how many scenes the batch holds
+    cfg = RunConfiguration()
+    scenes = generate_dataset(cfg.train_data_seed, 4, cfg.scene)
+    params = init_parameters(cfg.scene, cfg.train)
 
-    def tape_nodes():
+    def tape_nodes(batch_scenes):
         pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
-        total, _ = scene_loss(pvars, scene, cfg.scene.anchors(), cfg.loss, cfg.train,
-                              cfg.train.curve_ramp_end)
+        batch = prepare_batch(batch_scenes, cfg.scene.anchors())
+        total, _ = scene_loss(pvars, batch, cfg.loss, cfg.train, cfg.train.curve_ramp_end)
         return len(ad._topological_order(total))
 
-    first = tape_nodes()
-    assert first < 300
-    assert tape_nodes() == first
+    four = tape_nodes(scenes)
+    assert four < 250
+    assert tape_nodes(scenes) == four
+    assert four <= tape_nodes(scenes[:1])
+
+
+# --- the per-scene composition the batch loss replaced, kept as its oracle
+
+
+def _per_scene_loss(pvars, scene, anchors, loss_config, train_config, epoch):
+    """One scene's total and task values, one loss call per scene and one
+    Chamfer call per positive anchor."""
+    cfg = train_config
+    s = anchors.num_stations
+    feats = np.stack([f.features for f in scene.frames], axis=1)
+    fused = fuse_all_anchors(feats, pvars) if cfg.use_lstm_fusion else ad.as_var(feats[:, -1, :])
+    dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
+    gt_lanes = list(scene.frames[-1].lanes)
+    assignment = assign_targets(anchors, gt_lanes)
+    positives = assignment.positive_pairs
+    task_losses = {}
+    scored = np.flatnonzero(assignment.lane_for_anchor != IGNORE)
+    if scored.size:
+        targets = np.array([gt_lanes[j].category if j != BACKGROUND else BACKGROUND_CLASS
+                            for j in assignment.lane_for_anchor[scored]])
+        task_losses["classification"] = focal(cls_logits[scored], targets, loss_config).mean()
+    else:
+        task_losses["classification"] = ad.as_var(0.0)
+    if positives:
+        pos_anchor = np.array([k for k, _ in positives])
+        pos_lane = [gt_lanes[j] for _, j in positives]
+        target_dx = np.stack([lane.x - anchors.base_x[k] for (k, _), lane in zip(positives, pos_lane)])
+        target_dz = np.stack([lane.z - anchors.base_z[k] for (k, _), lane in zip(positives, pos_lane)])
+        visibility = np.stack([lane.visibility for lane in pos_lane])
+        n = len(positives) * s
+        flat_pred = ad.stack([dx[pos_anchor].reshape((n,)), dz[pos_anchor].reshape((n,))]).reshape((2 * n,))
+        flat_target = np.concatenate([target_dx.reshape(-1), target_dz.reshape(-1)])
+        flat_weights = np.concatenate([visibility.reshape(-1), visibility.reshape(-1)])
+        if flat_weights.sum() > 0:
+            if cfg.use_balanced_l1:
+                task_losses["regression"] = balanced_l1_vector(
+                    flat_pred, flat_target, flat_weights, loss_config)
+            else:
+                residual = ad.absolute(flat_pred - flat_target)
+                task_losses["regression"] = (residual * flat_weights).sum() / flat_weights.sum()
+        else:
+            task_losses["regression"] = ad.as_var(0.0)
+        if cfg.use_chamfer:
+            terms = []
+            for (k, _), lane in zip(positives, pos_lane):
+                pred_points = ad.stack([dx[k] + anchors.base_x[k], ad.as_var(anchors.stations),
+                                        dz[k] + anchors.base_z[k]], axis=1)
+                gt_eq = _equidistant_gt(lane)
+                terms.append(chamfer(pred_points, gt_eq.points()[gt_eq.visible_mask()]))
+            task_losses["curve"] = ad.stack(terms).mean() * curve_ramp_weight(epoch, cfg)
+        task_losses["visibility"] = dice(
+            ad.sigmoid(vis_logits[pos_anchor]), visibility, loss_config).mean()
+    else:
+        task_losses["regression"] = ad.as_var(0.0)
+        task_losses["visibility"] = ad.as_var(0.0)
+        if cfg.use_chamfer:
+            task_losses["curve"] = ad.as_var(0.0)
+    if cfg.use_uncertainty:
+        s_var = pvars["uncertainty.s"]
+        total = combine_uncertainty(
+            task_losses, {name: s_var[i] for i, name in enumerate(TASK_NAMES) if name in task_losses})
+    else:
+        total = None
+        for name in sorted(task_losses):
+            total = task_losses[name] if total is None else total + task_losses[name]
+    return total, {name: float(task_losses[name].value) for name in task_losses}
+
+
+def _per_scene_gradients(params, scenes, anchors, loss_config, train_config, epoch):
+    """Mean over scenes of the per-scene totals, its gradients and task means."""
+    pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
+    totals, task_sums = [], {}
+    for scene in scenes:
+        total, values = _per_scene_loss(pvars, scene, anchors, loss_config, train_config, epoch)
+        totals.append(total)
+        for name, value in values.items():
+            task_sums[name] = task_sums.get(name, 0.0) + value
+    batch_total = ad.stack(totals).mean() if len(totals) > 1 else totals[0]
+    batch_total.backward()
+    grads = {name: np.zeros_like(params[name]) if pvars[name].grad is None else pvars[name].grad
+             for name in PARAM_ORDER}
+    return (float(batch_total.value), grads,
+            {name: value / len(scenes) for name, value in task_sums.items()})
+
+
+def _assert_matches_per_scene(params, scenes, anchors, loss_config, train_config, epoch):
+    want_value, want_grads, want_tasks = _per_scene_gradients(
+        params, scenes, anchors, loss_config, train_config, epoch)
+    batch = prepare_batch(scenes, anchors, train_config.use_chamfer)
+    value, grads, tasks = batch_gradients(params, batch, loss_config, train_config, epoch)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert tasks.keys() == want_tasks.keys()
+    for name, want in want_tasks.items():
+        assert tasks[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+    for name in PARAM_ORDER:
+        # summation order differs; an entry that cancels to near zero keeps
+        # the rounding of the parameter's largest entries
+        want = want_grads[name]
+        np.testing.assert_allclose(grads[name], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def pinned_split():
+    cfg = RunConfiguration()
+    scenes = generate_dataset(cfg.train_data_seed, 64, cfg.scene)
+    return cfg, scenes, init_parameters(cfg.scene, cfg.train)
+
+
+@pytest.mark.parametrize("epoch", [0, 10, 20])  # before, inside and after the ramp
+def test_batch_loss_matches_the_per_scene_oracle_on_the_pinned_batches(pinned_split, epoch):
+    cfg, scenes, params = pinned_split
+    size = cfg.train.batch_size
+    for start in range(0, len(scenes), size):
+        _assert_matches_per_scene(params, scenes[start:start + size], cfg.scene.anchors(),
+                                  cfg.loss, cfg.train, epoch)
+
+
+@pytest.mark.parametrize(
+    "flag", ["use_balanced_l1", "use_chamfer", "use_uncertainty", "use_lstm_fusion"])
+def test_batch_loss_matches_the_per_scene_oracle_with_one_flag_off(pinned_split, flag):
+    cfg, scenes, params = pinned_split
+    train_config = replace(cfg.train, **{flag: False})
+    for start in (0, 4):
+        _assert_matches_per_scene(params, scenes[start:start + 4], cfg.scene.anchors(),
+                                  cfg.loss, train_config, 10)
+
+
+def test_batch_loss_matches_the_per_scene_oracle_with_a_scene_without_positives(pinned_split):
+    cfg, scenes, params = pinned_split
+    empty = replace(scenes[0], frames=scenes[0].frames[:-1]
+                    + (replace(scenes[0].frames[-1], lanes=()),))
+    anchors = cfg.scene.anchors()
+    _assert_matches_per_scene(params, [empty, scenes[1]], anchors, cfg.loss, cfg.train, 10)
+    _assert_matches_per_scene(params, [empty], anchors, cfg.loss, cfg.train, 10)
+    _, _, tasks = batch_gradients(params, prepare_batch([empty], anchors), cfg.loss,
+                                  cfg.train, 10)
+    assert tasks["regression"] == tasks["curve"] == tasks["visibility"] == 0.0
+
+
+def test_batch_loss_matches_the_per_scene_oracle_on_a_trailing_one_scene_batch(pinned_split):
+    # 5 scenes at batch size 4: train() steps on 4 scenes, then on 1
+    cfg, scenes, params = pinned_split
+    for batch_scenes in (scenes[:4], scenes[4:5]):
+        _assert_matches_per_scene(params, batch_scenes, cfg.scene.anchors(), cfg.loss,
+                                  cfg.train, 10)
+
+
+# --- gradient audit of the batch loss: B=2 scenes, K=3, S=2, 2 classes, C=8, T=2
+
+AUDIT_SCENE = SceneConfig(num_anchors=3, channels=8, num_classes=2, num_frames=2,
+                          stations=(5.0, 25.0), lateral_span=(-1.0, 1.0))
+
+
+def _audit_lane(x, visibility):
+    return Lane3D(stations=AUDIT_SCENE.stations, x=x, z=[0.1, -0.2],
+                  visibility=visibility, category=1)
+
+
+# anchors sit at x = -1, 0, 1: scene 0 has one positive, one ignored and
+# one background anchor; scene 1 two positives (one lane half visible,
+# so its Chamfer row is padded) and one ignored anchor
+AUDIT_LANES = (
+    (_audit_lane([0.3, 0.2], [1.0, 1.0]),),
+    (_audit_lane([-1.2, -0.9], [1.0, 0.0]), _audit_lane([1.1, 0.8], [1.0, 1.0])),
+)
+
+
+def _audit_case():
+    """A MiniBatch and parameters whose draws clear every kink.
+
+    Draws repeat until the LSTM projection and hidden-layer relu
+    pre-activations and the regression residuals (abs at 0, Balanced L1
+    at beta = 1) all sit KINK_MARGIN or more from their kinks.  Chamfer
+    nearest neighbours are decisive by construction: points of one set
+    are 20 m apart along y.
+    """
+    anchors = AUDIT_SCENE.anchors()
+    shapes = {name: value.shape for name, value in init_parameters(AUDIT_SCENE, TrainConfig()).items()}
+    for seed in itertools.count():
+        rng = np.random.default_rng(seed)
+        scenes = [
+            SceneSequence(frames=tuple(FrameRecord(lanes=lanes, features=rng.normal(size=(3, 8)))
+                                       for _ in range(2)),
+                          ego_motion=np.zeros((2, 2)), seed=seed)
+            for lanes in AUDIT_LANES
+        ]
+        params = {name: rng.normal(size=shape) * 0.5 for name, shape in shapes.items()}
+        batch = prepare_batch(scenes, anchors)
+        h = c = np.zeros((6, 8))
+        for t in range(2):
+            h, c = lstm_step(batch.features[:, t], h, c, params)
+        projection = h.value @ params["lstm.proj_w"].T + params["lstm.proj_b"]
+        hidden = np.maximum(projection, 0.0) @ params["head.hidden_w"].T + params["head.hidden_b"]
+        offsets = np.maximum(hidden, 0.0) @ params["head.offset_w"].T + params["head.offset_b"]
+        pos = batch.positive
+        residual = np.abs(np.stack([offsets[pos, :2], offsets[pos, 2:]]) - batch.offsets)
+        clearance = min(np.abs(projection).min(), np.abs(hidden).min(),
+                        residual.min(), np.abs(residual - LossConfig().beta).min())
+        if clearance > KINK_MARGIN:
+            return batch, params
+
+
+@pytest.fixture(scope="module")
+def audit_case():
+    return _audit_case()
+
+
+def _audit(batch, params):
+    def fn(p):
+        return scene_loss(p, batch, LossConfig(), TrainConfig(), 10)[0]  # ramp weight 0.5
+
+    return ad.finite_difference_check(fn, params, step=STEP)
+
+
+def test_batch_loss_gradient_matches_central_differences(audit_case):
+    batch, params = audit_case
+    assert batch.positive.size == 3 and not batch.curve_mask.all()
+    report = _audit(batch, params)
+    assert report.max_relative_error < TOLERANCE, report.worst_parameter()
+
+
+@pytest.mark.parametrize("op", ["relu", "take", "stack", "reduce_min", "matmul", "lstm_cell"])
+def test_batch_loss_audit_catches_a_corrupted_primitive(audit_case, op):
+    batch, params = audit_case
+    with corrupt_gradient(op):
+        report = _audit(batch, params)
+    assert report.max_relative_error > TOLERANCE
 
 
 def test_batch_gradients_leaves_no_reference_cycles():
     cfg, scene, params = _pinned_scene()
     anchors = cfg.scene.anchors()
-    args = (params, [scene], anchors, cfg.loss, cfg.train, cfg.train.curve_ramp_end)
+    args = (params, prepare_batch([scene], anchors), cfg.loss, cfg.train,
+            cfg.train.curve_ramp_end)
     batch_gradients(*args)  # first call may import and cache
     gc.collect()
     gc.disable()
@@ -368,7 +623,8 @@ def test_ablation_flags_change_the_loss():
     ):
         cfg = TrainConfig(seed=0, curve_ramp_start=0, curve_ramp_end=0, **flags)
         params = init_parameters(cfg_scene, cfg)
-        value, _, tasks = batch_gradients(params, scenes, anchors, lc, cfg, epoch=1)
+        value, _, tasks = batch_gradients(params, prepare_batch(scenes, anchors), lc, cfg,
+                                          epoch=1)
         totals[name] = value
         if name == "no_chamfer":
             assert "curve" not in tasks
@@ -382,7 +638,8 @@ def test_ablation_flags_change_the_loss():
         cfg = TrainConfig(seed=0, curve_ramp_start=0, curve_ramp_end=0,
                           use_uncertainty=uncertainty)
         params = init_parameters(cfg_scene, cfg)
-        value, grads, _ = batch_gradients(params, scenes, anchors, lc, cfg, epoch=1)
+        value, grads, _ = batch_gradients(params, prepare_batch(scenes, anchors), lc, cfg,
+                                          epoch=1)
         if uncertainty:
             assert value == pytest.approx(totals["full"], abs=1e-12)
         assert np.any(grads["uncertainty.s"] != 0.0) == expect_grad
@@ -406,7 +663,8 @@ def test_divergence_guard_raises():
     params = init_parameters(cfg_scene, cfg)
     params["head.offset_w"][0, 0] = np.nan
     with pytest.raises(TrainingDiverged):
-        batch_gradients(params, scenes, cfg_scene.anchors(), LossConfig(), cfg, epoch=0)
+        batch_gradients(params, prepare_batch(scenes, cfg_scene.anchors()), LossConfig(), cfg,
+                        epoch=0)
 
 
 def test_noise_free_single_scene_overfits_to_perfect_match():

@@ -55,16 +55,6 @@ class AnchorAssignment:
     lane_for_anchor: np.ndarray
     cost: np.ndarray  # (num_lanes, K) mean lateral distances
 
-    @property
-    def positive_pairs(self):
-        """(anchor, lane) pairs in lane order."""
-        pairs = [
-            (k, int(lane))
-            for k, lane in enumerate(self.lane_for_anchor)
-            if lane >= 0
-        ]
-        return sorted(pairs, key=lambda p: p[1])
-
 
 def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
     """Per-anchor mean |base_x - lane_x| over the anchor stations covered

@@ -318,6 +318,11 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
     channels get independent Gaussian noise of the same sigma.
     """
     config = SceneConfig() if config is None else config
+    if config.num_stations < 3:
+        raise ValueError(
+            f"generate_scene: stations: the quadratic lateral noise basis needs at least "
+            f"3 stations, got {config.num_stations}"
+        )
     rng = np.random.default_rng(int(seed))
     anchors = config.anchors()
     stations = np.asarray(config.stations)

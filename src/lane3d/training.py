@@ -527,17 +527,32 @@ def load_checkpoint(path, shapes: dict | None = None):
     return params, header
 
 
+def frame_windows(features):
+    """Every frame's fusion window of a (T, K, C) scene, stacked to (T*K, T, C).
+
+    Frame t sees frames 0..t, left-padded by repeating the oldest frame
+    so the fuser always runs the window length it was trained on: rows
+    t*K .. (t+1)*K hold each anchor's [f0]*(T-1-t) + [f0..ft].
+    """
+    total = features.shape[0]
+    steps = np.arange(total)
+    frame = np.maximum(steps[:, None] + steps - (total - 1), 0)  # (t, window step)
+    return features[frame].transpose(0, 2, 1, 3).reshape(-1, total, features.shape[2])
+
+
 def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusion: bool):
     """Decoded lane predictions for every frame of a scene.
 
-    Frame t sees frames 0..t; histories shorter than the full sequence
-    are left-padded by repeating the oldest frame so the fuser always
-    runs the window length it was trained on.  Anchors whose class
-    output is background or that claim no visible station (none at or
-    above VISIBILITY_THRESHOLD) yield no lane; the rest decode as
+    With fusion, one ``fuse_all_anchors`` call runs the stacked
+    ``frame_windows`` of all frames: anchors are independent rows, and
+    on the recorded OpenBLAS the gate products give the same bits per
+    row at any row count.  The heads run once per frame on that frame's
+    K rows, because their products were measured not to.  Anchors whose
+    class output is background or that claim no visible station (none
+    at or above VISIBILITY_THRESHOLD) yield no lane; the rest decode as
     x = base_x + dx, z = base_z + dz, visibility = sigmoid(logit), and
-    category = argmax of the class logits.  A scene whose (K, C) differs
-    from the configuration's is rejected.
+    category = argmax of the class logits.  A scene whose (K, C)
+    differs from the configuration's is rejected.
     """
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)  # (T, K, C)
@@ -547,37 +562,22 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
             f"predict_frames: scene features (K, C) = {feats.shape[1:]} differ from "
             f"{expected} of the configuration"
         )
-    total = feats.shape[0]
     pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
+    if use_lstm_fusion:
+        feats = fuse_all_anchors(frame_windows(feats), pvars).value.reshape(feats.shape)
     per_frame = []
-    for t in range(total):
-        if use_lstm_fusion:
-            window = feats[: t + 1]
-            if t + 1 < total:
-                pad = np.repeat(feats[:1], total - (t + 1), axis=0)
-                window = np.concatenate([pad, window], axis=0)
-            fused = fuse_all_anchors(window.transpose(1, 0, 2), pvars).value
-        else:
-            fused = feats[t]
+    for fused in feats:
         dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
-        lanes = []
-        for k in range(anchors.num_anchors):
-            category = int(np.argmax(cls_logits.value[k]))
-            if category == BACKGROUND_CLASS:
-                continue
-            visibility = 1.0 / (1.0 + np.exp(-vis_logits.value[k]))
-            if not np.any(visibility >= VISIBILITY_THRESHOLD):
-                continue
-            lanes.append(
-                Lane3D(
-                    stations=anchors.stations,
-                    x=anchors.base_x[k] + dx.value[k],
-                    z=anchors.base_z[k] + dz.value[k],
-                    visibility=visibility,
-                    category=category,
-                )
-            )
-        per_frame.append(lanes)
+        category = np.argmax(cls_logits.value, axis=1)
+        visibility = 1.0 / (1.0 + np.exp(-vis_logits.value))
+        keep = (category != BACKGROUND_CLASS) & np.any(visibility >= VISIBILITY_THRESHOLD, axis=1)
+        x = anchors.base_x + dx.value
+        z = anchors.base_z + dz.value
+        per_frame.append([
+            Lane3D(stations=anchors.stations, x=x[a], z=z[a], visibility=visibility[a],
+                   category=int(category[a]))
+            for a in np.flatnonzero(keep)
+        ])
     return per_frame
 
 

@@ -106,6 +106,17 @@ def test_generate_rejects_bad_stations(small_config, tmp_path, capsys):
     assert "stations" in capsys.readouterr().err
 
 
+def test_generate_exits_1_on_two_stations(small_config, tmp_path, capsys):
+    _, path = small_config
+    doc = json.loads(path.read_text())
+    doc["scene"]["stations"] = [5.0, 25.0]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(short), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "stations" in err and "at least 3" in err and "Traceback" not in err
+
+
 def test_scene_dir_round_trip(tmp_path):
     scene = generate_scene(12, SMALL_SCENE)
     write_scene_dir(tmp_path / "s", scene, "cafe00112233")

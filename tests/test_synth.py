@@ -17,6 +17,7 @@ from lane3d.synth import (
     WorldLane,
     feature_decode,
     feature_encode,
+    generate_dataset,
     generate_scene,
     sample_lane_in_frame,
 )
@@ -227,3 +228,11 @@ def test_single_frame_scene():
     scene = generate_scene(9, cfg)
     assert scene.num_frames == 1
     assert np.array_equal(scene.ego_motion, [[0.0, 0.0]])
+
+
+def test_generate_scene_rejects_fewer_than_three_stations():
+    # SceneConfig accepts two stations (the gradient audit's scene has two);
+    # only scene synthesis needs the three of the quadratic noise basis
+    config = SceneConfig(stations=(5.0, 25.0))
+    with pytest.raises(ValueError, match=r"stations: .* at least 3 stations, got 2"):
+        generate_dataset(0, 1, config)

@@ -31,16 +31,17 @@ class Lane3D:
     category: int
 
     def __post_init__(self):
-        object.__setattr__(self, "stations", np.asarray(self.stations, dtype=np.float64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=np.float64))
-        object.__setattr__(self, "visibility", np.asarray(self.visibility, dtype=np.float64))
-        n = self.stations.shape[0]
-        if self.x.shape != (n,) or self.z.shape != (n,) or self.visibility.shape != (n,):
+        for name in ("stations", "x", "z", "visibility"):
+            value = getattr(self, name)
+            if type(value) is not np.ndarray or value.dtype != np.float64:
+                object.__setattr__(self, name, np.asarray(value, dtype=np.float64))
+        stations, visibility = self.stations, self.visibility
+        n = stations.shape[0]
+        if self.x.shape != (n,) or self.z.shape != (n,) or visibility.shape != (n,):
             raise ValueError("Lane3D: stations, x, z, visibility must share one length")
-        if n >= 2 and not np.all(np.diff(self.stations) > 0):
+        if n >= 2 and not (stations[..., 1:] > stations[..., :-1]).all():
             raise ValueError("Lane3D: stations must be strictly increasing")
-        if np.any(self.visibility < 0.0) or np.any(self.visibility > 1.0):
+        if (visibility < 0.0).any() or (visibility > 1.0).any():
             raise ValueError("Lane3D: visibility must lie in [0, 1]")
 
     def visible_mask(self) -> np.ndarray:

@@ -8,16 +8,21 @@ protocol symmetric under swapping predictions with ground truth.
 Matching among admissible pairs maximizes the number of matches and
 breaks ties by minimum total mean distance.
 
-Admissibility is tested for all pairs at once.  The gts are grouped by
-their exact station grid, each pred is put on a grid once (as is when
-its stations are allclose to the grid, else by linear interpolation
-with a mask of the grid stations inside its own range), and the
-(P, G, S) distances and visibility masks are broadcast.  This is exact,
-not an approximation of a per-pair test: ``np.interp`` computes each
-target on its own and the distances are elementwise, so every value
-equals the one a pair-by-pair resampling would give; the station counts
-are integer sums; and each admissible pair's mean distance is taken
-over the same compacted 1-D array of both-visible stations.
+Both public functions share one array core.  A frame's lanes are
+stacked once per station count into ``(N, S)`` arrays.  The gts are
+grouped by their exact station grid, and each pred stack is put on a
+grid with one ``_interp_rows`` call: a row whose stations are allclose
+to the grid is used as is, any other row is interpolated, with a mask of
+the grid stations inside its own range.  The (N, G, S) distances and
+visibility masks are broadcast, and every admissible pair's mean
+distance is taken over its compacted both-visible stations, one
+``(m, n)`` array per count n of such stations.  This is exact, not an
+approximation of a per-pair test: ``_interp_rows`` gives ``np.interp``'s
+bits target by target, the distances are elementwise, the station
+counts are integer sums, and a row's ``.mean(axis=1)`` equals the 1-D
+``.mean()`` of that row.  ``temporal_smoothness`` moves each stack with
+one ``transform_points`` call and takes every matched pair's gaps at
+once, concatenated in match order.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Lane3D, VISIBILITY_THRESHOLD, transform_points
+from .geometry import VISIBILITY_THRESHOLD, transform_points
 
 # Lane matching defaults (meters / fraction of visible stations); the
 # run configuration and the trainer take theirs from here.
@@ -68,28 +73,126 @@ class MatchReport:
         )
 
 
-def _on_grid(pred: Lane3D, grid: np.ndarray, on: bool):
-    """(x, z, visibility, inside) of a pred on a gt station grid.
+def _interp_rows(x, xp, fp):
+    """``np.interp`` row by row, with the same bits.
 
-    A pred sampled on the grid (``on``) is used as is; otherwise each
-    field is linearly interpolated onto the grid and ``inside`` marks the
-    grid stations within the pred's own range (none for a 1-station pred).
+    Row r interpolates ``fp[..., r, :]`` over the knots ``xp[r]`` at the
+    targets ``x`` (shape (Q,), shared by every row) or ``x[r]`` (shape
+    (N, Q)).  xp is (N, S), each row strictly increasing, fp is
+    (..., N, S) and the result (..., N, Q).  Targets must not be NaN.
+    numpy's rules: a target below the first knot or above the last takes
+    the end value, a target equal to a knot takes that knot's value, and
+    any other target in [xp[j], xp[j+1]) takes ``slope * (x - xp[j]) +
+    fp[j]`` with ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``; where
+    that is NaN, the same line from knot j+1, and where that is NaN too
+    and fp[j] == fp[j+1], fp[j].
     """
-    if on:
-        return pred.x, pred.z, pred.visibility, np.ones(grid.shape, dtype=bool)
-    if pred.stations.shape[0] < 2:  # no range to interpolate over
-        return (np.zeros(grid.shape),) * 3 + (np.zeros(grid.shape, dtype=bool),)
-    inside = (grid >= pred.stations[0]) & (grid <= pred.stations[-1])
-    fields = (np.interp(grid, pred.stations, f) for f in (pred.x, pred.z, pred.visibility))
-    return (*fields, inside)
+    knots = xp.shape[1]
+    if knots == 1:
+        return np.repeat(fp, x.shape[-1], axis=-1)
+    seg = (xp[:, None, 1:-1] <= x[..., None]).sum(axis=2)  # j, clipped to the knot segments
+    r = np.arange(xp.shape[0])[:, None]
+    x0, x1, f0, f1 = xp[r, seg], xp[r, seg + 1], fp[..., r, seg], fp[..., r, seg + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (f1 - f0) / (x1 - x0)
+        line = slope * (x - x0) + f0
+        redo = np.isnan(line)
+        if redo.any():
+            back = slope * (x - x1) + f1
+            back = np.where(np.isnan(back) & (f0 == f1), f0, back)
+            line[redo] = back[redo]
+    below, above = x < xp[:, :1], x >= xp[:, -1:]
+    return np.where(above, f1, np.where(below | (x == x0), f0, line))
 
 
-def _station_groups(lanes):
-    """(lane indices, shared stations) for each exact station grid."""
-    groups = {}
+def _stack(lanes) -> list:
+    """A frame's lanes as one (rows, stations, fields) stack per station count.
+
+    rows index ``lanes`` in first-seen order; stations is (N, S) and
+    fields (3, N, S) holds x, z and visibility.
+    """
+    by_count = {}
     for index, lane in enumerate(lanes):
-        groups.setdefault(lane.stations.tobytes(), []).append(index)
-    return [(idx, lanes[idx[0]].stations) for idx in groups.values()]
+        by_count.setdefault(lane.stations.shape[0], []).append(index)
+    return [
+        (np.array(rows), np.array([lanes[i].stations for i in rows]),
+         np.array([[getattr(lanes[i], name) for i in rows] for name in ("x", "z", "visibility")]))
+        for rows in by_count.values()
+    ]
+
+
+def _put_on_grid(stations, fields, grid):
+    """A pred stack's fields on a gt station grid, and the grid stations each row covers.
+
+    A row whose stations are allclose to the grid is used as is and
+    covers it all; any other row is interpolated and covers the grid
+    stations within its own range, none for a 1-station row.
+    """
+    rows, size = stations.shape[0], grid.shape[0]
+    placed = np.zeros((3, rows, size))
+    inside = np.zeros((rows, size), dtype=bool)
+    off = np.ones(rows, dtype=bool)
+    if stations.shape[1] == size:
+        off = ~np.isclose(stations, grid).all(axis=1)
+        placed[:, ~off] = fields[:, ~off]
+        inside[~off] = True
+    if stations.shape[1] >= 2 and off.any():
+        placed[:, off] = _interp_rows(grid, stations[off], fields[:, off])
+        inside[off] = (grid >= stations[off, :1]) & (grid <= stations[off, -1:])
+    return placed, inside
+
+
+def _mean_distances(dist, both):
+    """Each row's mean of ``dist`` over its ``both`` stations.
+
+    The rows with n such stations are compacted to one (m, n) array, and
+    a row-wise mean equals the 1-D mean of each row bit for bit.
+    """
+    counts = both.sum(axis=1)
+    means = np.empty(counts.shape)
+    for n in np.unique(counts):
+        same = counts == n
+        means[same] = dist[same][both[same]].reshape(-1, n).mean(axis=1)
+    return means
+
+
+def _size(stacks) -> int:
+    return sum(rows.size for rows, _, _ in stacks)
+
+
+def _match(preds, gts, distance_threshold, coverage_fraction) -> list:
+    """(pred row, gt row, mean distance) of every match between two ``_stack`` lists."""
+    if distance_threshold <= 0.0:
+        raise ValueError("match_lanes: distance threshold must be positive")
+    if not 0.0 < coverage_fraction <= 1.0:
+        raise ValueError("match_lanes: coverage fraction must lie in (0, 1]")
+    if not preds or not gts:
+        return []
+    cost = np.full((_size(preds), _size(gts)), _INADMISSIBLE)
+    for gt_rows, gt_stations, gt_fields in gts:
+        grids = {}
+        for k, grid in enumerate(gt_stations):
+            grids.setdefault(grid.tobytes(), []).append(k)
+        for members in grids.values():
+            gx, gz, gv = gt_fields[:, members]
+            gt_vis = gv >= VISIBILITY_THRESHOLD
+            for pred_rows, pred_stations, pred_fields in preds:
+                (px, pz, pv), inside = _put_on_grid(pred_stations, pred_fields,
+                                                    gt_stations[members[0]])
+                pred_vis = (pv >= VISIBILITY_THRESHOLD) & inside  # (P, S)
+                dist = np.sqrt((px[:, None] - gx) ** 2 + (pz[:, None] - gz) ** 2)  # (P, G, S)
+                both = pred_vis[:, None] & gt_vis
+                covered = (both & (dist <= distance_threshold)).sum(axis=2)
+                n_pred = pred_vis.sum(axis=1)[:, None]
+                n_gt = (gt_vis & inside[:, None]).sum(axis=2)
+                enough = (covered >= coverage_fraction * n_gt) & (
+                    covered >= coverage_fraction * n_pred)
+                i, j = np.nonzero((n_pred > 0) & (n_gt > 0) & enough)
+                cost[pred_rows[i], gt_rows[members][j]] = _mean_distances(dist[i, j], both[i, j])
+    rows, cols = linear_sum_assignment(cost)
+    dist = cost[rows, cols]
+    kept = dist < _INADMISSIBLE
+    return list(zip(rows[kept].tolist(), cols[kept].tolist(), dist[kept].tolist()))
 
 
 def match_lanes(
@@ -99,63 +202,63 @@ def match_lanes(
     coverage_fraction: float = COVERAGE_FRACTION,
 ) -> MatchReport:
     """One-to-one lane matching with max cardinality, then min distance."""
-    if distance_threshold <= 0.0:
-        raise ValueError("match_lanes: distance threshold must be positive")
-    if not 0.0 < coverage_fraction <= 1.0:
-        raise ValueError("match_lanes: coverage fraction must lie in (0, 1]")
+    matches = _match(_stack(preds), _stack(gts), distance_threshold, coverage_fraction)
     num_p, num_g = len(preds), len(gts)
-    if num_p == 0 or num_g == 0:
-        return MatchReport.from_counts(0, num_p, num_g, 0)
-    cost = np.full((num_p, num_g), _INADMISSIBLE)
-    for members, grid in _station_groups(gts):
-        gx = np.stack([gts[j].x for j in members])  # (G, S)
-        gz = np.stack([gts[j].z for j in members])
-        gt_vis = np.stack([gts[j].visible_mask() for j in members])
-        # a pred is on the grid when its stations are allclose to it, i.e.
-        # all(isclose): one isclose decides it for every same-length pred
-        same = [i for i, p in enumerate(preds) if p.stations.shape == grid.shape]
-        on = np.zeros(num_p, dtype=bool)
-        if same:
-            on[same] = np.isclose(np.stack([preds[i].stations for i in same]), grid).all(axis=1)
-        px, pz, pv, inside = (np.stack(f) for f in zip(*map(_on_grid, preds, [grid] * num_p, on)))
-        pred_vis = (pv >= VISIBILITY_THRESHOLD) & inside  # (P, S)
-        dist = np.sqrt((px[:, None] - gx) ** 2 + (pz[:, None] - gz) ** 2)  # (P, G, S)
-        both = pred_vis[:, None] & gt_vis
-        covered = (both & (dist <= distance_threshold)).sum(axis=2)
-        n_pred = pred_vis.sum(axis=1)[:, None]
-        n_gt = (gt_vis & inside[:, None]).sum(axis=2)
-        enough = (covered >= coverage_fraction * n_gt) & (covered >= coverage_fraction * n_pred)
-        ok = (n_pred > 0) & (n_gt > 0) & enough
-        for i, j in zip(*np.nonzero(ok)):
-            cost[i, members[j]] = float(dist[i, j][both[i, j]].mean())
-    rows, cols = linear_sum_assignment(cost)
-    matches = [
-        (int(i), int(j), float(cost[i, j]))
-        for i, j in zip(rows, cols)
-        if cost[i, j] < _INADMISSIBLE
-    ]
     tp = len(matches)
     correct = sum(1 for i, j, _ in matches if preds[i].category == gts[j].category)
     return MatchReport.from_counts(tp, num_p - tp, num_g - tp, correct, matches)
 
 
-def _transported_lanes(lanes, forward: float, yaw_change: float) -> list:
-    """A frame's lanes moved into the next ego frame by one transform.
+def _transported(stacks, forward: float, yaw_change: float) -> list:
+    """A frame's stacks moved into the next ego frame, one transform per stack.
 
-    A lane whose moved stations stop increasing (folded by the yaw) is dropped.
+    A row whose moved stations stop increasing (folded by the yaw) is
+    dropped, and the kept rows are numbered again in frame order.
     """
-    if not lanes:
+    moved = []
+    for rows, stations, (x, z, visibility) in stacks:
+        points = np.stack([x, stations, z], axis=2)  # (N, S, 3)
+        x, stations, z = transform_points(
+            points.reshape(-1, 3), forward, yaw_change).reshape(points.shape).transpose(2, 0, 1)
+        keep = (stations[:, 1:] > stations[:, :-1]).all(axis=1)
+        if keep.any():
+            moved.append((rows[keep], stations[keep],
+                          np.stack([x[keep], z[keep], visibility[keep]])))
+    if not moved:
         return []
-    moved = transform_points(np.concatenate([lane.points() for lane in lanes]), forward, yaw_change)
-    out = []
-    stop = 0
-    for lane in lanes:
-        start, stop = stop, stop + lane.stations.shape[0]
-        x, stations, z = moved[start:stop].T
-        if np.all(np.diff(stations) > 0):
-            out.append(Lane3D(stations=stations, x=x, z=z,
-                              visibility=lane.visibility, category=lane.category))
-    return out
+    kept = np.sort(np.concatenate([rows for rows, _, _ in moved]))
+    return [(np.searchsorted(kept, rows), stations, fields) for rows, stations, fields in moved]
+
+
+def _positions(stacks, lanes):
+    """(stack, row within that stack) of each of ``lanes``, rows as ``_stack`` numbers them."""
+    stack_of, row_in = np.empty((2, _size(stacks)), dtype=np.intp)
+    for k, (rows, _, _) in enumerate(stacks):
+        stack_of[rows], row_in[rows] = k, np.arange(rows.size)
+    return stack_of[lanes], row_in[lanes]
+
+
+def _gaps(prev, cur, matches) -> np.ndarray:
+    """|x_cur(y) - x_prev(y)| of every match between two ``_stack`` lists,
+    at the prev stations inside the cur lane's range and visible on both
+    sides, concatenated in ``matches`` order."""
+    pairs = np.array([(i, j) for i, j, _ in matches], dtype=np.intp).reshape(-1, 2)
+    prev_stack, prev_row = _positions(prev, pairs[:, 0])
+    cur_stack, cur_row = _positions(cur, pairs[:, 1])
+    pieces, owners = [], []
+    for a, b in set(zip(prev_stack.tolist(), cur_stack.tolist())):
+        sel = np.flatnonzero((prev_stack == a) & (cur_stack == b))
+        p, c = prev_row[sel], cur_row[sel]
+        targets, knots = prev[a][1][p], cur[b][1][c]
+        x_prev, _, v_prev = prev[a][2][:, p]
+        x_cur, _, v_cur = _interp_rows(targets, knots, cur[b][2][:, c])
+        both = ((targets >= knots[:, :1]) & (targets <= knots[:, -1:])
+                & (v_prev >= VISIBILITY_THRESHOLD) & (v_cur >= VISIBILITY_THRESHOLD))
+        pieces.append(np.abs(x_cur - x_prev)[both])
+        owners.append(np.broadcast_to(sel[:, None], both.shape)[both])
+    if not pieces:
+        return np.empty(0)
+    return np.concatenate(pieces)[np.argsort(np.concatenate(owners), kind="stable")]
 
 
 def temporal_smoothness(
@@ -179,27 +282,17 @@ def temporal_smoothness(
         raise ValueError("temporal_smoothness: need at least 2 frames")
     if ego_motion.shape != (num_frames, 2):
         raise ValueError("temporal_smoothness: ego_motion must be (T, 2)")
+    stacks = [_stack(lanes) for lanes in frame_lanes]
     gaps = []
     for t in range(num_frames - 1):
         forward, yaw_change = ego_motion[t + 1]
-        transported = _transported_lanes(frame_lanes[t], forward, yaw_change)
-        nxt = list(frame_lanes[t + 1])
-        if not transported or not nxt:
+        moved, nxt = _transported(stacks[t], forward, yaw_change), stacks[t + 1]
+        if not moved or not nxt:
             continue
-        report = match_lanes(transported, nxt, distance_threshold, coverage_fraction)
-        for i, j, _ in report.matches:
-            prev, cur = transported[i], nxt[j]
-            inside = (prev.stations >= cur.stations[0]) & (prev.stations <= cur.stations[-1])
-            if not np.any(inside):
-                continue
-            x_cur = np.interp(prev.stations[inside], cur.stations, cur.x)
-            v_cur = np.interp(prev.stations[inside], cur.stations, cur.visibility)
-            both = (prev.visibility[inside] >= VISIBILITY_THRESHOLD) & (
-                v_cur >= VISIBILITY_THRESHOLD
-            )
-            if np.any(both):
-                gaps.append(np.abs(x_cur[both] - prev.x[inside][both]))
-    return float(np.concatenate(gaps).mean()) if gaps else float("nan")
+        matches = _match(moved, nxt, distance_threshold, coverage_fraction)
+        gaps.append(_gaps(moved, nxt, matches))
+    gaps = np.concatenate(gaps) if gaps else np.empty(0)
+    return float(gaps.mean()) if gaps.size else float("nan")
 
 
 METRIC_COLUMNS = (

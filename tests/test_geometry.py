@@ -20,6 +20,32 @@ def test_lane_validation():
         Lane3D(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[1, 2], category=0)
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("fields, message", [
+    (dict(stations=[0, 1], x=[0], z=[0, 0], visibility=[1, 1]), "share one length"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[1]), "share one length"),
+    (dict(stations=[0, 1, 1], x=[0] * 3, z=[0] * 3, visibility=[1] * 3), "strictly increasing"),
+    (dict(stations=[0, 2, 1], x=[0] * 3, z=[0] * 3, visibility=[1] * 3), "strictly increasing"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[1, 1.5]), r"lie in \[0, 1\]"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[-0.1, 1]), r"lie in \[0, 1\]"),
+])
+def test_lane_rejections_keep_their_messages(fields, message, as_array):
+    # float64 arrays skip the conversion, so both input forms run each check
+    if as_array:
+        fields = {name: np.array(values, dtype=np.float64) for name, values in fields.items()}
+    with pytest.raises(ValueError, match=f"^Lane3D: .*{message}"):
+        Lane3D(category=1, **fields)
+
+
+def test_lane_keeps_float64_arrays_and_converts_the_rest():
+    stations = np.array([1.0, 2.0])
+    lane = Lane3D(stations=stations, x=np.array([0, 1]), z=[0.0, 0.0],
+                  visibility=np.array([1.0, 0.0], dtype=np.float32), category=1)
+    assert lane.stations is stations
+    assert all(getattr(lane, name).dtype == np.float64
+               for name in ("stations", "x", "z", "visibility"))
+
+
 def test_lane_roundtrip_dict():
     lane = Lane3D(stations=[3.0, 5.0], x=[1.0, 2.0], z=[0.1, 0.2],
                   visibility=[1.0, 0.0], category=2)

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import lane3d.metrics as metrics_module
 from lane3d.geometry import Lane3D, resample_lane, transform_points
 from lane3d.metrics import (
     MatchReport,
-    _transported_lanes,
+    _interp_rows,
+    _mean_distances,
+    _stack,
+    _transported,
     aggregate_reports,
     match_lanes,
     metrics_row,
@@ -305,15 +313,15 @@ def test_match_lanes_interpolates_per_pred_not_per_pair(monkeypatch):
         for m in [transform_points(g.points(), 1.3, 0.01)]
     ]
     calls = []
-    real = np.interp
+    real = metrics_module._interp_rows
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(x, xp, fp):
+        calls.append(xp.shape[0])
+        return real(x, xp, fp)
 
-    monkeypatch.setattr(np, "interp", counting)
+    monkeypatch.setattr(metrics_module, "_interp_rows", counting)
     report = match_lanes(shifted, gts)
-    assert len(calls) <= 3 * len(shifted)  # the per-pair loop made 3 * 40 * 40
+    assert calls == [40]  # one call puts the whole stack on the one gt grid
     assert report.tp > 0
     calls.clear()
     match_lanes(list(gts), gts)
@@ -322,21 +330,222 @@ def test_match_lanes_interpolates_per_pred_not_per_pair(monkeypatch):
     assert match_lanes(preds, gts) == _oracle_report(preds, gts)
 
 
-def test_transport_moves_a_frame_at_once():
+def test_mean_distances_equal_the_per_pair_means_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for size in (1, 7, 8, 9, 20, 127, 128, 129, 300):
+        dist = rng.random((25, size)) * rng.choice([1e-6, 1.0, 1e6])
+        both = rng.random((25, size)) < rng.uniform(0.05, 1.0)
+        both[:, 0] = True  # an admissible pair has a station visible on both sides
+        want = np.array([dist[k][both[k]].mean() for k in range(25)])
+        assert _mean_distances(dist, both).tobytes() == want.tobytes(), size
+
+
+# np.interp one row and one field at a time: the oracle of _interp_rows
+def _interp_oracle(x, xp, fp):
+    x = np.broadcast_to(x, (xp.shape[0], np.shape(x)[-1]))
+    return np.array([[np.interp(x[r], xp[r], field[r]) for r in range(xp.shape[0])]
+                     for field in fp]).reshape(fp.shape[:-1] + x.shape[-1:])
+
+
+def _assert_interp_rows_is_np_interp(x, xp, fp):
+    got, want = _interp_rows(x, xp, fp), _interp_oracle(x, xp, fp)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (x, xp, fp, got, want)
+
+
+def test_interp_rows_is_np_interp_at_the_edges():
+    xp = np.array([[0.0, 1.0, 2.5, 4.0], [-3.0, -1.0, 0.5, 10.0]])
+    fp = np.array([[[1.0, 1.0, 2.0, -1.0], [0.0, 5.0, 5.0, 5.0]],  # equal neighbouring values
+                   [[0.1, 0.2, 0.3, 0.4], [9.0, -9.0, 1e-300, 7.0]]])
+    # below the first knot, on knots, between, on the last knot, above it
+    shared = np.array([-10.0, -3.0, 0.0, 0.3, 1.0, 2.5, 3.99, 4.0, 5.0, 10.0, 11.0])
+    _assert_interp_rows_is_np_interp(shared, xp, fp)
+    per_row = np.array([[-1.0, 0.0, 0.5, 2.5, 4.0, 4.5], [-4.0, -3.0, -1.0, 0.25, 10.0, 1e9]])
+    _assert_interp_rows_is_np_interp(per_row, xp, fp)
+    _assert_interp_rows_is_np_interp(shared, xp[:, [0, -1]], fp[..., [1, 2]])  # 2 stations
+    _assert_interp_rows_is_np_interp(shared, xp[:, :1], fp[..., :1])  # 1 station
+    _assert_interp_rows_is_np_interp(shared[:0], xp, fp)  # no target
+    # x - xp[j] overflows to inf and slope * inf is NaN: numpy falls back to
+    # the line from the right knot, and to fp[j] when that is NaN as well
+    _assert_interp_rows_is_np_interp(np.array([1e308, -1e308, 0.0]),
+                                     np.array([[-1.7e308, 1.7e308]]),
+                                     np.array([[[2.0, 2.0]], [[2.0, 3.0]]]))
+    # a slope of inf: only the knot rule gives fp[j] at xp[j] (inf * 0 is NaN)
+    _assert_interp_rows_is_np_interp(np.array([0.0, 1e-300, 5e-301]), np.array([[0.0, 1e-300]]),
+                                     np.array([[[-1e308, 1e308]]]))
+    edge = np.finfo(np.float64).max
+    _assert_interp_rows_is_np_interp(np.array([0.0, 1.0]), np.array([[-edge, edge]]),
+                                     np.array([[[1.0, 1.0]], [[-1.0, 1.0]]]))
+
+
+@st.composite
+def _interp_cases(draw):
+    rows, knots, fields = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    row = st.lists(finite, min_size=knots, max_size=knots, unique=True).map(sorted)
+    xp = np.array([draw(row) for _ in range(rows)])
+    fp = np.array(draw(st.lists(finite, min_size=fields * rows * knots,
+                                max_size=fields * rows * knots))).reshape(fields, rows, knots)
+    target = st.one_of(st.sampled_from(sorted(set(xp.ravel().tolist()))), finite)
+    shape = (rows, draw(st.integers(0, 6))) if draw(st.booleans()) else (draw(st.integers(0, 6)),)
+    size = int(np.prod(shape))
+    x = np.array(draw(st.lists(target, min_size=size, max_size=size)), dtype=np.float64)
+    return x.reshape(shape), xp, fp
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_interp_cases())
+def test_interp_rows_is_np_interp_on_random_increasing_rows(case):
+    _assert_interp_rows_is_np_interp(*case)
+
+
+def test_transport_moves_a_frame_at_once(monkeypatch):
     rng = np.random.default_rng(3)
-    lanes = [_random_lane(rng, grid) for grid in (STATIONS, GRIDS[2], GRIDS[5])]
+    lanes = [_random_lane(rng, grid) for grid in (STATIONS, GRIDS[2], GRIDS[5], STATIONS)]
     # a lane running out sideways at 3 m per meter folds over under the yaw
-    lanes.insert(1, Lane3D(stations=STATIONS, x=3.0 * STATIONS, z=np.zeros(10),
-                           visibility=np.ones(10), category=1))
+    lanes.insert(1, STEEP)
     forward, yaw = 1.7, 0.5
-    moved = _transported_lanes(lanes, forward, yaw)
-    assert len(moved) == 3
-    for lane, out in zip(lanes[:1] + lanes[2:], moved):
+    calls = []
+    real = metrics_module.transform_points
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(metrics_module, "transform_points", counting)
+    moved = _transported(_stack(lanes), forward, yaw)
+    assert len(calls) == 3  # one transform per station count
+    rows = {}
+    for numbers, stations, (x, z, visibility) in moved:
+        for k, row in enumerate(numbers.tolist()):
+            rows[row] = (stations[k], x[k], z[k], visibility[k])
+    assert sorted(rows) == [0, 1, 2, 3]  # the folded lane is gone, the rest renumbered
+    for row, lane in enumerate(lanes[:1] + lanes[2:]):
         pts = transform_points(lane.points(), forward, yaw)
-        assert out.stations.tobytes() == np.ascontiguousarray(pts[:, 1]).tobytes()
-        assert out.x.tobytes() == np.ascontiguousarray(pts[:, 0]).tobytes()
-        assert out.z.tobytes() == np.ascontiguousarray(pts[:, 2]).tobytes()
-    assert _transported_lanes([], forward, yaw) == []
+        stations, x, z, visibility = rows[row]
+        assert stations.tobytes() == np.ascontiguousarray(pts[:, 1]).tobytes()
+        assert x.tobytes() == np.ascontiguousarray(pts[:, 0]).tobytes()
+        assert z.tobytes() == np.ascontiguousarray(pts[:, 2]).tobytes()
+        assert visibility.tobytes() == lane.visibility.tobytes()
+    assert _transported(_stack([]), forward, yaw) == []
+    assert _transported(_stack([STEEP]), forward, yaw) == []
+
+
+# The per-lane transport and the per-match gap loop that temporal_smoothness
+# replaced, kept as its oracle; it matches through the per-pair oracle.
+def _oracle_transported_lanes(lanes, forward, yaw_change):
+    if not lanes:
+        return []
+    moved = transform_points(np.concatenate([lane.points() for lane in lanes]), forward, yaw_change)
+    out = []
+    stop = 0
+    for lane in lanes:
+        start, stop = stop, stop + lane.stations.shape[0]
+        x, stations, z = moved[start:stop].T
+        if np.all(np.diff(stations) > 0):
+            out.append(Lane3D(stations=stations, x=x, z=z,
+                              visibility=lane.visibility, category=lane.category))
+    return out
+
+
+def _oracle_smoothness(frame_lanes, ego_motion, seen=None):
+    """Jitter the per-lane way; ``seen`` counts folded lanes and matches
+    between lanes of different station counts."""
+    seen = Counter() if seen is None else seen
+    gaps = []
+    for t in range(len(frame_lanes) - 1):
+        forward, yaw_change = ego_motion[t + 1]
+        transported = _oracle_transported_lanes(frame_lanes[t], forward, yaw_change)
+        seen["folded"] += len(frame_lanes[t]) - len(transported)
+        nxt = list(frame_lanes[t + 1])
+        if not transported or not nxt:
+            continue
+        for i, j, _ in _oracle_report(transported, nxt).matches:
+            prev, cur = transported[i], nxt[j]
+            seen["mixed"] += prev.stations.shape != cur.stations.shape
+            inside = (prev.stations >= cur.stations[0]) & (prev.stations <= cur.stations[-1])
+            if not np.any(inside):
+                continue
+            x_cur = np.interp(prev.stations[inside], cur.stations, cur.x)
+            v_cur = np.interp(prev.stations[inside], cur.stations, cur.visibility)
+            both = (prev.visibility[inside] >= 0.5) & (v_cur >= 0.5)
+            if np.any(both):
+                gaps.append(np.abs(x_cur[both] - prev.x[inside][both]))
+    return float(np.concatenate(gaps).mean()) if gaps else float("nan")
+
+
+STEEP = Lane3D(stations=STATIONS, x=3.0 * STATIONS, z=np.zeros(10), visibility=np.ones(10),
+               category=1)  # folds over under a yaw of 0.5
+YAWS = (0.0, 0.01, -0.02, 0.5)
+
+
+def _follower(rng, lane, forward, yaw):
+    """``lane`` one frame later: moved, shifted, maybe regridded; None when it folds."""
+    moved = transform_points(lane.points(), forward, yaw)
+    if not np.all(np.diff(moved[:, 1]) > 0):
+        return None
+    lane = Lane3D(stations=moved[:, 1], x=moved[:, 0] + rng.normal(0, 0.3), z=moved[:, 2],
+                  visibility=lane.visibility, category=lane.category)
+    if lane.stations.shape[0] >= 2 and rng.random() < 0.4:
+        lo, hi = lane.stations[0], lane.stations[-1]
+        lane = resample_lane(lane, np.linspace(lo + rng.uniform(0.0, 0.2) * (hi - lo), hi,
+                                               int(rng.integers(2, 16))))
+    return lane
+
+
+def _random_frames(rng, new_lanes, yaws, empty):
+    """Frames whose lanes mostly follow the ego motion, on several grids and
+    station counts (1-station lanes too), with fresh lanes, a lane that folds
+    under a yaw of 0.5 and frame ``empty`` without lanes."""
+    frames, motion = [], [(0.0, 0.0)]
+    for t, count in enumerate(new_lanes):
+        lanes = []
+        if t:
+            forward = rng.uniform(0.0, 3.0)
+            motion.append((forward, yaws[t - 1]))
+            followers = (_follower(rng, lane, forward, yaws[t - 1])
+                         for lane in frames[-1] if rng.random() < 0.8)
+            lanes = [lane for lane in followers if lane is not None]
+        lanes += [_random_lane(rng, GRIDS[rng.integers(len(GRIDS))]) for _ in range(count)]
+        if rng.random() < 0.3:
+            lanes.append(STEEP)
+        rng.shuffle(lanes)
+        frames.append([] if t == empty else lanes)
+    return frames, np.array(motion)
+
+
+@st.composite
+def _scenes(draw):
+    frames = draw(st.integers(2, 4))
+    new_lanes = draw(st.lists(st.integers(0, 4), min_size=frames, max_size=frames))
+    yaws = draw(st.lists(st.sampled_from(YAWS), min_size=frames - 1, max_size=frames - 1))
+    empty = draw(st.one_of(st.none(), st.integers(0, frames - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_frames(rng, new_lanes, yaws, empty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_scenes())
+def test_smoothness_equals_the_per_lane_oracle_bit_for_bit(scene):
+    frames, motion = scene
+    got, want = temporal_smoothness(frames, motion), _oracle_smoothness(frames, motion)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()  # NaN included
+
+
+def test_smoothness_oracle_cases_cover_every_kind_of_frame():
+    seen = Counter()
+    for seed in range(150):
+        rng = np.random.default_rng(7000 + seed)
+        frames = int(rng.integers(2, 5))
+        scene = _random_frames(rng, rng.integers(0, 5, frames), rng.choice(YAWS, frames - 1),
+                               int(rng.integers(frames)) if rng.random() < 0.2 else None)
+        want = _oracle_smoothness(*scene, seen)
+        assert np.float64(temporal_smoothness(*scene)).tobytes() == np.float64(want).tobytes()
+        seen["finite" if np.isfinite(want) else "nan"] += 1
+        seen["empty"] += any(not lanes for lanes in scene[0])
+        seen["one station"] += any(lane.stations.shape[0] == 1 for lanes in scene[0] for lane in lanes)
+    kinds = ("finite", "nan", "empty", "one station", "folded", "mixed")
+    assert all(seen[kind] >= 10 for kind in kinds), seen
 
 
 def test_match_lanes_validation():

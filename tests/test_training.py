@@ -2,12 +2,14 @@ import gc
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lane3d.autodiff as ad
+import lane3d.metrics as metrics_module
 import lane3d.training as training_module
 from lane3d.checks import KINK_MARGIN, STEP, TOLERANCE, corrupt_gradient
 from lane3d.config import RunConfiguration, from_dict, to_dict
@@ -868,3 +870,28 @@ def test_evaluate_model_calls_the_fuser_once_per_scene_and_the_heads_once_per_fr
         evaluate_model(checkpoints["trained"], scenes[:3], cfg.scene, use_lstm_fusion)
         assert calls == {"fuse_all_anchors": 3 if use_lstm_fusion else 0,
                          "head_forward": 3 * cfg.scene.num_frames}
+
+
+def test_evaluate_model_reaches_the_traced_matching_names(pinned_eval, monkeypatch):
+    # the benchmark's tracer times match_lanes in lane3d.training and
+    # lane3d.metrics and temporal_smoothness in lane3d.training, and reads
+    # len() of both lane lists handed to a match_lanes
+    cfg, scenes, checkpoints = pinned_eval
+    calls, sizes = Counter(), []
+    hooks = ((training_module, "match_lanes"), (training_module, "temporal_smoothness"),
+             (metrics_module, "match_lanes"))
+    for module, name in hooks:
+        def counting(*args, _key=f"{module.__name__}.{name}", _wrapped=getattr(module, name)):
+            calls[_key] += 1
+            if _key.endswith(".match_lanes"):
+                sizes.append((len(args[0]), len(args[1])))
+            return _wrapped(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    scene = scenes[0]
+    assert scene.num_frames == 3
+    evaluate_model(checkpoints["dense"], [scene], cfg.scene, True)
+    assert calls["lane3d.training.match_lanes"] == 1
+    assert calls["lane3d.training.temporal_smoothness"] == 1
+    assert sizes[0] == (cfg.scene.num_anchors, len(scene.frames[-1].lanes))
+    assert len(sizes) == calls["lane3d.training.match_lanes"] + calls["lane3d.metrics.match_lanes"]

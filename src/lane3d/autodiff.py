@@ -11,7 +11,7 @@ minimiser of each reduced slice.
 
 Leaves are either differentiable (``Var(value)``) or constant
 (``as_var(value)`` on anything that is not already a Var: literals,
-targets, masks, input features).  Four invariants keep a training tape
+targets, masks, input features).  Five invariants keep a training tape
 cheap:
 
 - Constants are skipped.  ``backward`` first marks the nodes that some
@@ -37,6 +37,12 @@ cheap:
   the parent order ``(x, w_ih.T, bias, c_prev, h_prev, w_hh.T)`` of the
   composition it replaces, so every parameter gradient of a fused
   recurrence is summed over time steps in the same order, bit for bit.
+- A forward node does only forward work.  Anything that only a VJP
+  reads (the relu mask, the sign under ``absolute``, the kind of a
+  ``take`` index) is computed inside the VJP, and no forward builds an
+  ``np.where`` over a mask it derives from its input values.  Most nodes
+  are built by forward-only graphs (evaluation, central differences),
+  which never run a VJP.
 """
 
 from __future__ import annotations
@@ -309,11 +315,10 @@ def take(a, index):
     """Select entries with a constant index expression (slice/int/array)."""
     a = as_var(a)
     out = Var(a.value[index], (a,))
-    basic = _is_basic_index(index)
 
     def vjp(g, need):
         ga = np.zeros_like(a.value)
-        if basic:  # no repeated entries: np.add.at's 0 + g, without its overhead
+        if _is_basic_index(index):  # no repeated entries: np.add.at's 0 + g, without its overhead
             ga[index] += g
         else:
             np.add.at(ga, index, g)
@@ -382,10 +387,21 @@ def exp(a):
 
 
 def sigmoid_values(v):
-    """Overflow-free logistic: 1/(1+e^-v) for v >= 0, e^v/(1+e^v) otherwise."""
-    pos = v >= 0
-    e = np.exp(np.where(pos, -v, v))  # never positive, so never overflows
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    """Overflow-free logistic of a float64 array: e^min(v, 0) / (1 + e^-|v|).
+
+    That is 1/(1+e^-v) for v >= 0 and e^v/(1+e^v) otherwise, per element
+    the operations of the two-branch formula, without a masked select.
+    Neither exponent is positive, so neither overflows.  A NaN keeps its
+    sign bit: the numerator carries it, and division passes it on.
+    """
+    e = np.abs(v, out=np.empty(v.shape))  # buffers: arrays even for 0-d v
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(v, 0.0, out=np.empty(v.shape))
+    np.exp(num, out=num)
+    num /= e
+    return num
 
 
 def sigmoid(a):
@@ -410,15 +426,19 @@ def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
     parents = tuple(as_var(v) for v in (x, w_ih_t, bias, c_prev, h_prev, w_hh_t))
     x, w_ih_t, bias, c_prev, h_prev, w_hh_t = parents
     hidden = w_hh_t.shape[0]
-    gates = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
-    z = x.value @ w_ih_t.value + h_prev.value @ w_hh_t.value + bias.value
-    i = sigmoid_values(z[:, gates[0]])
-    f = sigmoid_values(z[:, gates[1]])
-    g = np.tanh(z[:, gates[2]])
-    o = sigmoid_values(z[:, gates[3]])
-    c = f * c_prev.value + i * g
+    z = x.value @ w_ih_t.value
+    z += h_prev.value @ w_hh_t.value
+    z += bias.value
+    i_f = sigmoid_values(z[:, :2 * hidden])  # i and f are adjacent: one call
+    i, f = i_f[:, :hidden], i_f[:, hidden:]
+    g = np.tanh(z[:, 2 * hidden:3 * hidden])
+    o = sigmoid_values(z[:, 3 * hidden:])
+    hc = np.empty((z.shape[0], 2 * hidden))  # [h, c], written in place
+    c = np.multiply(f, c_prev.value, out=hc[:, hidden:])
+    c += i * g
     tanh_c = np.tanh(c)
-    out = Var(np.concatenate([o * tanh_c, c], axis=1), parents)
+    np.multiply(o, tanh_c, out=hc[:, :hidden])
+    out = Var(hc, parents)
 
     def vjp(grad, need):
         dh, dc = grad[:, :hidden], grad[:, hidden:]
@@ -447,17 +467,20 @@ def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
 
 def relu(a):
     a = as_var(a)
-    mask = a.value > 0.0  # subgradient 0 at the kink
-    out = Var(np.where(mask, a.value, 0.0), (a,))
-    out._vjp = lambda g, need: (g * mask,)
+    # fmax drops a NaN for 0.0, and adding 0.0 turns -0.0 into +0.0: the
+    # values of where(a > 0, a, 0.0) without a masked select
+    value = np.fmax(a.value, 0.0)
+    value += 0.0
+    out = Var(value, (a,))
+    out._vjp = lambda g, need: (g * (a.value > 0.0),)  # subgradient 0 at the kink
     return out
 
 
 def absolute(a):
     a = as_var(a)
-    sign = np.sign(a.value)  # sign(0) == 0: subgradient 0 at the kink
     out = Var(np.abs(a.value), (a,))
-    out._vjp = lambda g, need: (g * sign,)
+    # sign(0) == 0: subgradient 0 at the kink
+    out._vjp = lambda g, need: (g * np.sign(a.value),)
     return out
 
 
@@ -543,9 +566,11 @@ def central_difference(fn, params, name, index, step):
     it only ever evaluates ``fn`` forward.
     """
     def evaluate(offset):
-        shifted = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-        shifted[name][index] += offset
-        out = fn({k: Var(v) for k, v in shifted.items()})
+        # only the perturbed entry's array is copied: no primitive writes
+        # into a leaf's value, so the other leaves wrap the caller's arrays
+        shifted = np.array(params[name], dtype=np.float64)
+        shifted[index] += offset
+        out = fn({k: Var(shifted if k == name else v) for k, v in params.items()})
         return float(out.value)
 
     return (evaluate(step) - evaluate(-step)) / (2.0 * step)

@@ -41,7 +41,11 @@ class Lane3D:
             raise ValueError("Lane3D: stations, x, z, visibility must share one length")
         if n >= 2 and not (stations[..., 1:] > stations[..., :-1]).all():
             raise ValueError("Lane3D: stations must be strictly increasing")
-        if (visibility < 0.0).any() or (visibility > 1.0).any():
+        for name in ("x", "z"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"Lane3D: {name} must be finite")
+        # negated, so that NaN, which fails both comparisons, is rejected too
+        if not ((visibility >= 0.0).all() and (visibility <= 1.0).all()):
             raise ValueError("Lane3D: visibility must lie in [0, 1]")
 
     def visible_mask(self) -> np.ndarray:

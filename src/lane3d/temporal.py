@@ -13,6 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 
+LSTM_PARAMS = ("lstm.w_ih", "lstm.w_hh", "lstm.bias", "lstm.proj_w", "lstm.proj_b")
+
 
 def lstm_step(x, h_prev, c_prev, params):
     """One LSTM cell update on a (K, C) anchor batch; returns (h, c).
@@ -22,9 +24,9 @@ def lstm_step(x, h_prev, c_prev, params):
     ``lstm.w_hh`` (4H, H) and ``lstm.bias`` (4H,), gates stacked (i, f, g, o).
     The fused ``autodiff.lstm_cell`` computes both states as one node.
     """
-    w_ih, w_hh, bias = (ad.as_var(params[n]) for n in ("lstm.w_ih", "lstm.w_hh", "lstm.bias"))
+    w_ih, w_hh = ad.as_var(params["lstm.w_ih"]), ad.as_var(params["lstm.w_hh"])
     hidden = w_hh.shape[1]
-    hc = ad.lstm_cell(x, w_ih.T, bias, c_prev, h_prev, w_hh.T)
+    hc = ad.lstm_cell(x, w_ih.T, params["lstm.bias"], c_prev, h_prev, w_hh.T)
     return hc[:, :hidden], hc[:, hidden:]
 
 
@@ -39,7 +41,7 @@ def fuse_all_anchors(batch, params):
     if batch.ndim != 3:
         raise ValueError("fuse_all_anchors: need a (K, T, C) batch")
     k, T, _ = batch.shape
-    p = {name: ad.as_var(value) for name, value in params.items() if name.startswith("lstm.")}
+    p = {name: ad.as_var(params[name]) for name in LSTM_PARAMS}
     hidden = p["lstm.w_hh"].shape[1]
     h = ad.as_var(np.zeros((k, hidden)))
     c = ad.as_var(np.zeros((k, hidden)))

@@ -6,6 +6,9 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lane3d import autodiff as ad
 
@@ -243,6 +246,84 @@ def test_sigmoid_values_bitwise_equal_the_masked_formula(v):
     y.sum().backward()
     assert y.value.tobytes() == want.tobytes()
     assert x.grad.tobytes() == (1.0 * want * (1.0 - want)).tobytes()
+
+
+_RELU_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5,
+     np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+@pytest.mark.parametrize(
+    "v", [np.array(x) for x in _RELU_SPECIALS] + [_RELU_SPECIALS],
+    ids=[f"0d[{x!r}]" for x in _RELU_SPECIALS] + ["specials"],
+)
+def test_relu_value_bitwise_equals_the_masked_select(v):
+    want = np.where(v > 0, v, 0.0)  # the select relu's forward replaced
+    x = ad.Var(v)
+    y = ad.relu(x)
+    assert y.value.shape == want.shape and y.value.tobytes() == want.tobytes()
+    y.sum().backward()
+    assert x.grad.tobytes() == (np.ones_like(v) * (v > 0.0)).tobytes()
+
+
+# floats of every kind numpy meets: normal, subnormal, signed zeros, both
+# infinities and NaNs of both signs
+_special_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                    elements=_special_floats))
+def test_forward_values_bitwise_equal_the_where_formulas(v):
+    pos = v >= 0
+    want = np.where(pos, 1.0, np.exp(np.where(pos, -v, v)))
+    want = want / (1.0 + np.exp(np.where(pos, -v, v)))  # the two-branch sigmoid
+    got = ad.sigmoid_values(v)
+    assert got.shape == v.shape and got.tobytes() == np.asarray(want).tobytes()
+    assert ad.relu(v).value.tobytes() == np.asarray(np.where(v > 0, v, 0.0)).tobytes()
+
+
+def test_take_classifies_its_index_in_the_vjp_only(monkeypatch):
+    calls = []
+    inner = ad._is_basic_index
+    monkeypatch.setattr(ad, "_is_basic_index", lambda index: (calls.append(index), inner(index))[1])
+    x = ad.Var(np.arange(12.0).reshape(3, 4))
+    y = (x[:, 1:3].sum() + x[np.array([0, 0, 2])].sum()) * x[1].sum()
+    assert calls == []  # a forward pass never classifies an index
+    y.backward()
+    assert len(calls) == 3  # one call per take node
+    # d/dx of (A + B) * C with A = 33, B = 50, C = 22 at x = arange(12)
+    assert np.array_equal(x.grad, [[44.0, 66.0, 66.0, 44.0], [83.0, 105.0, 105.0, 83.0],
+                                   [22.0, 44.0, 44.0, 22.0]])
+
+
+def test_finite_difference_check_leaves_its_inputs_intact():
+    rng = np.random.default_rng(5)
+    params = {"a": rng.normal(size=(2, 3)), "s": np.array(0.75), "b": rng.normal(size=4)}
+    before = {name: value.tobytes() for name, value in params.items()}
+    seen = []
+
+    def fn(p):
+        # every evaluation sees at most one entry moved, by exactly the step
+        moved = [(name, idx) for name, value in params.items()
+                 for idx in np.ndindex(value.shape)
+                 if p[name].value[idx] != value[idx]]
+        seen.append(moved)
+        if moved:
+            (name, idx), = moved
+            assert abs(abs(p[name].value[idx] - params[name][idx]) - 1e-5) < 1e-12
+        return (p["a"] * p["s"]).sum() + ad.exp(p["b"]).sum()
+
+    report = ad.finite_difference_check(fn, params, step=1e-5)
+    assert report.max_relative_error < 1e-8
+    assert {name: value.tobytes() for name, value in params.items()} == before
+    entries = [(name, idx) for name, value in params.items() for idx in np.ndindex(value.shape)]
+    assert seen[0] == []  # the analytic pass at the unmoved point
+    assert seen[1:] == [[entry] for entry in entries for _ in range(2)]
 
 
 def test_broadcast_gradient_sums_to_parent_shape():

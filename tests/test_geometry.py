@@ -28,6 +28,12 @@ def test_lane_validation():
     (dict(stations=[0, 2, 1], x=[0] * 3, z=[0] * 3, visibility=[1] * 3), "strictly increasing"),
     (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[1, 1.5]), r"lie in \[0, 1\]"),
     (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[-0.1, 1]), r"lie in \[0, 1\]"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[np.nan, 0.5]), r"lie in \[0, 1\]"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, 0], visibility=[1, -np.nan]), r"lie in \[0, 1\]"),
+    (dict(stations=[0, 1], x=[np.nan, 0], z=[0, 0], visibility=[1, 1]), "x must be finite"),
+    (dict(stations=[0, 1], x=[0, -np.inf], z=[0, 0], visibility=[1, 1]), "x must be finite"),
+    (dict(stations=[0, 1], x=[0, 0], z=[0, np.inf], visibility=[1, 1]), "z must be finite"),
+    (dict(stations=[0, 1], x=[0, 0], z=[np.nan, 0], visibility=[1, 1]), "z must be finite"),
 ])
 def test_lane_rejections_keep_their_messages(fields, message, as_array):
     # float64 arrays skip the conversion, so both input forms run each check
@@ -35,6 +41,14 @@ def test_lane_rejections_keep_their_messages(fields, message, as_array):
         fields = {name: np.array(values, dtype=np.float64) for name, values in fields.items()}
     with pytest.raises(ValueError, match=f"^Lane3D: .*{message}"):
         Lane3D(category=1, **fields)
+
+
+def test_lane_rejects_the_non_finite_lane_from_dict_rejects():
+    fields = dict(stations=[0.0, 1.0], x=[np.nan, 0.0], z=[0.0, np.inf], visibility=[np.nan, 0.5])
+    with pytest.raises(ValueError, match="^Lane3D: x must be finite"):
+        Lane3D(category=1, **fields)
+    with pytest.raises(ValueError, match="^lane: x: non-finite values"):
+        Lane3D.from_dict({"category": 1, **fields})
 
 
 def test_lane_keeps_float64_arrays_and_converts_the_rest():

@@ -10,7 +10,7 @@ temporal fusion is there to exploit.
 
 import numpy as np
 
-from lane3d.synth import SceneConfig, feature_decode, generate_scene
+from lane3d.synth import X_SCALE, SceneConfig, generate_scene
 
 
 def describe_scene():
@@ -41,12 +41,12 @@ def decode_matches_truth():
     anchors = config.anchors()
     s, c = config.num_stations, config.num_classes
     frame = scene.frames[-1]
+    # the layout: [dx * X_SCALE | dz * Z_SCALE | visibility | one-hot category | 0]
+    visibility = frame.features[:, 2 * s : 3 * s]
     # pick the strongest anchor: largest visibility block
-    energies = [
-        feature_decode(frame.features[k], s, c)[2].sum() for k in range(config.num_anchors)
-    ]
-    k = int(np.argmax(energies))
-    dx, dz, vis, category = feature_decode(frame.features[k], s, c)
+    k = int(np.argmax(visibility.sum(axis=1)))
+    dx, vis = frame.features[k, :s] / X_SCALE, visibility[k]
+    category = int(np.argmax(frame.features[k, 3 * s : 3 * s + c]))
     print(f"anchor {k}: decoded category {category}, "
           f"{int((vis > 0.5).sum())} visible stations")
     for lane in frame.lanes:

@@ -154,7 +154,7 @@ def read_scene_dir(dirpath) -> SceneSequence:
     with open(scene_path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"scene {scene_path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "ego_motion" not in doc:
         raise ValueError(f"scene {scene_path}: ego_motion: missing")

@@ -219,7 +219,7 @@ def read_lane_file(path):
     with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"lane file {path}: invalid JSON ({exc})") from None
     entries = document.get("lanes") if isinstance(document, dict) else document
     if not isinstance(entries, list):

@@ -95,29 +95,22 @@ def balanced_l1_vector(predicted, target, weights, config: LossConfig):
     return (per_entry * w).sum() / total
 
 
-def _as_points(ps):
-    ps = ad.as_var(ps)
-    if ps.ndim != 2 or ps.shape[1] != 3 or ps.shape[0] == 0:
-        raise ValueError("chamfer: need non-empty (n, 3) point arrays")
-    return ps
-
-
 def chamfer(P, Q, mask=None):
     """Bidirectional mean of nearest-neighbor squared distances.
 
     Gradients flow into both sets through the argmin pairs; nearest
-    neighbor ties resolve to the lowest index.  Two (n, 3) and (m, 3)
-    sets give a scalar.  A row batch of (R, n, 3) predictions and
-    (R, m, 3) padded sets with a boolean (R, m) ``mask`` of their valid
-    points gives the (R,) per-row values; padded points take no part.
+    neighbor ties resolve to the lowest index.  A row batch of (R, n, 3)
+    predictions and (R, m, 3) padded sets with a boolean (R, m) ``mask``
+    of their valid points gives the (R,) per-row values; padded points
+    take no part.  Two (n, 3) and (m, 3) sets, without a mask, are the
+    one-row batch whose points all count, and give a scalar.
     """
-    if mask is None:
-        P, Q = _as_points(P), _as_points(Q)
-        n, m = P.shape[0], Q.shape[0]
-        diff = P.reshape((n, 1, 3)) - Q.reshape((1, m, 3))
-        d2 = ad.square(diff).sum(axis=2)
-        return ad.reduce_min(d2, axis=1).mean() + ad.reduce_min(d2, axis=0).mean()
     P, Q = ad.as_var(P), ad.as_var(Q)
+    if mask is None:
+        if P.ndim != 2 or Q.ndim != 2:
+            raise ValueError("chamfer: need (n, 3) and (m, 3) point sets")
+        one_row = np.ones((1, Q.shape[0]), dtype=bool)
+        return chamfer(P.reshape((1,) + P.shape), Q.reshape((1,) + Q.shape), one_row).reshape(())
     mask = np.asarray(mask, dtype=bool)
     if P.ndim != 3 or P.shape[2] != 3 or P.shape[1] == 0 or Q.ndim != 3 or Q.shape[2] != 3:
         raise ValueError("chamfer: need (R, n, 3) and (R, m, 3) point batches")

@@ -23,8 +23,9 @@ import numpy as np
 from .geometry import AnchorSet, Lane3D, build_default_anchors
 from .heads import assign_targets
 
-# feature layout scales: lateral offsets are compressed so that feature
-# noise of sigma decodes to ~sigma/X_SCALE meters of lateral error.
+# per-anchor feature layout: [dx * X_SCALE | dz * Z_SCALE | visibility |
+# one-hot category | zero padding].  Lateral offsets are compressed so that
+# feature noise of sigma decodes to ~sigma/X_SCALE meters of lateral error.
 # At the default sigma=0.25 one frame decodes to ~2 m of error, beyond
 # the matching threshold; averaging frames is what buys reliability.
 X_SCALE = 0.125
@@ -201,45 +202,6 @@ def sample_lane_in_frame(lane: WorldLane, pose: Pose, stations) -> Lane3D:
     )
 
 
-def feature_encode(
-    delta_x, delta_z, visibility, category: int, num_classes: int, channels: int
-) -> np.ndarray:
-    """Documented linear embedding of one anchor's truth into C channels.
-
-    Layout: [delta_x * X_SCALE | delta_z * Z_SCALE | visibility |
-    one-hot category | zero padding].
-    """
-    delta_x = np.asarray(delta_x, dtype=np.float64)
-    delta_z = np.asarray(delta_z, dtype=np.float64)
-    visibility = np.asarray(visibility, dtype=np.float64)
-    s = delta_x.shape[0]
-    if delta_z.shape != (s,) or visibility.shape != (s,):
-        raise ValueError("feature_encode: per-station arrays must share one length")
-    needed = 3 * s + num_classes
-    if channels < needed:
-        raise ValueError(f"feature_encode: need C >= {needed}, got {channels}")
-    if not 0 <= category < num_classes:
-        raise ValueError("feature_encode: category out of range")
-    out = np.zeros(channels)
-    out[0:s] = delta_x * X_SCALE
-    out[s : 2 * s] = delta_z * Z_SCALE
-    out[2 * s : 3 * s] = visibility
-    out[3 * s + category] = 1.0
-    return out
-
-
-def feature_decode(feature, num_stations: int, num_classes: int):
-    """Inverse of feature_encode (exact at zero noise)."""
-    feature = np.asarray(feature, dtype=np.float64)
-    s = num_stations
-    return (
-        feature[0:s] / X_SCALE,
-        feature[s : 2 * s] / Z_SCALE,
-        feature[2 * s : 3 * s],
-        int(np.argmax(feature[3 * s : 3 * s + num_classes])),
-    )
-
-
 def _draw_world_lanes(rng, config: SceneConfig):
     lo, hi = config.num_lanes_range
     count = int(rng.integers(lo, hi + 1))
@@ -330,14 +292,12 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
     world_lanes = _draw_world_lanes(rng, config)
     poses, ego_motion = _draw_poses(rng, config)
 
-    per_frame = []
     keep = []
     for lane in world_lanes:
         sampled = [sample_lane_in_frame(lane, pose, stations) for pose in poses]
         if all(s.visibility.sum() >= 1.0 for s in sampled):
             keep.append(sampled)
-    for t in range(config.num_frames):
-        per_frame.append(tuple(column[t] for column in keep))
+    per_frame = [tuple(column[t] for column in keep) for t in range(config.num_frames)]
 
     # one anchor-to-lane assignment for the whole sequence, taken on the
     # newest frame: an anchor's feature then tracks the same world lane
@@ -345,37 +305,27 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
     # backbone would pool the same anchor region with ego compensation
     assignment = assign_targets(anchors, list(per_frame[-1]))
 
+    # the feature layout for all anchors at once; anchors without a lane
+    # carry only the BACKGROUND_CLASS one-hot
+    s = len(stations)
+    rows = np.flatnonzero(assignment.lane_for_anchor >= 0)
+    lane_of_row = assignment.lane_for_anchor[rows]
+    classes = np.full(config.num_anchors, BACKGROUND_CLASS)
+    classes[rows] = [per_frame[-1][j].category for j in lane_of_row]
     frames = []
-    for t in range(config.num_frames):
-        lanes_t = per_frame[t]
+    for lanes_t in per_frame:
+        # offsets are encoded over the full analytic curve; the
+        # visibility block alone says which stations count
+        truth = np.array([(lane.x, lane.z, lane.visibility) for lane in lanes_t])
+        x, z, visibility = truth.reshape(-1, 3, s)[lane_of_row].transpose(1, 0, 2)
         features = np.zeros((config.num_anchors, config.channels))
-        for k in range(config.num_anchors):
-            lane_idx = assignment.lane_for_anchor[k]
-            if lane_idx >= 0:
-                lane = lanes_t[lane_idx]
-                # offsets are encoded over the full analytic curve; the
-                # visibility block alone says which stations count
-                features[k] = feature_encode(
-                    lane.x - anchors.base_x[k],
-                    lane.z - anchors.base_z[k],
-                    lane.visibility,
-                    lane.category,
-                    config.num_classes,
-                    config.channels,
-                )
-            else:
-                features[k] = feature_encode(
-                    np.zeros_like(stations),
-                    np.zeros_like(stations),
-                    np.zeros_like(stations),
-                    BACKGROUND_CLASS,
-                    config.num_classes,
-                    config.channels,
-                )
+        features[rows, :s] = (x - anchors.base_x[rows]) * X_SCALE
+        features[rows, s : 2 * s] = (z - anchors.base_z[rows]) * Z_SCALE
+        features[rows, 2 * s : 3 * s] = visibility
+        features[np.arange(config.num_anchors), 3 * s + classes] = 1.0
         frames.append(FrameRecord(lanes=lanes_t, features=features))
 
     # noise last: the sigma=0 twin of a seed shares every lane and pose
-    s = len(stations)
     basis = _lateral_noise_basis(s)
     noisy_frames = []
     for record in frames:

@@ -469,7 +469,7 @@ def _is_manifest_entry(entry) -> bool:
         and len(entry) == 2
         and isinstance(entry[0], str)
         and isinstance(entry[1], list)
-        and all(isinstance(n, int) and n >= 0 for n in entry[1])
+        and all(type(n) is int and n >= 0 for n in entry[1])
     )
 
 
@@ -487,7 +487,7 @@ def load_checkpoint(path, shapes: dict | None = None):
         file_size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"checkpoint {path}: header: not a JSON line ({exc})") from None
         if not isinstance(header, dict) or "manifest" not in header:
             raise ValueError(f"checkpoint {path}: header: missing field 'manifest'")
@@ -569,7 +569,7 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
     for fused in feats:
         dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
         category = np.argmax(cls_logits.value, axis=1)
-        visibility = 1.0 / (1.0 + np.exp(-vis_logits.value))
+        visibility = ad.sigmoid_values(vis_logits.value)
         keep = (category != BACKGROUND_CLASS) & np.any(visibility >= VISIBILITY_THRESHOLD, axis=1)
         x = anchors.base_x + dx.value
         z = anchors.base_z + dz.value

@@ -107,6 +107,15 @@ def test_corrupt_gradient_hits_shared_primitives():
     assert "uncertainty_combination" in failing
 
 
+def test_corrupt_where_reaches_the_trainers_chamfer_path():
+    # the chamfer check runs the masked row-batch core that scene_loss
+    # uses, whose nearest-neighbor search toward Q goes through where
+    with corrupt_gradient("where", factor=1.5):
+        results = run_gradient_checks(num_inputs=2)
+    failing = {r.name for r in results if not r.passed}
+    assert "chamfer" in failing
+
+
 def test_corrupt_gradient_restores_the_op():
     original = ad.sigmoid
     with corrupt_gradient("sigmoid"):

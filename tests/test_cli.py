@@ -190,6 +190,8 @@ BROKEN_SCENE_DIRS = [
      ["scene.json", "ego_motion: missing"]),
     ("scene-json-garbage", lambda d: (d / "scene.json").write_text("{broken"),
      ["scene.json", "not valid JSON"]),
+    ("scene-json-deep", lambda d: (d / "scene.json").write_text("[" * 100_000 + "]" * 100_000),
+     ["scene.json", "not valid JSON"]),
     ("truncated-body", lambda d: (d / "features.npy").write_bytes(
         (d / "features.npy").read_bytes()[:-5]), ["features.npy", "unreadable array"]),
     ("trailing-bytes", lambda d: (d / "features.npy").write_bytes(
@@ -286,6 +288,14 @@ def test_lane_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="malformed lane"):
         read_lane_file(path)
     path.write_bytes(b'{"lanes": []}\xff')
+    with pytest.raises(ValueError) as info:
+        read_lane_file(path)
+    assert str(info.value).startswith(f"lane file {path}: invalid JSON")
+
+
+def test_lane_file_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "deep.lanes.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ValueError) as info:
         read_lane_file(path)
     assert str(info.value).startswith(f"lane file {path}: invalid JSON")
@@ -541,6 +551,28 @@ def test_train_rejects_a_bad_config_in_one_line(tmp_path, capsys, document):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"configuration file {path}: " in err
     assert not (tmp_path / "run").exists()
+
+
+def test_deeply_nested_inputs_exit_1_without_a_traceback(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    config = tmp_path / "deep.json"
+    config.write_text(deep)
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    pred.mkdir()
+    gt.mkdir()
+    write_lane_file(gt / "scene_0.lanes.json", generate_scene(3, SMALL_SCENE).frames[-1].lanes)
+    (pred / "scene_0.lanes.json").write_text(deep)
+    runs = [
+        (["train", "--config", str(config), "--out", str(tmp_path / "run")],
+         f"configuration file {config}: invalid JSON"),
+        (["eval", "--pred", str(pred), "--scenes", str(gt), "--out", str(tmp_path / "ev")],
+         f"lane file {pred / 'scene_0.lanes.json'}: invalid JSON"),
+    ]
+    for argv, message in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"lane3d: error: {message}")
+        assert "Traceback" not in err
 
 
 def test_ablate_emits_five_nested_rows(small_config, tmp_path, capsys):

@@ -78,6 +78,14 @@ def test_load_rejects_malformed_files(tmp_path):
         load_run_configuration(bad)
 
 
+def test_load_rejects_a_deeply_nested_file(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError) as info:
+        load_run_configuration(deep)
+    assert str(info.value).startswith(f"configuration file {deep}: invalid JSON")
+
+
 def test_hash_is_stable_and_sensitive():
     base = RunConfiguration()
     assert base.config_hash() == RunConfiguration().config_hash()

@@ -1,4 +1,4 @@
-"""Synthetic scene generation: determinism, geometry consistency, encoding."""
+"""Synthetic scene generation: determinism, geometry consistency, feature layout."""
 
 from __future__ import annotations
 
@@ -11,12 +11,14 @@ import pytest
 from lane3d.cli import read_scene_dir, write_scene_dir
 from lane3d.config import from_dict, to_dict
 from lane3d.geometry import transform_points
+from lane3d.heads import assign_targets
 from lane3d.synth import (
+    BACKGROUND_CLASS,
+    X_SCALE,
+    Z_SCALE,
     Pose,
     SceneConfig,
     WorldLane,
-    feature_decode,
-    feature_encode,
     generate_dataset,
     generate_scene,
     sample_lane_in_frame,
@@ -94,49 +96,31 @@ def test_noise_free_twin_shares_geometry():
     assert not np.array_equal(noisy.frames[0].features, clean.frames[0].features)
 
 
-def test_zero_noise_features_decode_to_truth():
+def test_zero_noise_features_are_the_documented_layout():
+    # [dx * X_SCALE | dz * Z_SCALE | visibility | one-hot category | 0] for
+    # the anchor's assigned lane, and the BACKGROUND_CLASS one-hot alone
+    # for every other anchor, bit for bit
     clean_cfg = replace(SMALL, noise_sigma=0.0)
-    scene = generate_scene(3, clean_cfg)
     anchors = clean_cfg.anchors()
-    s = clean_cfg.num_stations
-    for record in scene.frames:
-        decoded_any_positive = False
-        for k in range(clean_cfg.num_anchors):
-            dx, dz, vis, cat = feature_decode(record.features[k], s, clean_cfg.num_classes)
-            if cat == 0:
-                assert np.allclose(dx, 0.0, atol=1e-12)
-                continue
-            decoded_any_positive = True
-            lane = next(l for l in record.lanes if l.category == cat and np.allclose(
-                l.x - anchors.base_x[k], dx, atol=1e-9))
-            assert np.array_equal(vis, lane.visibility)
-            assert np.allclose(dz, lane.z - anchors.base_z[k], atol=1e-9)
-        assert decoded_any_positive
-
-
-def test_feature_encode_validation_and_roundtrip():
-    with pytest.raises(ValueError):
-        feature_encode(np.zeros(4), np.zeros(4), np.zeros(4), 0, 3, 10)
-    with pytest.raises(ValueError):
-        feature_encode(np.zeros(2), np.zeros(2), np.zeros(2), 5, 3, 16)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        dx, dz = rng.normal(size=4), rng.normal(size=4)
-        vis = (rng.random(4) < 0.7).astype(float)
-        cat = int(rng.integers(0, 3))
-        feat = feature_encode(dx, dz, vis, cat, 3, 18)
-        rdx, rdz, rvis, rcat = feature_decode(feat, 4, 3)
-        assert np.allclose(rdx, dx, atol=1e-12)
-        assert np.allclose(rdz, dz, atol=1e-12)
-        assert np.array_equal(rvis, vis)
-        assert rcat == cat
-
-
-def test_equal_truth_equal_encoding():
-    dx, dz, vis = np.ones(3), np.zeros(3), np.ones(3)
-    a = feature_encode(dx, dz, vis, 2, 4, 16)
-    b = feature_encode(dx, dz, vis, 2, 4, 16)
-    assert np.array_equal(a, b)
+    s, k = clean_cfg.num_stations, clean_cfg.num_anchors
+    background = np.zeros(clean_cfg.channels)
+    background[3 * s + BACKGROUND_CLASS] = 1.0
+    for seed in range(8):
+        scene = generate_scene(seed, clean_cfg)
+        lane_of = assign_targets(anchors, list(scene.frames[-1].lanes)).lane_for_anchor
+        assert np.any(lane_of >= 0) and np.any(lane_of < 0)
+        for record in scene.frames:
+            for a in range(k):
+                if lane_of[a] < 0:
+                    assert record.features[a].tobytes() == background.tobytes()
+                    continue
+                lane = record.lanes[lane_of[a]]
+                want = np.zeros(clean_cfg.channels)
+                want[:s] = (lane.x - anchors.base_x[a]) * X_SCALE
+                want[s : 2 * s] = (lane.z - anchors.base_z[a]) * Z_SCALE
+                want[2 * s : 3 * s] = lane.visibility
+                want[3 * s + lane.category] = 1.0
+                assert record.features[a].tobytes() == want.tobytes()
 
 
 def test_transform_points_straight_motion():

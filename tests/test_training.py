@@ -318,6 +318,25 @@ def test_load_checkpoint_rejects_manifest_names_other_than_param_order(saved_che
         load_checkpoint(saved_checkpoint)
 
 
+def test_load_checkpoint_rejects_boolean_manifest_dims(saved_checkpoint):
+    # JSON true is a Python int; as a dimension it must not pass for 1
+    def booleans(header):
+        header["manifest"][-1][1] = [True]
+
+    _rewrite_header(saved_checkpoint, booleans)
+    run_shapes = {name: value.shape for name, value in init_parameters(SMALL, TrainConfig()).items()}
+    for shapes in (None, {**run_shapes, "uncertainty.s": (1,)}):
+        with pytest.raises(ValueError, match=r"model\.ckpt: manifest: need a list"):
+            load_checkpoint(saved_checkpoint, shapes)
+
+
+def test_load_checkpoint_rejects_a_deeply_nested_header(saved_checkpoint):
+    body = saved_checkpoint.read_bytes().split(b"\n", 1)[1]
+    saved_checkpoint.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n" + body)
+    with pytest.raises(ValueError, match=r"model\.ckpt: header: not a JSON line"):
+        load_checkpoint(saved_checkpoint)
+
+
 def _pinned_scene():
     cfg = RunConfiguration()
     scene = generate_dataset(cfg.train_data_seed, 1, cfg.scene)[0]
@@ -783,7 +802,7 @@ def _per_window_predict_frames(params, scene, scene_config, use_lstm_fusion):
             category = int(np.argmax(cls_logits.value[k]))
             if category == BACKGROUND_CLASS:
                 continue
-            visibility = 1.0 / (1.0 + np.exp(-vis_logits.value[k]))
+            visibility = ad.sigmoid_values(vis_logits.value[k])
             if not np.any(visibility >= VISIBILITY_THRESHOLD):
                 continue
             lanes.append(Lane3D(stations=anchors.stations, x=anchors.base_x[k] + dx.value[k],

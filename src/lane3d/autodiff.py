@@ -51,6 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+# 0-d operands: numpy converts a Python float on every ufunc call
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+
 
 class Var:
     """A node in a differentiable computation.
@@ -63,7 +68,9 @@ class Var:
     constant = False
 
     def __init__(self, value, _parents=(), _vjp=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.grad = None
         self._parents = _parents
         self._vjp = _vjp
@@ -397,8 +404,8 @@ def sigmoid_values(v):
     e = np.abs(v, out=np.empty(v.shape))  # buffers: arrays even for 0-d v
     np.negative(e, out=e)
     np.exp(e, out=e)
-    e += 1.0
-    num = np.minimum(v, 0.0, out=np.empty(v.shape))
+    e += _ONE
+    num = np.minimum(v, _ZERO, out=np.empty(v.shape))
     np.exp(num, out=num)
     num /= e
     return num
@@ -469,8 +476,8 @@ def relu(a):
     a = as_var(a)
     # fmax drops a NaN for 0.0, and adding 0.0 turns -0.0 into +0.0: the
     # values of where(a > 0, a, 0.0) without a masked select
-    value = np.fmax(a.value, 0.0)
-    value += 0.0
+    value = np.fmax(a.value, _ZERO)
+    value += _ZERO
     out = Var(value, (a,))
     out._vjp = lambda g, need: (g * (a.value > 0.0),)  # subgradient 0 at the kink
     return out

@@ -527,32 +527,19 @@ def load_checkpoint(path, shapes: dict | None = None):
     return params, header
 
 
-def frame_windows(features):
-    """Every frame's fusion window of a (T, K, C) scene, stacked to (T*K, T, C).
-
-    Frame t sees frames 0..t, left-padded by repeating the oldest frame
-    so the fuser always runs the window length it was trained on: rows
-    t*K .. (t+1)*K hold each anchor's [f0]*(T-1-t) + [f0..ft].
-    """
-    total = features.shape[0]
-    steps = np.arange(total)
-    frame = np.maximum(steps[:, None] + steps - (total - 1), 0)  # (t, window step)
-    return features[frame].transpose(0, 2, 1, 3).reshape(-1, total, features.shape[2])
-
-
 def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusion: bool):
     """Decoded lane predictions for every frame of a scene.
 
-    With fusion, one ``fuse_all_anchors`` call runs the stacked
-    ``frame_windows`` of all frames: anchors are independent rows, and
-    on the recorded OpenBLAS the gate products give the same bits per
-    row at any row count.  The heads run once per frame on that frame's
-    K rows, because their products were measured not to.  Anchors whose
-    class output is background or that claim no visible station (none
-    at or above VISIBILITY_THRESHOLD) yield no lane; the rest decode as
-    x = base_x + dx, z = base_z + dz, visibility = sigmoid(logit), and
-    category = argmax of the class logits.  A scene whose (K, C)
-    differs from the configuration's is rejected.
+    With fusion, one ``fuse_all_anchors`` call fuses every frame's
+    left-padded window: anchors are independent rows, and on the
+    recorded OpenBLAS the gate products give the same bits per row at
+    any row count from two up.  The heads run once per frame on that
+    frame's K rows, because their products were measured not to.
+    Anchors whose class output is background or that claim no visible
+    station (none at or above VISIBILITY_THRESHOLD) yield no lane; the
+    rest decode as x = base_x + dx, z = base_z + dz, visibility =
+    sigmoid(logit), and category = argmax of the class logits.  A scene
+    whose (K, C) differs from the configuration's is rejected.
     """
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)  # (T, K, C)
@@ -564,7 +551,8 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
         )
     pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
     if use_lstm_fusion:
-        feats = fuse_all_anchors(frame_windows(feats), pvars).value.reshape(feats.shape)
+        windows = fuse_all_anchors(feats.transpose(1, 0, 2), pvars, frames=len(feats))
+        feats = windows.value.reshape(feats.shape)
     per_frame = []
     for fused in feats:
         dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lane3d import autodiff as ad
+from lane3d.checks import TOLERANCE
 from lane3d.synth import SceneConfig
-from lane3d.temporal import fuse_all_anchors, lstm_step
+from lane3d.temporal import LSTM_PARAMS, fuse_all_anchors, lstm_step
 from lane3d.training import TrainConfig, init_parameters
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def _lstm(c, h, rng):
@@ -58,6 +64,20 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         fuse_all_anchors(np.zeros((1, 2, 3, 4)), params)
     assert fuse_all_anchors(np.zeros((1, 3, 4)), params).shape == (1, 4)
+    assert fuse_all_anchors(np.zeros((2, 3, 4)), params, frames=3).shape == (6, 4)
+
+
+@pytest.mark.parametrize("shape, frames, match", [
+    ((2, 0, 4), 1, r"frames = 1 outside 1\.\.T = 0"),
+    ((0, 0, 4), 1, r"frames = 1 outside 1\.\.T = 0"),
+    ((2, 3, 4), 0, r"frames = 0 outside 1\.\.T = 3"),
+    ((2, 3, 4), 4, r"frames = 4 outside 1\.\.T = 3"),
+    ((2, 1, 4), -1, r"frames = -1 outside 1\.\.T = 1"),
+])
+def test_empty_or_out_of_range_windows_rejected(shape, frames, match):
+    # a (K, 0, C) batch would otherwise fuse to relu(proj_b) for every row
+    with pytest.raises(ValueError, match=match):
+        fuse_all_anchors(np.zeros(shape), _lstm(4, 4, rng=0), frames=frames)
 
 
 def test_initialize_ranges_and_forget_bias():
@@ -169,6 +189,67 @@ def test_anchor_independence():
     assert np.allclose(a[0], b[0], atol=1e-15)
     assert np.allclose(a[2], b[2], atol=1e-15)
     assert not np.allclose(a[1], b[1])
+
+
+def _padded_window(batch, t):
+    """Frame t's window of a (K, T, C) batch: [f0]*(T-1-t) + [f0..ft]."""
+    total = batch.shape[1]
+    return batch[:, [0] * (total - 1 - t) + list(range(t + 1)), :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(total=st.integers(1, 4), data=st.data(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_shared_prefix_windows_equal_the_padded_windows(total, data, k, seed):
+    """Bit for bit from two rows up: the gate products then give the same
+    bits per row at any row count.  A one-row product goes through numpy's
+    vector-matrix (gemv) path, which sums in another order, so a single
+    anchor's separate windows agree only to rounding."""
+    frames = data.draw(st.integers(1, total), label="frames")
+    rng = np.random.default_rng(seed)
+    params = _lstm(5, 3, rng)
+    batch = rng.normal(size=(k, total, 5))
+    got = fuse_all_anchors(batch, params, frames=frames).value
+    assert got.shape == (frames * k, 5)
+    for j, t in enumerate(range(total - frames, total)):
+        want = fuse_all_anchors(_padded_window(batch, t), params).value
+        if k == 1:
+            np.testing.assert_allclose(got[j:j + 1], want, rtol=64 * EPS, atol=64 * EPS)
+        else:
+            assert got[j * k:(j + 1) * k].tobytes() == want.tobytes(), (j, t)
+
+
+@pytest.mark.parametrize("frames, rows", [(1, [1, 1, 1]), (2, [1, 2, 2]), (3, [1, 2, 3])])
+def test_each_step_runs_the_cell_on_the_distinct_windows_only(frames, rows, monkeypatch):
+    # T = 3: the padded windows [f0,f0,f0], [f0,f0,f1], [f0,f1,f2] have 1, 2
+    # and 3 distinct states after steps 0, 1 and 2
+    k, seen = 5, []
+    cell = ad.lstm_cell
+
+    def counting(x, *rest):
+        seen.append(x.shape[0])
+        return cell(x, *rest)
+
+    monkeypatch.setattr(ad, "lstm_cell", counting)
+    fuse_all_anchors(np.ones((k, 3, 4)), _lstm(4, 4, rng=0), frames=frames)
+    assert seen == [r * k for r in rows]
+
+
+def test_shared_prefix_gradients_match_fd():
+    # gradients reach the batch through the stacked frame takes and the
+    # repeated shared state, and every LSTM weight through all windows
+    rng = np.random.default_rng(41)
+    c, h = 3, 4
+    params = _lstm(c, h, rng)
+    params["lstm.proj_b"] = params["lstm.proj_b"] + 3.0  # |proj_w h| <= sqrt(H): relu open
+    params["x"] = rng.normal(size=(2, 3, c))
+    mix = rng.normal(size=(6, c))
+
+    def program(p):
+        return (fuse_all_anchors(p["x"], p, frames=3) * mix).sum()
+
+    report = ad.finite_difference_check(program, params)
+    assert set(report.per_parameter) == {"x", *LSTM_PARAMS}
+    assert report.max_relative_error < TOLERANCE, report.per_parameter
 
 
 def test_inconsistent_anchor_shapes_rejected():

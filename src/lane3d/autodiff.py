@@ -14,19 +14,20 @@ Leaves are either differentiable (``Var(value)``) or constant
 targets, masks, input features).  Five invariants keep a training tape
 cheap:
 
-- Constants are skipped.  ``backward`` first marks the nodes that some
-  differentiable leaf reaches; a VJP runs only on such a node, and it
-  is handed one flag per parent and returns ``None`` for every parent
-  no differentiable leaf reaches, without computing that gradient.
-  Nodes that no differentiable leaf reaches keep ``grad = None``.  The
-  marking happens inside ``backward`` alone, so forward-only graphs
-  (evaluation, central differences) pay nothing for it.
+- Constness is decided once, when a node is built.  Every primitive
+  hands its value, parents and VJP to ``_node``, which returns a
+  parentless constant without a VJP when no parent is differentiable,
+  so a forward-only graph (evaluation, central differences) records no
+  tape at all.  A VJP is handed one flag per parent, "not constant",
+  and returns ``None`` for every constant parent without computing that
+  gradient.  Constants keep ``grad = None``.
 - Gradients are allocated lazily.  ``backward`` gives a node a gradient
   only when one of its children sends one, and skips the VJP of a node
-  that received nothing.  Every marked node that received nothing gets
-  zeros at the end.  A node's first contribution is kept as handed over
-  (it may be a view another node shares); the second is summed into a
-  new buffer, and later ones are added into that buffer in place.
+  that received nothing.  Every non-constant node that received nothing
+  gets zeros at the end.  A node's first contribution is kept as
+  handed over (it may be a view another node shares); the second is
+  summed into a new buffer, and later ones are added into that buffer
+  in place.
 - A VJP closure must never reference its own output ``Var``; it captures
   its inputs and plain value arrays only.  Graph edges then point from
   child to parent alone, so a dropped graph is freed by reference
@@ -40,9 +41,9 @@ cheap:
 - A forward node does only forward work.  Anything that only a VJP
   reads (the relu mask, the sign under ``absolute``, the kind of a
   ``take`` index) is computed inside the VJP, and no forward builds an
-  ``np.where`` over a mask it derives from its input values.  Most nodes
-  are built by forward-only graphs (evaluation, central differences),
-  which never run a VJP.
+  ``np.where`` over a mask it derives from its input values.  Most
+  primitive calls come from forward-only graphs (evaluation, central
+  differences), whose VJPs are dropped unrun.
 """
 
 from __future__ import annotations
@@ -142,32 +143,22 @@ class Var:
     def backward(self):
         """Backpropagate from this scalar output.
 
-        Fills ``grad`` on every node of the graph that a differentiable
-        leaf reaches; leaves participating in the graph but not
-        influencing the output get zero gradients, and nodes that only
-        constants reach keep ``grad = None``.  A forward pass alone never
-        touches ``grad``.
+        Fills ``grad`` on every non-constant node of the graph; nodes
+        participating in the graph but not influencing the output get
+        zero gradients, and constants keep ``grad = None``.  A forward
+        pass alone never touches ``grad``.
         """
         if self.value.shape != ():
             raise ValueError("backward() requires a scalar output")
         order = _topological_order(self)
-        # needs[id(node)], for each node some differentiable leaf reaches:
-        # one flag per parent, "some differentiable leaf reaches it"
-        needs = {}
         for node in order:
             node.grad = None
-            if node._parents:
-                need = tuple([id(p) in needs for p in node._parents])
-                if True in need:
-                    needs[id(node)] = need
-            elif not node.constant:
-                needs[id(node)] = ()
         self.grad = np.ones_like(self.value)
         owned = set()  # nodes whose grad buffer backward allocated itself
         for node in reversed(order):
-            need = needs.get(id(node))
-            if not need or node._vjp is None or node.grad is None:
+            if node._vjp is None or node.grad is None:
                 continue
+            need = tuple([not p.constant for p in node._parents])
             for parent, g in zip(node._parents, node._vjp(node.grad, need)):
                 if g is None:
                     continue
@@ -179,7 +170,7 @@ class Var:
                     parent.grad = parent.grad + g
                     owned.add(id(parent))
         for node in order:
-            if node.grad is None and id(node) in needs:
+            if node.grad is None and not node.constant:
                 node.grad = np.zeros_like(node.value)
 
 
@@ -203,7 +194,7 @@ def _topological_order(root):
 
 
 class _Constant(Var):
-    """A leaf whose gradient nobody reads; ``backward`` skips it."""
+    """A parentless node whose gradient nobody reads; ``backward`` skips it."""
 
     __slots__ = ()
     constant = True
@@ -214,6 +205,15 @@ def as_var(x):
     if isinstance(x, Var):
         return x
     return _Constant(x)
+
+
+def _node(value, parents, vjp):
+    """The one place constness is decided: a node none of whose parents is
+    differentiable is a constant, and its VJP is dropped unrecorded."""
+    for parent in parents:
+        if not parent.constant:
+            return Var(value, parents, vjp)
+    return _Constant(value)
 
 
 def _sum_to_shape(g, shape):
@@ -228,39 +228,31 @@ def _sum_to_shape(g, shape):
 
 def add(a, b):
     a, b = as_var(a), as_var(b)
-    out = Var(a.value + b.value, (a, b))
-    out._vjp = lambda g, need: (
+    return _node(a.value + b.value, (a, b), lambda g, need: (
         _sum_to_shape(g, a.shape) if need[0] else None,
         _sum_to_shape(g, b.shape) if need[1] else None,
-    )
-    return out
+    ))
 
 
 def subtract(a, b):
     a, b = as_var(a), as_var(b)
-    out = Var(a.value - b.value, (a, b))
-    out._vjp = lambda g, need: (
+    return _node(a.value - b.value, (a, b), lambda g, need: (
         _sum_to_shape(g, a.shape) if need[0] else None,
         _sum_to_shape(-g, b.shape) if need[1] else None,
-    )
-    return out
+    ))
 
 
 def negative(a):
     a = as_var(a)
-    out = Var(-a.value, (a,))
-    out._vjp = lambda g, need: (-g,)
-    return out
+    return _node(-a.value, (a,), lambda g, need: (-g,))
 
 
 def multiply(a, b):
     a, b = as_var(a), as_var(b)
-    out = Var(a.value * b.value, (a, b))
-    out._vjp = lambda g, need: (
+    return _node(a.value * b.value, (a, b), lambda g, need: (
         _sum_to_shape(g * b.value, a.shape) if need[0] else None,
         _sum_to_shape(g * a.value, b.shape) if need[1] else None,
-    )
-    return out
+    ))
 
 
 def divide(a, b):
@@ -269,17 +261,14 @@ def divide(a, b):
         raise ValueError("divide: zero denominator")
     inv = 1.0 / b.value
     value = a.value * inv
-    out = Var(value, (a, b))
-    out._vjp = lambda g, need: (
+    return _node(value, (a, b), lambda g, need: (
         _sum_to_shape(g * inv, a.shape) if need[0] else None,
         _sum_to_shape(-g * value * inv, b.shape) if need[1] else None,
-    )
-    return out
+    ))
 
 
 def matmul(a, b):
     a, b = as_var(a), as_var(b)
-    out = Var(a.value @ b.value, (a, b))
 
     def vjp(g, need):
         av, bv = a.value, b.value
@@ -292,22 +281,17 @@ def matmul(a, b):
         # vector dot product
         return (g * bv if need[0] else None, g * av if need[1] else None)
 
-    out._vjp = vjp
-    return out
+    return _node(a.value @ b.value, (a, b), vjp)
 
 
 def transpose(a):
     a = as_var(a)
-    out = Var(a.value.T, (a,))
-    out._vjp = lambda g, need: (g.T,)
-    return out
+    return _node(a.value.T, (a,), lambda g, need: (g.T,))
 
 
 def reshape(a, shape):
     a = as_var(a)
-    out = Var(a.value.reshape(shape), (a,))
-    out._vjp = lambda g, need: (g.reshape(a.shape),)
-    return out
+    return _node(a.value.reshape(shape), (a,), lambda g, need: (g.reshape(a.shape),))
 
 
 def _is_basic_index(index):
@@ -321,7 +305,6 @@ def _is_basic_index(index):
 def take(a, index):
     """Select entries with a constant index expression (slice/int/array)."""
     a = as_var(a)
-    out = Var(a.value[index], (a,))
 
     def vjp(g, need):
         ga = np.zeros_like(a.value)
@@ -331,17 +314,15 @@ def take(a, index):
             np.add.at(ga, index, g)
         return (ga,)
 
-    out._vjp = vjp
-    return out
+    return _node(a.value[index], (a,), vjp)
 
 
 def stack(vars_, axis=0):
     vars_ = [as_var(v) for v in vars_]
-    out = Var(np.stack([v.value for v in vars_], axis=axis), tuple(vars_))
-    out._vjp = lambda g, need: tuple(
+    value = np.stack([v.value for v in vars_], axis=axis)
+    return _node(value, tuple(vars_), lambda g, need: tuple(
         np.take(g, i, axis=axis) if n else None for i, n in enumerate(need)
-    )
-    return out
+    ))
 
 
 def power(a, exponent):
@@ -355,7 +336,6 @@ def power(a, exponent):
     p = float(exponent)
     if p != int(p) and np.any(a.value < 0.0):
         raise ValueError("power: negative base with non-integer exponent")
-    out = Var(a.value ** p, (a,))
 
     def vjp(g, need):
         if p == 0.0:
@@ -365,32 +345,25 @@ def power(a, exponent):
         coeff = np.where(np.isfinite(coeff), coeff, 0.0)
         return (_sum_to_shape(g * coeff, a.shape),)
 
-    out._vjp = vjp
-    return out
+    return _node(a.value ** p, (a,), vjp)
 
 
 def square(a):
     a = as_var(a)
-    out = Var(a.value * a.value, (a,))
-    out._vjp = lambda g, need: (g * 2.0 * a.value,)
-    return out
+    return _node(a.value * a.value, (a,), lambda g, need: (g * 2.0 * a.value,))
 
 
 def log(a):
     a = as_var(a)
     if np.any(a.value <= 0.0):
         raise ValueError("log: non-positive argument")
-    out = Var(np.log(a.value), (a,))
-    out._vjp = lambda g, need: (g / a.value,)
-    return out
+    return _node(np.log(a.value), (a,), lambda g, need: (g / a.value,))
 
 
 def exp(a):
     a = as_var(a)
     value = np.exp(a.value)
-    out = Var(value, (a,))
-    out._vjp = lambda g, need: (g * value,)
-    return out
+    return _node(value, (a,), lambda g, need: (g * value,))
 
 
 def sigmoid_values(v):
@@ -414,9 +387,7 @@ def sigmoid_values(v):
 def sigmoid(a):
     a = as_var(a)
     value = sigmoid_values(a.value)
-    out = Var(value, (a,))
-    out._vjp = lambda g, need: (g * value * (1.0 - value),)
-    return out
+    return _node(value, (a,), lambda g, need: (g * value * (1.0 - value),))
 
 
 def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
@@ -445,7 +416,6 @@ def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
     c += i * g
     tanh_c = np.tanh(c)
     np.multiply(o, tanh_c, out=hc[:, :hidden])
-    out = Var(hc, parents)
 
     def vjp(grad, need):
         dh, dc = grad[:, :hidden], grad[:, hidden:]
@@ -468,8 +438,7 @@ def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
             h_prev.value.T @ dz if need[5] else None,
         )
 
-    out._vjp = vjp
-    return out
+    return _node(hc, parents, vjp)
 
 
 def relu(a):
@@ -478,30 +447,25 @@ def relu(a):
     # values of where(a > 0, a, 0.0) without a masked select
     value = np.fmax(a.value, _ZERO)
     value += _ZERO
-    out = Var(value, (a,))
-    out._vjp = lambda g, need: (g * (a.value > 0.0),)  # subgradient 0 at the kink
-    return out
+    # subgradient 0 at the kink
+    return _node(value, (a,), lambda g, need: (g * (a.value > 0.0),))
 
 
 def absolute(a):
     a = as_var(a)
-    out = Var(np.abs(a.value), (a,))
     # sign(0) == 0: subgradient 0 at the kink
-    out._vjp = lambda g, need: (g * np.sign(a.value),)
-    return out
+    return _node(np.abs(a.value), (a,), lambda g, need: (g * np.sign(a.value),))
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     a = as_var(a)
-    out = Var(a.value.sum(axis=axis, keepdims=keepdims), (a,))
 
     def vjp(g, need):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    out._vjp = vjp
-    return out
+    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
@@ -518,7 +482,7 @@ def reduce_min(a, axis=None):
     a = as_var(a)
     if axis is None:
         flat_idx = int(np.argmin(a.value))
-        out = Var(a.value.reshape(-1)[flat_idx], (a,))
+        value = a.value.reshape(-1)[flat_idx]
 
         def vjp(g, need):
             ga = np.zeros_like(a.value)
@@ -527,27 +491,24 @@ def reduce_min(a, axis=None):
 
     else:
         idx = np.expand_dims(np.argmin(a.value, axis=axis), axis)
-        out = Var(np.take_along_axis(a.value, idx, axis=axis).squeeze(axis), (a,))
+        value = np.take_along_axis(a.value, idx, axis=axis).squeeze(axis)
 
         def vjp(g, need):
             ga = np.zeros_like(a.value)
             np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
             return (ga,)
 
-    out._vjp = vjp
-    return out
+    return _node(value, (a,), vjp)
 
 
 def where(condition, a, b):
     """Select elementwise by a constant boolean mask."""
     cond = np.asarray(condition, dtype=bool)
     a, b = as_var(a), as_var(b)
-    out = Var(np.where(cond, a.value, b.value), (a, b))
-    out._vjp = lambda g, need: (
+    return _node(np.where(cond, a.value, b.value), (a, b), lambda g, need: (
         _sum_to_shape(np.where(cond, g, 0.0), a.shape) if need[0] else None,
         _sum_to_shape(np.where(cond, 0.0, g), b.shape) if need[1] else None,
-    )
-    return out
+    ))
 
 
 @dataclass(frozen=True)
@@ -577,7 +538,7 @@ def central_difference(fn, params, name, index, step):
         # into a leaf's value, so the other leaves wrap the caller's arrays
         shifted = np.array(params[name], dtype=np.float64)
         shifted[index] += offset
-        out = fn({k: Var(shifted if k == name else v) for k, v in params.items()})
+        out = fn({k: as_var(shifted if k == name else v) for k, v in params.items()})
         return float(out.value)
 
     return (evaluate(step) - evaluate(-step)) / (2.0 * step)

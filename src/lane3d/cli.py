@@ -18,6 +18,7 @@ import contextlib
 import json
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,17 @@ def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
         fh.write("\n")
 
 
+# np.load on a damaged file: a cut header reaches numpy's tokenizer, a
+# header claiming a huge shape its allocator
+_NPY_ERRORS = (ValueError, EOFError, SyntaxError, tokenize.TokenError, MemoryError)
+
+
 def _read_features(path) -> np.ndarray:
     """The finite (T, K, C) little-endian float64 array of a features file."""
     with open(path, "rb") as fh:
         try:
             features = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
+        except _NPY_ERRORS as exc:
             raise ValueError(f"features {path}: unreadable array ({exc})") from None
         if fh.read(1):
             raise ValueError(f"features {path}: trailing bytes after the array")
@@ -160,7 +166,7 @@ def read_scene_dir(dirpath) -> SceneSequence:
         raise ValueError(f"scene {scene_path}: ego_motion: missing")
     try:
         ego_motion = np.asarray(doc["ego_motion"], dtype=np.float64)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ValueError(f"scene {scene_path}: ego_motion: not a table of numbers") from None
     if ego_motion.shape != (num_frames, 2):
         raise ValueError(

@@ -183,7 +183,7 @@ def load_run_configuration(path) -> RunConfiguration:
     with open(path) as fh:
         try:
             document = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"configuration file {path}: invalid JSON ({exc})") from None
     try:
         return from_dict(RunConfiguration, document)

@@ -37,6 +37,8 @@ class Lane3D:
                 object.__setattr__(self, name, np.asarray(value, dtype=np.float64))
         stations, visibility = self.stations, self.visibility
         n = stations.shape[0]
+        if n == 0:
+            raise ValueError("Lane3D: stations must hold at least one station")
         if self.x.shape != (n,) or self.z.shape != (n,) or visibility.shape != (n,):
             raise ValueError("Lane3D: stations, x, z, visibility must share one length")
         if n >= 2 and not (stations[..., 1:] > stations[..., :-1]).all():
@@ -76,7 +78,10 @@ class Lane3D:
                 type(v) is float or type(v) is int for v in values
             ):
                 raise ValueError(f"{where}: {name}: expected a list of numbers")
-            arrays[name] = np.array(values, dtype=np.float64)
+            try:
+                arrays[name] = np.array(values, dtype=np.float64)
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"{where}: {name}: non-finite values") from None
             if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"{where}: {name}: non-finite values")
         category = d["category"]
@@ -219,7 +224,7 @@ def read_lane_file(path):
     with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"lane file {path}: invalid JSON ({exc})") from None
     entries = document.get("lanes") if isinstance(document, dict) else document
     if not isinstance(entries, list):

@@ -487,7 +487,7 @@ def load_checkpoint(path, shapes: dict | None = None):
         file_size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"checkpoint {path}: header: not a JSON line ({exc})") from None
         if not isinstance(header, dict) or "manifest" not in header:
             raise ValueError(f"checkpoint {path}: header: missing field 'manifest'")
@@ -516,7 +516,11 @@ def load_checkpoint(path, shapes: dict | None = None):
                     f"needs {size} bytes and {left} are left"
                 )
             data = fh.read(size)
-            params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+            try:  # numpy bounds the rank and the extent of an empty shape
+                params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+            except ValueError as exc:
+                raise ValueError(
+                    f"checkpoint {path}: {name}: shape {tuple(shape)} ({exc})") from None
             if not np.all(np.isfinite(params[name])):
                 raise ValueError(f"checkpoint {path}: {name}: non-finite parameter values")
         trailing = file_size - fh.tell()
@@ -539,7 +543,8 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
     station (none at or above VISIBILITY_THRESHOLD) yield no lane; the
     rest decode as x = base_x + dx, z = base_z + dz, visibility =
     sigmoid(logit), and category = argmax of the class logits.  A scene
-    whose (K, C) differs from the configuration's is rejected.
+    whose (K, C) differs from the configuration's is rejected.  The
+    parameters go in as plain arrays, so the pass records no tape.
     """
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)  # (T, K, C)
@@ -549,13 +554,12 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
             f"predict_frames: scene features (K, C) = {feats.shape[1:]} differ from "
             f"{expected} of the configuration"
         )
-    pvars = {name: ad.Var(params[name]) for name in PARAM_ORDER}
     if use_lstm_fusion:
-        windows = fuse_all_anchors(feats.transpose(1, 0, 2), pvars, frames=len(feats))
+        windows = fuse_all_anchors(feats.transpose(1, 0, 2), params, frames=len(feats))
         feats = windows.value.reshape(feats.shape)
     per_frame = []
     for fused in feats:
-        dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
+        dx, dz, vis_logits, cls_logits = head_forward(fused, params)
         category = np.argmax(cls_logits.value, axis=1)
         visibility = ad.sigmoid_values(vis_logits.value)
         keep = (category != BACKGROUND_CLASS) & np.any(visibility >= VISIBILITY_THRESHOLD, axis=1)

@@ -121,6 +121,44 @@ def test_backward_of_a_constant_only_graph_touches_nothing():
     assert calls == [] and k.grad is None
 
 
+_X = np.array([[0.5, 1.5], [2.0, 3.0]])
+# each primitive with its first parent ``a`` and constant arrays elsewhere
+PRIMITIVES = [
+    ("add", lambda a: ad.add(a, _X)),
+    ("subtract", lambda a: ad.subtract(_X, a)),
+    ("negative", ad.negative),
+    ("multiply", lambda a: ad.multiply(_X, a)),
+    ("divide", lambda a: ad.divide(_X, a)),
+    ("matmul", lambda a: ad.matmul(a, _X)),
+    ("transpose", ad.transpose),
+    ("reshape", lambda a: ad.reshape(a, (4,))),
+    ("take", lambda a: ad.take(a, (slice(None), 1))),
+    ("stack", lambda a: ad.stack([_X, a])),
+    ("power", lambda a: ad.power(a, 1.5)),
+    ("square", ad.square),
+    ("log", ad.log),
+    ("exp", ad.exp),
+    ("sigmoid", ad.sigmoid),
+    ("lstm_cell", lambda a: ad.lstm_cell(a, np.ones((2, 4)), np.zeros(4), np.ones((2, 1)),
+                                         np.ones((2, 1)), np.ones((1, 4)))),
+    ("relu", ad.relu),
+    ("absolute", ad.absolute),
+    ("reduce_sum", lambda a: ad.reduce_sum(a, axis=0)),
+    ("reduce_mean", ad.reduce_mean),
+    ("reduce_min", lambda a: ad.reduce_min(a, axis=1)),
+    ("reduce_min_all", ad.reduce_min),
+    ("where", lambda a: ad.where(_X > 1.0, _X, a)),
+]
+
+
+@pytest.mark.parametrize("name,op", PRIMITIVES, ids=[name for name, _ in PRIMITIVES])
+def test_a_node_of_constant_parents_is_built_as_a_constant(name, op):
+    out = op(_X)
+    assert out.constant and out._parents == () and out._vjp is None
+    out = op(ad.Var(_X))
+    assert not out.constant and out._vjp is not None
+
+
 @pytest.mark.parametrize(
     "index", [(slice(None), slice(1, 3)), 1, (0, slice(None, None, 2)), (slice(None), -1)],
     ids=["slices", "int", "int-and-step", "negative"],

@@ -417,6 +417,22 @@ def test_eval_predictions_equal_truth_scores_one(small_config, tmp_path, capsys)
     assert rows[-1].split(",")[6] == "1.000000"
 
 
+def test_eval_rejects_a_predicted_lane_without_stations(tmp_path, capsys):
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    pred.mkdir()
+    gt.mkdir()
+    lanes = generate_scene(3, SMALL_SCENE).frames[-1].lanes
+    write_lane_file(gt / "scene_0.lanes.json", lanes)
+    empty = {"stations": [], "x": [], "z": [], "visibility": [], "category": 1}
+    path = pred / "scene_0.lanes.json"
+    path.write_text(json.dumps({"lanes": [lanes[0].to_dict(), empty]}))
+    assert main(["eval", "--pred", str(pred), "--scenes", str(gt),
+                 "--out", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lane3d: error: lane file {path}: lane 1: ")
+    assert "stations" in err and "Traceback" not in err
+
+
 def test_eval_requires_exactly_one_source(small_config, tmp_path, capsys):
     _, path = small_config
     assert main(["eval", "--config", str(path)]) == 1

@@ -34,6 +34,7 @@ def test_lane_validation():
     (dict(stations=[0, 1], x=[0, -np.inf], z=[0, 0], visibility=[1, 1]), "x must be finite"),
     (dict(stations=[0, 1], x=[0, 0], z=[0, np.inf], visibility=[1, 1]), "z must be finite"),
     (dict(stations=[0, 1], x=[0, 0], z=[np.nan, 0], visibility=[1, 1]), "z must be finite"),
+    (dict(stations=[], x=[], z=[], visibility=[]), "stations must hold at least one"),
 ])
 def test_lane_rejections_keep_their_messages(fields, message, as_array):
     # float64 arrays skip the conversion, so both input forms run each check

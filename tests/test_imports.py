@@ -1,5 +1,5 @@
-"""Modules of lane3d import in one direction only, and the demos import
-only names that exist.
+"""Modules of lane3d import in one direction only, the demos import only
+names that exist, and only autodiff builds tape nodes.
 
 Each module sits in a tier and may import only from lower tiers:
 autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
@@ -123,4 +123,63 @@ def test_the_demo_check_sees_a_missing_name(tmp_path):
     )
     assert _unresolved_imports(probe) == [
         "probe.py:1 lane3d.nonexistent_module", "probe.py:2 lane3d.training.make_optimizer",
+    ]
+
+
+# autodiff alone decides which nodes are constant; a module that built a
+# Var with parents or set a VJP itself would bypass that one decision
+TAPE_HOOKS = {("checks", "corrupt_gradient")}  # test hooks allowed to wrap a VJP
+
+
+def _tape_writes(path):
+    """``Var(...)`` calls with parents and ``_vjp`` assignments in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and (path.stem, node.name) in TAPE_HOOKS]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Var" and (len(node.args) > 1 or node.keywords):
+                found.append((node.lineno, "builds a Var with parents"))
+            if name == "setattr" and any(
+                    isinstance(a, ast.Constant) and a.value == "_vjp" for a in node.args):
+                found.append((node.lineno, "assigns _vjp"))
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "_vjp"
+               for target in targets for sub in ast.walk(target)):
+            found.append((node.lineno, "assigns _vjp"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)
+            if not any(line in scope for scope in exempt)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "autodiff"],
+                         ids=[p.stem for p in MODULES if p.stem != "autodiff"])
+def test_only_autodiff_builds_tape_nodes(path):
+    assert not _tape_writes(path)
+
+
+def test_the_tape_scanner_sees_every_form(tmp_path):
+    probe = tmp_path / "checks.py"
+    probe.write_text(
+        "from lane3d import autodiff as ad\n"
+        "from lane3d.autodiff import Var\n"
+        "leaf = ad.Var(1.0)\n"
+        "a = ad.Var(2.0, (leaf,))\n"
+        "b = Var(2.0, _parents=(leaf,))\n"
+        "a._vjp = None\n"
+        "a._vjp, b = None, b\n"
+        "setattr(b, '_vjp', None)\n"
+        "def corrupt_gradient():\n"
+        "    a._vjp = None\n"
+    )
+    assert _tape_writes(probe) == [
+        "checks.py:4 builds a Var with parents", "checks.py:5 builds a Var with parents",
+        "checks.py:6 assigns _vjp", "checks.py:7 assigns _vjp", "checks.py:8 assigns _vjp",
     ]

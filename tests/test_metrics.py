@@ -555,6 +555,34 @@ def test_match_lanes_validation():
         match_lanes([], [], coverage_fraction=1.5)
 
 
+def _one_grid_lists(seed):
+    """Two lane lists on STATIONS; most of the second follows the first."""
+    rng = np.random.default_rng(seed)
+    first = [_random_lane(rng, STATIONS) for _ in range(rng.integers(0, 6))]
+    near = [Lane3D(stations=STATIONS, x=lane.x + rng.normal(0, 0.3, STATIONS.size), z=lane.z,
+                   visibility=_visibility(rng, STATIONS.size), category=lane.category)
+            for lane in first if rng.random() < 0.7]
+    return first, near + [_random_lane(rng, STATIONS) for _ in range(rng.integers(0, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_swapping_preds_and_gts_on_one_grid_swaps_fp_and_fn(seed):
+    # lanes on different grids are left out: a pred is interpolated onto
+    # the gt's grid, never the other way round
+    preds, gts = _one_grid_lists(seed)
+    forward, backward = match_lanes(preds, gts), match_lanes(gts, preds)
+    assert forward.tp == backward.tp
+    assert (forward.fp, forward.fn) == (backward.fn, backward.fp)
+    total = sum(d for _, _, d in forward.matches) - sum(d for _, _, d in backward.matches)
+    assert abs(total) <= 1e-9
+
+
+def test_one_grid_lists_match_often():
+    matched = sum(match_lanes(*_one_grid_lists(seed)).tp > 0 for seed in range(100))
+    assert matched >= 30
+
+
 def test_smoothness_zero_for_static_perfect_predictions():
     frames = [[_lane(0.0)], [_lane(0.0)], [_lane(0.0)]]
     motion = np.zeros((3, 2))

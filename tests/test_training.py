@@ -356,7 +356,9 @@ def test_batch_loss_tape_is_small_repeatable_and_flat_in_batch_size():
         return len(ad._topological_order(total))
 
     four = tape_nodes(scenes)
-    assert four == 176
+    # a node built from constants alone is a parentless constant, so the
+    # feature batch and Chamfer's ground truth add no leaf behind their takes
+    assert four == 174
     assert tape_nodes(scenes) == four
     assert four <= tape_nodes(scenes[:1])
 
@@ -876,6 +878,24 @@ def test_evaluate_model_calls_the_fuser_once_per_scene_and_the_heads_once_per_fr
         evaluate_model(checkpoints["trained"], scenes[:3], cfg.scene, use_lstm_fusion)
         assert calls == {"fuse_all_anchors": 3 if use_lstm_fusion else 0,
                          "head_forward": 3 * cfg.scene.num_frames}
+
+
+def test_prediction_on_plain_parameter_arrays_records_no_tape(pinned_eval, monkeypatch):
+    # the fuser and the heads get the parameter arrays themselves, so every
+    # node they build is a parentless constant and no VJP closure outlives it
+    cfg, scenes, checkpoints = pinned_eval
+    outputs = []
+    for name in ("fuse_all_anchors", "head_forward"):
+        def recording(*args, _wrapped=getattr(training_module, name), **kwargs):
+            out = _wrapped(*args, **kwargs)
+            outputs.extend(out if isinstance(out, tuple) else (out,))
+            return out
+
+        monkeypatch.setattr(training_module, name, recording)
+    predict_frames(checkpoints["trained"], scenes[0], cfg.scene, True)
+    assert len(outputs) == 1 + 4 * cfg.scene.num_frames
+    for out in outputs:
+        assert out.constant and out._parents == () and out._vjp is None
 
 
 def test_evaluate_model_reaches_the_traced_matching_names(pinned_eval, monkeypatch):

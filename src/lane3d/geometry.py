@@ -1,4 +1,4 @@
-"""3D lanes, fixed anchors, resampling, the ego-motion transform, lane files.
+"""3D lanes and lane stacks, fixed anchors, resampling, the ego-motion transform, lane files.
 
 Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
@@ -14,6 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 VISIBILITY_THRESHOLD = 0.5
+
+
+def _check_lanes(owner: str, stations, x, z, visibility, rows: tuple) -> None:
+    """Lane3D's rules on one lane (rows ()) or N lanes (rows (N,)); errors name ``owner``."""
+    shape = (*rows, stations.shape[0])
+    if stations.shape[0] == 0:
+        raise ValueError(f"{owner}: stations must hold at least one station")
+    for name, value in (("x", x), ("z", z), ("visibility", visibility)):
+        if value.shape != shape:
+            raise ValueError(f"{owner}: stations, x, z, visibility must share one length: "
+                             f"{name} has shape {value.shape}, not {shape}")
+    if not (stations[1:] > stations[:-1]).all():
+        raise ValueError(f"{owner}: stations must be strictly increasing")
+    for name, value in (("x", x), ("z", z)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{owner}: {name} must be finite")
+    # negated, so that NaN, which fails both comparisons, is rejected too
+    if not ((visibility >= 0.0).all() and (visibility <= 1.0).all()):
+        raise ValueError(f"{owner}: visibility must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -35,20 +54,7 @@ class Lane3D:
             value = getattr(self, name)
             if type(value) is not np.ndarray or value.dtype != np.float64:
                 object.__setattr__(self, name, np.asarray(value, dtype=np.float64))
-        stations, visibility = self.stations, self.visibility
-        n = stations.shape[0]
-        if n == 0:
-            raise ValueError("Lane3D: stations must hold at least one station")
-        if self.x.shape != (n,) or self.z.shape != (n,) or visibility.shape != (n,):
-            raise ValueError("Lane3D: stations, x, z, visibility must share one length")
-        if n >= 2 and not (stations[..., 1:] > stations[..., :-1]).all():
-            raise ValueError("Lane3D: stations must be strictly increasing")
-        for name in ("x", "z"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"Lane3D: {name} must be finite")
-        # negated, so that NaN, which fails both comparisons, is rejected too
-        if not ((visibility >= 0.0).all() and (visibility <= 1.0).all()):
-            raise ValueError("Lane3D: visibility must lie in [0, 1]")
+        _check_lanes("Lane3D", self.stations, self.x, self.z, self.visibility, ())
 
     def visible_mask(self) -> np.ndarray:
         return self.visibility >= VISIBILITY_THRESHOLD
@@ -91,6 +97,28 @@ class Lane3D:
             return Lane3D(category=category, **arrays)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class LaneStack:
+    """Decoded lanes on one grid, checked at once by Lane3D's rules; ``stack[a]`` is a Lane3D."""
+
+    stations: np.ndarray  # (S,)
+    x: np.ndarray  # (N, S), as are z and visibility
+    z: np.ndarray
+    visibility: np.ndarray
+    category: np.ndarray  # (N,)
+
+    def __post_init__(self):
+        _check_lanes("LaneStack", self.stations, self.x, self.z, self.visibility,
+                     self.category.shape)
+
+    def __len__(self) -> int:
+        return self.category.shape[0]
+
+    def __getitem__(self, row: int) -> Lane3D:
+        return Lane3D(stations=self.stations, x=self.x[row], z=self.z[row],
+                      visibility=self.visibility[row], category=int(self.category[row]))
 
 
 @dataclass(frozen=True)

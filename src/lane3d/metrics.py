@@ -8,8 +8,8 @@ protocol symmetric under swapping predictions with ground truth.
 Matching among admissible pairs maximizes the number of matches and
 breaks ties by minimum total mean distance.
 
-Both public functions share one array core.  A frame's lanes are
-stacked once per station count into ``(N, S)`` arrays.  The gts are
+Both public functions share one array core.  A LaneStack is one
+``(N, S)`` stack, a Lane3D list one per station count.  The gts are
 grouped by their exact station grid, and each pred stack is put on a
 grid with one ``_interp_rows`` call: a row whose stations are allclose
 to the grid is used as is, any other row is interpolated, with a mask of
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import VISIBILITY_THRESHOLD, transform_points
+from .geometry import VISIBILITY_THRESHOLD, LaneStack, transform_points
 
 # Lane matching defaults (meters / fraction of visible stations); the
 # run configuration and the trainer take theirs from here.
@@ -109,8 +109,11 @@ def _stack(lanes) -> list:
     """A frame's lanes as one (rows, stations, fields) stack per station count.
 
     rows index ``lanes`` in first-seen order; stations is (N, S) and
-    fields (3, N, S) holds x, z and visibility.
+    fields (3, N, S) holds x, z and visibility.  A LaneStack is one stack.
     """
+    if isinstance(lanes, LaneStack):
+        return [(np.arange(len(lanes)), np.broadcast_to(lanes.stations, lanes.x.shape),
+                 np.stack([lanes.x, lanes.z, lanes.visibility]))] if len(lanes) else []
     by_count = {}
     for index, lane in enumerate(lanes):
         by_count.setdefault(lane.stations.shape[0], []).append(index)
@@ -203,10 +206,11 @@ def match_lanes(
 ) -> MatchReport:
     """One-to-one lane matching with max cardinality, then min distance."""
     matches = _match(_stack(preds), _stack(gts), distance_threshold, coverage_fraction)
-    num_p, num_g = len(preds), len(gts)
     tp = len(matches)
-    correct = sum(1 for i, j, _ in matches if preds[i].category == gts[j].category)
-    return MatchReport.from_counts(tp, num_p - tp, num_g - tp, correct, matches)
+    pred_cat, gt_cat = (lanes.category if isinstance(lanes, LaneStack)
+                        else [lane.category for lane in lanes] for lanes in (preds, gts))
+    correct = sum(1 for i, j, _ in matches if pred_cat[i] == gt_cat[j])
+    return MatchReport.from_counts(tp, len(preds) - tp, len(gts) - tp, correct, matches)
 
 
 def _transported(stacks, forward: float, yaw_change: float) -> list:
@@ -269,7 +273,7 @@ def temporal_smoothness(
 ) -> float:
     """Mean |x_next(y) - x_transported(y)| over matched lanes and stations.
 
-    frame_lanes is a per-frame list of decoded lanes; ego_motion[t] is
+    frame_lanes holds each frame's LaneStack or list of Lane3D; ego_motion[t] is
     the (forward, yaw change) moving into frame t.  Frame t's lanes are
     rigidly transported into frame t+1 and matched against that frame's
     lanes; jitter averages the lateral discrepancy on stations visible on

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import VISIBILITY_THRESHOLD, Lane3D, resample_lane
+from .geometry import VISIBILITY_THRESHOLD, Lane3D, LaneStack, resample_lane
 from .heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from .losses import (
     TASK_NAMES,
@@ -532,7 +532,7 @@ def load_checkpoint(path, shapes: dict | None = None):
 
 
 def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusion: bool):
-    """Decoded lane predictions for every frame of a scene.
+    """Decoded lane predictions for every frame of a scene, one LaneStack each.
 
     With fusion, one ``fuse_all_anchors`` call fuses every frame's
     left-padded window: anchors are independent rows, and on the
@@ -563,13 +563,9 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
         category = np.argmax(cls_logits.value, axis=1)
         visibility = ad.sigmoid_values(vis_logits.value)
         keep = (category != BACKGROUND_CLASS) & np.any(visibility >= VISIBILITY_THRESHOLD, axis=1)
-        x = anchors.base_x + dx.value
-        z = anchors.base_z + dz.value
-        per_frame.append([
-            Lane3D(stations=anchors.stations, x=x[a], z=z[a], visibility=visibility[a],
-                   category=int(category[a]))
-            for a in np.flatnonzero(keep)
-        ])
+        per_frame.append(LaneStack(
+            anchors.stations, (anchors.base_x + dx.value)[keep],
+            (anchors.base_z + dz.value)[keep], visibility[keep], category[keep]))
     return per_frame
 
 
@@ -587,14 +583,11 @@ def evaluate_model(
     match across any frame pair; the aggregate jitter averages the
     finite entries.
     """
-    reports = []
-    jitters = []
+    reports, jitters = [], []
     for scene in scenes:
         per_frame = predict_frames(params, scene, scene_config, use_lstm_fusion)
-        gt = list(scene.frames[-1].lanes)
-        reports.append(
-            match_lanes(per_frame[-1], gt, distance_threshold, coverage_fraction)
-        )
+        reports.append(match_lanes(per_frame[-1], scene.frames[-1].lanes,
+                                   distance_threshold, coverage_fraction))
         jitters.append(np.nan if scene.num_frames < 2 else temporal_smoothness(
             per_frame, scene.ego_motion, distance_threshold, coverage_fraction))
     aggregate = aggregate_reports(reports)

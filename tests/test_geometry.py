@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lane3d.geometry import Lane3D, build_default_anchors, resample_lane
+from lane3d.geometry import Lane3D, LaneStack, build_default_anchors, resample_lane
 from lane3d.synth import SceneConfig
 from lane3d.training import predict_frames
 
@@ -70,6 +70,59 @@ def test_lane_roundtrip_dict():
     assert np.array_equal(again.z, lane.z)
     assert np.array_equal(again.visibility, lane.visibility)
     assert again.category == 2
+
+
+def _stack_fields(**changes):
+    """A valid two-lane, three-station stack's fields, with ``changes`` in place."""
+    fields = dict(stations=np.array([1.0, 2.0, 4.0]), x=np.zeros((2, 3)), z=np.zeros((2, 3)),
+                  visibility=np.full((2, 3), 0.5), category=np.array([1, 2]))
+    return {**fields, **changes}
+
+
+def _edited(name, index, value):
+    """``name`` of the valid stack with one entry set to ``value``."""
+    array = _stack_fields()[name].copy()
+    array[index] = value
+    return {name: array}
+
+
+@pytest.mark.parametrize("changes, message", [
+    (_edited("x", (1, 2), np.nan), "x must be finite"),
+    (_edited("x", (0, 0), -np.inf), "x must be finite"),
+    (_edited("z", (1, 0), np.inf), "z must be finite"),
+    (_edited("z", (0, 1), np.nan), "z must be finite"),
+    (_edited("visibility", (0, 2), 1.5), r"visibility must lie in \[0, 1\]"),
+    (_edited("visibility", (1, 1), -0.1), r"visibility must lie in \[0, 1\]"),
+    (_edited("visibility", (1, 0), np.nan), r"visibility must lie in \[0, 1\]"),
+    (_edited("visibility", (0, 0), -np.nan), r"visibility must lie in \[0, 1\]"),
+    (_edited("stations", 2, 2.0), "stations must be strictly increasing"),
+    (dict(stations=np.array([1.0, 2.0])), r"x has shape \(2, 3\), not \(2, 2\)"),
+    (dict(stations=np.arange(4.0)), r"x has shape \(2, 3\), not \(2, 4\)"),
+    (dict(z=np.zeros((2, 4))), r"z has shape \(2, 4\), not \(2, 3\)"),
+    (dict(visibility=np.ones(3)), r"visibility has shape \(3,\), not \(2, 3\)"),
+    (dict(category=np.array([1, 2, 3])), r"x has shape \(2, 3\), not \(3, 3\)"),
+    (dict(category=np.array([[1, 2]])), r"x has shape \(2, 3\), not \(1, 2, 3\)"),
+    (dict(stations=np.zeros(0), x=np.zeros((2, 0)), z=np.zeros((2, 0)),
+          visibility=np.zeros((2, 0))), "stations must hold at least one"),
+])
+def test_lane_stack_rejects_what_a_lane_rejects(changes, message):
+    with pytest.raises(ValueError, match=f"^LaneStack: .*{message}"):
+        LaneStack(**_stack_fields(**changes))
+
+
+def test_lane_stack_rows_are_its_lanes():
+    fields = _stack_fields(**_edited("x", (1, 2), 3.5))
+    stack = LaneStack(**fields)
+    assert len(stack) == 2
+    for a, lane in enumerate(stack):
+        assert isinstance(lane, Lane3D) and type(lane.category) is int
+        assert lane.category == fields["category"][a]
+        for name in ("x", "z", "visibility"):
+            assert getattr(lane, name).tobytes() == fields[name][a].tobytes()
+        assert lane.stations is fields["stations"]
+    empty = LaneStack(**_stack_fields(**{name: fields[name][:0]
+                                         for name in ("x", "z", "visibility", "category")}))
+    assert len(empty) == 0 and list(empty) == []
 
 
 def test_three_anchor_layout():

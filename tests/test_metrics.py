@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import lane3d.metrics as metrics_module
-from lane3d.geometry import Lane3D, resample_lane, transform_points
+from lane3d.geometry import Lane3D, LaneStack, resample_lane, transform_points
 from lane3d.metrics import (
     MatchReport,
     _interp_rows,
@@ -546,6 +546,127 @@ def test_smoothness_oracle_cases_cover_every_kind_of_frame():
         seen["one station"] += any(lane.stations.shape[0] == 1 for lanes in scene[0] for lane in lanes)
     kinds = ("finite", "nan", "empty", "one station", "folded", "mixed")
     assert all(seen[kind] >= 10 for kind in kinds), seen
+
+
+# --- a frame's lanes as one LaneStack score as the list of its rows
+
+
+def _as_stack(lanes, stations):
+    """``lanes``, all on ``stations``, as one LaneStack."""
+    shape = (len(lanes), stations.size)
+    x, z, visibility = (np.array([getattr(lane, name) for lane in lanes]).reshape(shape)
+                        for name in ("x", "z", "visibility"))
+    return LaneStack(stations, x, z, visibility,
+                     np.array([lane.category for lane in lanes], dtype=np.intp))
+
+
+def _stack_case(rng, count, frames):
+    """(per-frame stacks on one grid, ego motion, the last frame's gts).
+
+    The lanes follow the ego roughly, some drop out and new ones appear;
+    the gts lie near the last frame's lanes on the stack's grid, on other
+    grids, or moved by the ego motion, plus unrelated lanes.
+    """
+    grid = GRIDS[rng.choice([0, 2, 5])]
+    motion = [(0.0, 0.0)] + [(rng.uniform(0.0, 2.0), rng.choice(YAWS[:3]))
+                             for _ in range(frames - 1)]
+    lanes, stacks = [_random_lane(rng, grid) for _ in range(count)], []
+    for t in range(frames):
+        if t:
+            lanes = [Lane3D(stations=grid, x=lane.x + rng.normal(0, 0.2, grid.size), z=lane.z,
+                            visibility=_visibility(rng, grid.size), category=lane.category)
+                     for lane in lanes if rng.random() < 0.9]
+            lanes += [_random_lane(rng, grid) for _ in range(rng.integers(0, 2))]
+        stacks.append(_as_stack(lanes, grid))
+    gts = [_near(rng, lane) for lane in lanes if rng.random() < 0.8]
+    gts += [_random_lane(rng, GRIDS[rng.integers(len(GRIDS))]) for _ in range(rng.integers(0, 3))]
+    return stacks, np.array(motion), gts
+
+
+def _rows(stack):
+    return [stack[a] for a in range(len(stack))]
+
+
+@st.composite
+def _stack_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _stack_case(rng, draw(st.integers(0, 6)), draw(st.integers(2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_stack_cases())
+def test_a_stack_scores_as_the_list_of_its_rows_bit_for_bit(case):
+    stacks, motion, gts = case
+    lists = [_rows(stack) for stack in stacks]
+    # repr spells every float exactly, so equal reprs are equal bits
+    assert repr(match_lanes(stacks[-1], gts)) == repr(match_lanes(lists[-1], gts))
+    assert repr(match_lanes(gts, stacks[-1])) == repr(match_lanes(gts, lists[-1]))
+    got, want = temporal_smoothness(stacks, motion), temporal_smoothness(lists, motion)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()  # NaN included
+
+
+def test_stack_cases_cover_empty_and_single_stacks_and_both_kinds_of_gt():
+    seen = Counter()
+    for seed in range(200):
+        rng = np.random.default_rng(9000 + seed)
+        stacks, motion, gts = _stack_case(rng, int(rng.integers(0, 7)), int(rng.integers(2, 4)))
+        seen.update(f"N={len(stack)}" for stack in stacks if len(stack) < 2)
+        for _, j, _ in match_lanes(stacks[-1], gts).matches:
+            on_grid = gts[j].stations.tobytes() == stacks[-1].stations.tobytes()
+            seen["on-grid match" if on_grid else "off-grid match"] += 1
+        seen["finite jitter"] += bool(np.isfinite(temporal_smoothness(stacks, motion)))
+    kinds = ("N=0", "N=1", "on-grid match", "off-grid match", "finite jitter")
+    assert all(seen[kind] >= 20 for kind in kinds), seen
+
+
+def test_an_empty_stack_is_no_stack():
+    stack = _as_stack([], STATIONS)
+    assert _stack(stack) == []
+    assert match_lanes(stack, [_lane(0.0)]) == MatchReport.from_counts(0, 0, 1, 0)
+
+
+# --- the ego-motion transport
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * 3),
+                       max_size=8),
+       forward=st.floats(-100.0, 100.0, allow_subnormal=False),
+       yaw=st.floats(-np.pi, np.pi, allow_subnormal=False))
+def test_transport_round_trip_recovers_the_points(points, forward, yaw):
+    # the inverse of p' = R(-yaw) (p - (0, f, 0)) is p = R(yaw) p' + (0, f, 0)
+    points = np.array(points, dtype=np.float64).reshape(-1, 3)
+    moved = transform_points(points, forward, yaw)
+    cos, sin = np.cos(yaw), np.sin(yaw)
+    back = np.stack([cos * moved[:, 0] - sin * moved[:, 1],
+                     sin * moved[:, 0] + cos * moved[:, 1] + forward, moved[:, 2]], axis=1)
+    assert moved.shape == points.shape and np.array_equal(moved[:, 2], points[:, 2])
+    scale = np.abs(points).max(axis=1, initial=0.0) + abs(forward)
+    assert (np.abs(back - points).max(axis=1, initial=0.0) <= 1e-9 * scale).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), forward=st.floats(-10.0, 10.0),
+       yaw=st.floats(-np.pi, np.pi), as_stack=st.booleans())
+def test_transport_drops_exactly_the_lanes_whose_stations_stop_increasing(
+        seed, forward, yaw, as_stack):
+    rng = np.random.default_rng(seed)
+    grid = GRIDS[rng.integers(len(GRIDS))]
+    lanes = [Lane3D(stations=grid, x=rng.uniform(-5, 5) * grid + rng.normal(0, 0.5, grid.size),
+                    z=rng.normal(0, 0.2, grid.size), visibility=_visibility(rng, grid.size),
+                    category=1) if as_stack or rng.random() < 0.5
+             else _random_lane(rng, GRIDS[rng.integers(len(GRIDS))])
+             for _ in range(rng.integers(0, 6))]
+    moved = _transported(_stack(_as_stack(lanes, grid) if as_stack else lanes), forward, yaw)
+    rows = {}
+    for numbers, stations, (x, z, visibility) in moved:
+        rows.update((row, (stations[k], x[k], z[k])) for k, row in enumerate(numbers.tolist()))
+    points = [transform_points(lane.points(), forward, yaw) for lane in lanes]
+    kept = [pts for pts in points if (np.diff(pts[:, 1]) > 0).all()]
+    assert sorted(rows) == list(range(len(kept)))  # renumbered in frame order
+    for row, pts in enumerate(kept):
+        assert [a.tobytes() for a in rows[row]] == [
+            np.ascontiguousarray(pts[:, k]).tobytes() for k in (1, 0, 2)]
 
 
 def test_match_lanes_validation():

@@ -13,7 +13,7 @@ import lane3d.metrics as metrics_module
 import lane3d.training as training_module
 from lane3d.checks import KINK_MARGIN, STEP, TOLERANCE, corrupt_gradient
 from lane3d.config import RunConfiguration, from_dict, to_dict
-from lane3d.geometry import VISIBILITY_THRESHOLD, Lane3D
+from lane3d.geometry import VISIBILITY_THRESHOLD, Lane3D, LaneStack
 from lane3d.heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from lane3d.losses import (
     TASK_NAMES,
@@ -859,6 +859,39 @@ def test_predict_frames_is_bitwise_the_per_window_oracle(pinned_eval, checkpoint
     assert _report_key(aggregate) == _report_key(want_aggregate)
     assert np.array(jitters).tobytes() == np.array(want_jitters).tobytes()
     assert np.float64(jitter).tobytes() == np.float64(want_jitter).tobytes()
+
+
+@pytest.mark.parametrize("use_lstm_fusion", [True, False])
+def test_predict_frames_returns_one_lane_stack_per_frame(pinned_eval, use_lstm_fusion):
+    cfg, scenes, checkpoints = pinned_eval
+    stations = cfg.scene.anchors().stations
+    for params in checkpoints.values():
+        frames = predict_frames(params, scenes[0], cfg.scene, use_lstm_fusion)
+        assert len(frames) == cfg.scene.num_frames
+        for frame in frames:
+            assert type(frame) is LaneStack
+            assert frame.stations.tobytes() == stations.tobytes()
+            assert frame.x.shape == (len(frame), stations.size)
+
+
+def test_evaluate_model_builds_no_lane_for_a_prediction(pinned_eval, monkeypatch):
+    cfg, scenes, checkpoints = pinned_eval
+    built = []
+    real = Lane3D.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Lane3D, "__post_init__", counting)
+    decoded = matched = 0
+    for params, use_lstm_fusion in itertools.product(checkpoints.values(), (True, False)):
+        _, _, aggregate, _ = evaluate_model(params, scenes, cfg.scene, use_lstm_fusion)
+        decoded, matched = decoded + aggregate.tp + aggregate.fp, matched + aggregate.tp
+    assert decoded > 0 and matched > 0
+    assert built == []
+    predict_frames(checkpoints["dense"], scenes[0], cfg.scene, True)[-1][0]
+    assert len(built) == 1  # the counter sees the one lane indexing builds
 
 
 def test_evaluate_model_calls_the_fuser_once_per_scene_and_the_heads_once_per_frame(

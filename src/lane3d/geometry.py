@@ -18,6 +18,8 @@ VISIBILITY_THRESHOLD = 0.5
 
 def _check_lanes(owner: str, stations, x, z, visibility, rows: tuple) -> None:
     """Lane3D's rules on one lane (rows ()) or N lanes (rows (N,)); errors name ``owner``."""
+    if stations.ndim != 1:
+        raise ValueError(f"{owner}: stations must be one-dimensional, not of shape {stations.shape}")
     shape = (*rows, stations.shape[0])
     if stations.shape[0] == 0:
         raise ValueError(f"{owner}: stations must hold at least one station")
@@ -123,7 +125,7 @@ class LaneStack:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Fixed straight anchors sharing one station list.
+    """Fixed straight anchors sharing one station list, as ``build_default_anchors`` checks them.
 
     base_x is (K, S): constant along stations for each anchor; base_z is
     (K, S) and zero for the default ground-plane layout.
@@ -132,21 +134,6 @@ class AnchorSet:
     stations: np.ndarray
     base_x: np.ndarray
     base_z: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stations", np.asarray(self.stations, dtype=np.float64))
-        object.__setattr__(self, "base_x", np.asarray(self.base_x, dtype=np.float64))
-        object.__setattr__(self, "base_z", np.asarray(self.base_z, dtype=np.float64))
-        if self.base_x.ndim != 2 or self.base_x.shape != self.base_z.shape:
-            raise ValueError("AnchorSet: base_x and base_z must be (K, S) and equal shape")
-        if self.base_x.shape[1] != self.stations.shape[0]:
-            raise ValueError("AnchorSet: base geometry must match station count")
-        if self.base_x.shape[0] < 1:
-            raise ValueError("AnchorSet: need K >= 1 anchors")
-        if not np.all(np.isfinite(self.base_x)) or not np.all(np.isfinite(self.base_z)):
-            raise ValueError("AnchorSet: base geometry must be finite")
-        if self.stations.shape[0] >= 2 and not np.all(np.diff(self.stations) > 0):
-            raise ValueError("AnchorSet: stations must be strictly increasing")
 
     @property
     def num_anchors(self) -> int:
@@ -168,8 +155,8 @@ def build_default_anchors(
     if num_anchors < 1:
         raise ValueError("build_default_anchors: need at least one anchor")
     lo, hi = float(lateral_span[0]), float(lateral_span[1])
-    if not hi > lo:
-        raise ValueError("build_default_anchors: lateral span must be increasing")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("build_default_anchors: lateral span must be finite and increasing")
     stations = np.asarray(stations, dtype=np.float64)
     if stations.ndim != 1 or stations.shape[0] < 1:
         raise ValueError("build_default_anchors: stations must be a non-empty 1-d list")

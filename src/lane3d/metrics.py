@@ -9,20 +9,20 @@ Matching among admissible pairs maximizes the number of matches and
 breaks ties by minimum total mean distance.
 
 Both public functions share one array core.  A LaneStack is one
-``(N, S)`` stack, a Lane3D list one per station count.  The gts are
-grouped by their exact station grid, and each pred stack is put on a
-grid with one ``_interp_rows`` call: a row whose stations are allclose
-to the grid is used as is, any other row is interpolated, with a mask of
-the grid stations inside its own range.  The (N, G, S) distances and
+``(N, S)`` stack, a Lane3D list (``match_lanes`` only) one per station
+count.  The gts are grouped by their exact station grid, and each pred
+stack is put on a grid with one ``_interp_rows`` call: a row whose
+stations are allclose to the grid is used as is, any other row is
+interpolated, with a mask of the grid stations inside its own range.  The (N, G, S) distances and
 visibility masks are broadcast, and every admissible pair's mean
 distance is taken over its compacted both-visible stations, one
 ``(m, n)`` array per count n of such stations.  This is exact, not an
 approximation of a per-pair test: ``_interp_rows`` gives ``np.interp``'s
 bits target by target, the distances are elementwise, the station
 counts are integer sums, and a row's ``.mean(axis=1)`` equals the 1-D
-``.mean()`` of that row.  ``temporal_smoothness`` moves each stack with
-one ``transform_points`` call and takes every matched pair's gaps at
-once, concatenated in match order.
+``.mean()`` of that row.  ``temporal_smoothness`` takes one LaneStack
+per frame, moves it with one ``transform_points`` call and takes every
+matched pair's gaps at once, in match order.
 """
 
 from __future__ import annotations
@@ -213,56 +213,32 @@ def match_lanes(
     return MatchReport.from_counts(tp, len(preds) - tp, len(gts) - tp, correct, matches)
 
 
-def _transported(stacks, forward: float, yaw_change: float) -> list:
-    """A frame's stacks moved into the next ego frame, one transform per stack.
+def _transported(stack, forward: float, yaw_change: float):
+    """A frame's stack moved into the next ego frame with one transform.
 
     A row whose moved stations stop increasing (folded by the yaw) is
-    dropped, and the kept rows are numbered again in frame order.
+    dropped, and the kept rows are numbered 0, 1, ... in frame order.
     """
-    moved = []
-    for rows, stations, (x, z, visibility) in stacks:
-        points = np.stack([x, stations, z], axis=2)  # (N, S, 3)
-        x, stations, z = transform_points(
-            points.reshape(-1, 3), forward, yaw_change).reshape(points.shape).transpose(2, 0, 1)
-        keep = (stations[:, 1:] > stations[:, :-1]).all(axis=1)
-        if keep.any():
-            moved.append((rows[keep], stations[keep],
-                          np.stack([x[keep], z[keep], visibility[keep]])))
-    if not moved:
-        return []
-    kept = np.sort(np.concatenate([rows for rows, _, _ in moved]))
-    return [(np.searchsorted(kept, rows), stations, fields) for rows, stations, fields in moved]
-
-
-def _positions(stacks, lanes):
-    """(stack, row within that stack) of each of ``lanes``, rows as ``_stack`` numbers them."""
-    stack_of, row_in = np.empty((2, _size(stacks)), dtype=np.intp)
-    for k, (rows, _, _) in enumerate(stacks):
-        stack_of[rows], row_in[rows] = k, np.arange(rows.size)
-    return stack_of[lanes], row_in[lanes]
+    _, stations, (x, z, visibility) = stack
+    points = np.stack([x, stations, z], axis=2)  # (N, S, 3)
+    x, stations, z = transform_points(
+        points.reshape(-1, 3), forward, yaw_change).reshape(points.shape).transpose(2, 0, 1)
+    keep = (stations[:, 1:] > stations[:, :-1]).all(axis=1)
+    return (np.arange(np.count_nonzero(keep)), stations[keep],
+            np.stack([x[keep], z[keep], visibility[keep]]))
 
 
 def _gaps(prev, cur, matches) -> np.ndarray:
-    """|x_cur(y) - x_prev(y)| of every match between two ``_stack`` lists,
-    at the prev stations inside the cur lane's range and visible on both
-    sides, concatenated in ``matches`` order."""
-    pairs = np.array([(i, j) for i, j, _ in matches], dtype=np.intp).reshape(-1, 2)
-    prev_stack, prev_row = _positions(prev, pairs[:, 0])
-    cur_stack, cur_row = _positions(cur, pairs[:, 1])
-    pieces, owners = [], []
-    for a, b in set(zip(prev_stack.tolist(), cur_stack.tolist())):
-        sel = np.flatnonzero((prev_stack == a) & (cur_stack == b))
-        p, c = prev_row[sel], cur_row[sel]
-        targets, knots = prev[a][1][p], cur[b][1][c]
-        x_prev, _, v_prev = prev[a][2][:, p]
-        x_cur, _, v_cur = _interp_rows(targets, knots, cur[b][2][:, c])
-        both = ((targets >= knots[:, :1]) & (targets <= knots[:, -1:])
-                & (v_prev >= VISIBILITY_THRESHOLD) & (v_cur >= VISIBILITY_THRESHOLD))
-        pieces.append(np.abs(x_cur - x_prev)[both])
-        owners.append(np.broadcast_to(sel[:, None], both.shape)[both])
-    if not pieces:
-        return np.empty(0)
-    return np.concatenate(pieces)[np.argsort(np.concatenate(owners), kind="stable")]
+    """|x_cur(y) - x_prev(y)| of every match between two stacks, at the prev
+    stations inside the cur lane's range and visible on both sides, in
+    ``matches`` order, then station order."""
+    p, c = np.array([(i, j) for i, j, _ in matches], dtype=np.intp).reshape(-1, 2).T
+    targets, knots = prev[1][p], cur[1][c]
+    x_prev, _, v_prev = prev[2][:, p]
+    x_cur, _, v_cur = _interp_rows(targets, knots, cur[2][:, c])
+    both = ((targets >= knots[:, :1]) & (targets <= knots[:, -1:])
+            & (v_prev >= VISIBILITY_THRESHOLD) & (v_cur >= VISIBILITY_THRESHOLD))
+    return np.abs(x_cur - x_prev)[both]
 
 
 def temporal_smoothness(
@@ -273,8 +249,8 @@ def temporal_smoothness(
 ) -> float:
     """Mean |x_next(y) - x_transported(y)| over matched lanes and stations.
 
-    frame_lanes holds each frame's LaneStack or list of Lane3D; ego_motion[t] is
-    the (forward, yaw change) moving into frame t.  Frame t's lanes are
+    frame_lanes holds each frame's LaneStack; ego_motion[t] is the
+    (forward, yaw change) moving into frame t.  Frame t's lanes are
     rigidly transported into frame t+1 and matched against that frame's
     lanes; jitter averages the lateral discrepancy on stations visible on
     both sides.  NaN when no lanes match across any frame pair or the
@@ -286,16 +262,21 @@ def temporal_smoothness(
         raise ValueError("temporal_smoothness: need at least 2 frames")
     if ego_motion.shape != (num_frames, 2):
         raise ValueError("temporal_smoothness: ego_motion must be (T, 2)")
-    stacks = [_stack(lanes) for lanes in frame_lanes]
-    gaps = []
+    stacks = []
+    for t, lanes in enumerate(frame_lanes):
+        if not isinstance(lanes, LaneStack):
+            raise ValueError(f"temporal_smoothness: frame {t} is a "
+                             f"{type(lanes).__name__}, not a LaneStack")
+        stacks.append(_stack(lanes))
+    gaps = [np.empty(0)]
     for t in range(num_frames - 1):
-        forward, yaw_change = ego_motion[t + 1]
-        moved, nxt = _transported(stacks[t], forward, yaw_change), stacks[t + 1]
-        if not moved or not nxt:
+        if not stacks[t] or not stacks[t + 1]:
             continue
-        matches = _match(moved, nxt, distance_threshold, coverage_fraction)
-        gaps.append(_gaps(moved, nxt, matches))
-    gaps = np.concatenate(gaps) if gaps else np.empty(0)
+        moved, nxt = _transported(stacks[t][0], *ego_motion[t + 1]), stacks[t + 1][0]
+        matches = _match([moved], [nxt], distance_threshold, coverage_fraction)
+        if matches:
+            gaps.append(_gaps(moved, nxt, matches))
+    gaps = np.concatenate(gaps)
     return float(gaps.mean()) if gaps.size else float("nan")
 
 

@@ -70,11 +70,13 @@ class SceneConfig:
             "extent_length_range",
             "ego_speed_range",
             "yaw_rate_range",
-            "lateral_span",
         ):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"SceneConfig: {name} must be (lo, hi) with lo <= hi")
+        lo, hi = self.lateral_span
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError("SceneConfig: lateral_span must be finite (lo, hi) with lo < hi")
         if self.num_lanes_range[0] < 1:
             raise ValueError("SceneConfig: need at least one lane")
         if self.num_frames < 1 or self.num_anchors < 1:

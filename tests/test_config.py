@@ -183,6 +183,7 @@ def test_to_dict_writes_every_init_field():
         ({"loss": {"alpha": -1.0}}, "loss: LossConfig: alpha"),
         ({"train": {"optimizer": "adam"}}, "train.optimizer: unknown field"),
         ({"train": {"use_consistency": False}}, "train.use_consistency: unknown field"),
+        ({"scene": {"lateral_span": [1.0, 1.0]}}, "scene: SceneConfig: lateral_span"),
     ],
 )
 def test_load_names_the_file_and_the_field(tmp_path, document, field):

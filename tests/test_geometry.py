@@ -35,6 +35,8 @@ def test_lane_validation():
     (dict(stations=[0, 1], x=[0, 0], z=[0, np.inf], visibility=[1, 1]), "z must be finite"),
     (dict(stations=[0, 1], x=[0, 0], z=[np.nan, 0], visibility=[1, 1]), "z must be finite"),
     (dict(stations=[], x=[], z=[], visibility=[]), "stations must hold at least one"),
+    (dict(stations=[[0, 1], [2, 3]], x=[0, 0], z=[0, 0], visibility=[1, 1]),
+     r"stations must be one-dimensional, not of shape \(2, 2\)"),
 ])
 def test_lane_rejections_keep_their_messages(fields, message, as_array):
     # float64 arrays skip the conversion, so both input forms run each check
@@ -104,6 +106,8 @@ def _edited(name, index, value):
     (dict(category=np.array([[1, 2]])), r"x has shape \(2, 3\), not \(1, 2, 3\)"),
     (dict(stations=np.zeros(0), x=np.zeros((2, 0)), z=np.zeros((2, 0)),
           visibility=np.zeros((2, 0))), "stations must hold at least one"),
+    (dict(stations=np.array([[1.0, 2.0, 4.0]])),
+     r"stations must be one-dimensional, not of shape \(1, 3\)"),
 ])
 def test_lane_stack_rejects_what_a_lane_rejects(changes, message):
     with pytest.raises(ValueError, match=f"^LaneStack: .*{message}"):
@@ -157,6 +161,9 @@ def test_invalid_layouts_rejected():
         build_default_anchors(3, (1.0, -1.0), [5.0])
     with pytest.raises(ValueError):
         build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 5.0])
+    for span in ((1.0, 1.0), (-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="lateral span must be finite and increasing"):
+            build_default_anchors(3, span, [5.0])
 
 
 def _decode(hand_set_model, span, stations, dx, dz, vis_logits, class_logits):

@@ -1,5 +1,6 @@
 """Modules of lane3d import in one direction only, the demos import only
-names that exist, and only autodiff builds tape nodes.
+names that exist, only autodiff builds tape nodes, and every public name
+of the package has a caller outside the tests.
 
 Each module sits in a tier and may import only from lower tiers:
 autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
@@ -183,3 +184,70 @@ def test_the_tape_scanner_sees_every_form(tmp_path):
         "checks.py:4 builds a Var with parents", "checks.py:5 builds a Var with parents",
         "checks.py:6 assigns _vjp", "checks.py:7 assigns _vjp", "checks.py:8 assigns _vjp",
     ]
+
+
+# Code whose only caller is its own test gets deleted: every public
+# top-level name of the package must be read somewhere in the program
+# (the package, the benchmark harness or the demos), outside its own
+# definition.  Tests do not count.
+PROGRAM = [*MODULES, *DEMOS,
+           *sorted(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)]
+
+
+def _public_definitions(path):
+    """(name, first line, last line) of each public top-level def, class and constant."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [sub.id for target in targets for sub in ast.walk(target)
+                     if isinstance(sub, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno, node.end_lineno) for name in names
+                  if not name.startswith("_")]
+    return found
+
+
+def _unreferenced(modules, program):
+    """``module.name`` of every public definition in ``modules`` that no file
+    of ``program`` reads as a name or an attribute; an import is not a read."""
+    uses = {}
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path, node.lineno))
+    return [f"{path.stem}.{name}" for path in modules
+            for name, first, last in _public_definitions(path)
+            if not any(where != path or not first <= line <= last
+                       for where, line in uses.get(name, ()))]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert len([d for path in MODULES for d in _public_definitions(path)]) > 100
+    assert not _unreferenced(MODULES, PROGRAM)
+
+
+def test_the_caller_check_sees_a_name_only_its_own_definition_reads(tmp_path):
+    module, user = tmp_path / "alpha.py", tmp_path / "user.py"
+    module.write_text(
+        "LIMIT = 3\n"
+        "UNUSED, ALSO = 1, 2\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Imported:\n"
+        "    pass\n"
+        "class ImportedOnly:\n"
+        "    pass\n"
+    )
+    user.write_text("import alpha\nfrom alpha import Imported, ImportedOnly\n"
+                    "alpha.used(Imported)\n")
+    assert _unreferenced([module], [module, user]) == [
+        "alpha.UNUSED", "alpha.ALSO", "alpha.recursive", "alpha.ImportedOnly"]

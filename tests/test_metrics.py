@@ -35,6 +35,19 @@ def _lane(x, vis=None, category=1, stations=STATIONS, z=None):
     return Lane3D(stations=stations, x=x, z=z, visibility=vis, category=category)
 
 
+def _as_stack(lanes, stations):
+    """``lanes``, all on ``stations``, as one LaneStack."""
+    shape = (len(lanes), stations.size)
+    x, z, visibility = (np.array([getattr(lane, name) for lane in lanes]).reshape(shape)
+                        for name in ("x", "z", "visibility"))
+    return LaneStack(stations, x, z, visibility,
+                     np.array([lane.category for lane in lanes], dtype=np.intp))
+
+
+def _rows(stack):
+    return [stack[a] for a in range(len(stack))]
+
+
 def test_identical_lists_are_perfect():
     gts = [_lane(0.0, category=1), _lane(4.0, category=2)]
     report = match_lanes(list(gts), gts)
@@ -401,9 +414,8 @@ def test_interp_rows_is_np_interp_on_random_increasing_rows(case):
 
 def test_transport_moves_a_frame_at_once(monkeypatch):
     rng = np.random.default_rng(3)
-    lanes = [_random_lane(rng, grid) for grid in (STATIONS, GRIDS[2], GRIDS[5], STATIONS)]
-    # a lane running out sideways at 3 m per meter folds over under the yaw
-    lanes.insert(1, STEEP)
+    lanes = [_random_lane(rng, STATIONS) for _ in range(3)]
+    lanes.insert(1, _steep(STATIONS))
     forward, yaw = 1.7, 0.5
     calls = []
     real = metrics_module.transform_points
@@ -413,22 +425,22 @@ def test_transport_moves_a_frame_at_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(metrics_module, "transform_points", counting)
-    moved = _transported(_stack(lanes), forward, yaw)
-    assert len(calls) == 3  # one transform per station count
-    rows = {}
-    for numbers, stations, (x, z, visibility) in moved:
-        for k, row in enumerate(numbers.tolist()):
-            rows[row] = (stations[k], x[k], z[k], visibility[k])
-    assert sorted(rows) == [0, 1, 2, 3]  # the folded lane is gone, the rest renumbered
+    rows, stations, (x, z, visibility) = _transported(
+        _stack(_as_stack(lanes, STATIONS))[0], forward, yaw)
+    assert len(calls) == 1
+    assert rows.tolist() == [0, 1, 2]  # the folded lane is gone, the rest renumbered
     for row, lane in enumerate(lanes[:1] + lanes[2:]):
         pts = transform_points(lane.points(), forward, yaw)
-        stations, x, z, visibility = rows[row]
-        assert stations.tobytes() == np.ascontiguousarray(pts[:, 1]).tobytes()
-        assert x.tobytes() == np.ascontiguousarray(pts[:, 0]).tobytes()
-        assert z.tobytes() == np.ascontiguousarray(pts[:, 2]).tobytes()
-        assert visibility.tobytes() == lane.visibility.tobytes()
-    assert _transported(_stack([]), forward, yaw) == []
-    assert _transported(_stack([STEEP]), forward, yaw) == []
+        assert stations[row].tobytes() == np.ascontiguousarray(pts[:, 1]).tobytes()
+        assert x[row].tobytes() == np.ascontiguousarray(pts[:, 0]).tobytes()
+        assert z[row].tobytes() == np.ascontiguousarray(pts[:, 2]).tobytes()
+        assert visibility[row].tobytes() == lane.visibility.tobytes()
+    steep = _transported(_stack(_as_stack([_steep(STATIONS)], STATIONS))[0], forward, yaw)
+    assert steep[0].size == 0 and steep[1].shape == (0, STATIONS.size)
+    calls.clear()
+    temporal_smoothness([_as_stack(lanes, STATIONS)] * 3,
+                        [(0.0, 0.0), (forward, 0.01), (forward, 0.01)])
+    assert len(calls) == 2  # one per frame moved into the next
 
 
 # The per-lane transport and the per-match gap loop that temporal_smoothness
@@ -474,43 +486,47 @@ def _oracle_smoothness(frame_lanes, ego_motion, seen=None):
     return float(np.concatenate(gaps).mean()) if gaps else float("nan")
 
 
-STEEP = Lane3D(stations=STATIONS, x=3.0 * STATIONS, z=np.zeros(10), visibility=np.ones(10),
-               category=1)  # folds over under a yaw of 0.5
 YAWS = (0.0, 0.01, -0.02, 0.5)
 
 
-def _follower(rng, lane, forward, yaw):
-    """``lane`` one frame later: moved, shifted, maybe regridded; None when it folds."""
+def _steep(grid):
+    """A lane running out sideways at 3 m per meter: it folds over under a yaw of 0.5."""
+    return Lane3D(stations=grid, x=3.0 * grid, z=np.zeros(grid.size),
+                  visibility=np.ones(grid.size), category=1)
+
+
+def _follower(rng, lane, forward, yaw, grid):
+    """``lane`` one frame later: moved, shifted and put on ``grid``; None when it folds."""
     moved = transform_points(lane.points(), forward, yaw)
     if not np.all(np.diff(moved[:, 1]) > 0):
         return None
-    lane = Lane3D(stations=moved[:, 1], x=moved[:, 0] + rng.normal(0, 0.3), z=moved[:, 2],
-                  visibility=lane.visibility, category=lane.category)
-    if lane.stations.shape[0] >= 2 and rng.random() < 0.4:
-        lo, hi = lane.stations[0], lane.stations[-1]
-        lane = resample_lane(lane, np.linspace(lo + rng.uniform(0.0, 0.2) * (hi - lo), hi,
-                                               int(rng.integers(2, 16))))
-    return lane
+    x, z, visibility = (np.interp(grid, moved[:, 1], values) for values in (
+        moved[:, 0] + rng.normal(0, 0.3), moved[:, 2], lane.visibility))
+    return Lane3D(stations=grid, x=x, z=z, visibility=visibility, category=lane.category)
 
 
 def _random_frames(rng, new_lanes, yaws, empty):
-    """Frames whose lanes mostly follow the ego motion, on several grids and
-    station counts (1-station lanes too), with fresh lanes, a lane that folds
-    under a yaw of 0.5 and frame ``empty`` without lanes."""
-    frames, motion = [], [(0.0, 0.0)]
+    """One stack per frame, on a grid that changes between frames half the
+    time (the 1-station grid too); most lanes follow the ego motion onto the
+    next frame's grid, fresh lanes appear, a lane that folds under a yaw of
+    0.5 may join, and frame ``empty`` has no lanes."""
+    frames, motion, lanes = [], [(0.0, 0.0)], []
+    grid = GRIDS[rng.integers(len(GRIDS))]
     for t, count in enumerate(new_lanes):
-        lanes = []
+        if rng.random() < 0.5:
+            grid = GRIDS[rng.integers(len(GRIDS))]
         if t:
             forward = rng.uniform(0.0, 3.0)
             motion.append((forward, yaws[t - 1]))
-            followers = (_follower(rng, lane, forward, yaws[t - 1])
-                         for lane in frames[-1] if rng.random() < 0.8)
+            followers = (_follower(rng, lane, forward, yaws[t - 1], grid)
+                         for lane in lanes if rng.random() < 0.8)
             lanes = [lane for lane in followers if lane is not None]
-        lanes += [_random_lane(rng, GRIDS[rng.integers(len(GRIDS))]) for _ in range(count)]
+        lanes += [_random_lane(rng, grid) for _ in range(count)]
         if rng.random() < 0.3:
-            lanes.append(STEEP)
+            lanes.append(_steep(grid))
         rng.shuffle(lanes)
-        frames.append([] if t == empty else lanes)
+        lanes = [] if t == empty else lanes
+        frames.append(_as_stack(lanes, grid))
     return frames, np.array(motion)
 
 
@@ -528,7 +544,8 @@ def _scenes(draw):
 @given(scene=_scenes())
 def test_smoothness_equals_the_per_lane_oracle_bit_for_bit(scene):
     frames, motion = scene
-    got, want = temporal_smoothness(frames, motion), _oracle_smoothness(frames, motion)
+    got = temporal_smoothness(frames, motion)
+    want = _oracle_smoothness([_rows(frame) for frame in frames], motion)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()  # NaN included
 
 
@@ -539,25 +556,16 @@ def test_smoothness_oracle_cases_cover_every_kind_of_frame():
         frames = int(rng.integers(2, 5))
         scene = _random_frames(rng, rng.integers(0, 5, frames), rng.choice(YAWS, frames - 1),
                                int(rng.integers(frames)) if rng.random() < 0.2 else None)
-        want = _oracle_smoothness(*scene, seen)
+        want = _oracle_smoothness([_rows(frame) for frame in scene[0]], scene[1], seen)
         assert np.float64(temporal_smoothness(*scene)).tobytes() == np.float64(want).tobytes()
         seen["finite" if np.isfinite(want) else "nan"] += 1
-        seen["empty"] += any(not lanes for lanes in scene[0])
-        seen["one station"] += any(lane.stations.shape[0] == 1 for lanes in scene[0] for lane in lanes)
+        seen["empty"] += any(len(frame) == 0 for frame in scene[0])
+        seen["one station"] += any(len(frame) and frame.stations.size == 1 for frame in scene[0])
     kinds = ("finite", "nan", "empty", "one station", "folded", "mixed")
     assert all(seen[kind] >= 10 for kind in kinds), seen
 
 
 # --- a frame's lanes as one LaneStack score as the list of its rows
-
-
-def _as_stack(lanes, stations):
-    """``lanes``, all on ``stations``, as one LaneStack."""
-    shape = (len(lanes), stations.size)
-    x, z, visibility = (np.array([getattr(lane, name) for lane in lanes]).reshape(shape)
-                        for name in ("x", "z", "visibility"))
-    return LaneStack(stations, x, z, visibility,
-                     np.array([lane.category for lane in lanes], dtype=np.intp))
 
 
 def _stack_case(rng, count, frames):
@@ -583,10 +591,6 @@ def _stack_case(rng, count, frames):
     return stacks, np.array(motion), gts
 
 
-def _rows(stack):
-    return [stack[a] for a in range(len(stack))]
-
-
 @st.composite
 def _stack_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -601,7 +605,7 @@ def test_a_stack_scores_as_the_list_of_its_rows_bit_for_bit(case):
     # repr spells every float exactly, so equal reprs are equal bits
     assert repr(match_lanes(stacks[-1], gts)) == repr(match_lanes(lists[-1], gts))
     assert repr(match_lanes(gts, stacks[-1])) == repr(match_lanes(gts, lists[-1]))
-    got, want = temporal_smoothness(stacks, motion), temporal_smoothness(lists, motion)
+    got, want = temporal_smoothness(stacks, motion), _oracle_smoothness(lists, motion)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()  # NaN included
 
 
@@ -647,25 +651,19 @@ def test_transport_round_trip_recovers_the_points(points, forward, yaw):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), forward=st.floats(-10.0, 10.0),
-       yaw=st.floats(-np.pi, np.pi), as_stack=st.booleans())
-def test_transport_drops_exactly_the_lanes_whose_stations_stop_increasing(
-        seed, forward, yaw, as_stack):
+       yaw=st.floats(-np.pi, np.pi))
+def test_transport_drops_exactly_the_lanes_whose_stations_stop_increasing(seed, forward, yaw):
     rng = np.random.default_rng(seed)
     grid = GRIDS[rng.integers(len(GRIDS))]
     lanes = [Lane3D(stations=grid, x=rng.uniform(-5, 5) * grid + rng.normal(0, 0.5, grid.size),
                     z=rng.normal(0, 0.2, grid.size), visibility=_visibility(rng, grid.size),
-                    category=1) if as_stack or rng.random() < 0.5
-             else _random_lane(rng, GRIDS[rng.integers(len(GRIDS))])
-             for _ in range(rng.integers(0, 6))]
-    moved = _transported(_stack(_as_stack(lanes, grid) if as_stack else lanes), forward, yaw)
-    rows = {}
-    for numbers, stations, (x, z, visibility) in moved:
-        rows.update((row, (stations[k], x[k], z[k])) for k, row in enumerate(numbers.tolist()))
+                    category=1) for _ in range(rng.integers(1, 6))]
+    rows, stations, (x, z, _) = _transported(_stack(_as_stack(lanes, grid))[0], forward, yaw)
     points = [transform_points(lane.points(), forward, yaw) for lane in lanes]
     kept = [pts for pts in points if (np.diff(pts[:, 1]) > 0).all()]
-    assert sorted(rows) == list(range(len(kept)))  # renumbered in frame order
+    assert rows.tolist() == list(range(len(kept)))  # renumbered in frame order
     for row, pts in enumerate(kept):
-        assert [a.tobytes() for a in rows[row]] == [
+        assert [a[row].tobytes() for a in (stations, x, z)] == [
             np.ascontiguousarray(pts[:, k]).tobytes() for k in (1, 0, 2)]
 
 
@@ -705,13 +703,13 @@ def test_one_grid_lists_match_often():
 
 
 def test_smoothness_zero_for_static_perfect_predictions():
-    frames = [[_lane(0.0)], [_lane(0.0)], [_lane(0.0)]]
+    frames = [_as_stack([_lane(0.0)], STATIONS)] * 3
     motion = np.zeros((3, 2))
     assert temporal_smoothness(frames, motion) == 0.0
 
 
 def test_smoothness_alternating_perturbation():
-    frames = [[_lane(0.1)], [_lane(-0.1)], [_lane(0.1)]]
+    frames = [_as_stack([_lane(x)], STATIONS) for x in (0.1, -0.1, 0.1)]
     motion = np.zeros((3, 2))
     assert np.isclose(temporal_smoothness(frames, motion), 0.2, atol=1e-12)
 
@@ -719,7 +717,7 @@ def test_smoothness_alternating_perturbation():
 def test_smoothness_zero_for_rigidly_transported_sequence():
     rng = np.random.default_rng(4)
     lane0 = _lane(rng.uniform(-2, 2) + rng.normal(0, 0.2, STATIONS.shape))
-    frames = [[lane0]]
+    frames = [_as_stack([lane0], STATIONS)]
     motion = [(0.0, 0.0)]
     lane = lane0
     for _ in range(2):
@@ -727,19 +725,23 @@ def test_smoothness_zero_for_rigidly_transported_sequence():
         moved = transform_points(lane.points(), fwd, yaw)
         lane = Lane3D(stations=moved[:, 1], x=moved[:, 0], z=moved[:, 2],
                       visibility=lane.visibility, category=lane.category)
-        frames.append([lane])
+        frames.append(_as_stack([lane], lane.stations))
         motion.append((fwd, yaw))
     jitter = temporal_smoothness(frames, np.array(motion))
     assert jitter < 1e-12
 
 
 def test_smoothness_preconditions():
+    frame = _as_stack([_lane(0.0)], STATIONS)
     with pytest.raises(ValueError):
-        temporal_smoothness([[_lane(0.0)]], np.zeros((1, 2)))
+        temporal_smoothness([frame], np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"\(T, 2\)"):
-        temporal_smoothness([[_lane(0.0)], [_lane(0.0)]], np.zeros((3, 2)))
+        temporal_smoothness([frame, frame], np.zeros((3, 2)))
+    # a Lane3D list is a lane file's form, not a decoded frame's
+    with pytest.raises(ValueError, match="frame 1 is a list, not a LaneStack"):
+        temporal_smoothness([frame, [_lane(0.0)], frame], np.zeros((3, 2)))
     # far-apart lanes never match: a value, not an error
-    frames = [[_lane(-8.0)], [_lane(8.0)]]
+    frames = [_as_stack([_lane(x)], STATIONS) for x in (-8.0, 8.0)]
     assert np.isnan(temporal_smoothness(frames, np.zeros((2, 2))))
 
 

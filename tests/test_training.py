@@ -770,7 +770,8 @@ def test_predict_frames_rejects_a_scene_of_another_shape(scene_anchors, config_a
 
 def _per_window_predict_frames(params, scene, scene_config, use_lstm_fusion):
     """Frame t's left-padded window fused on its own, then one Lane3D per
-    kept anchor, decoded one anchor at a time."""
+    kept anchor, decoded one anchor at a time; each frame's lanes are then
+    stacked, since jitter takes one LaneStack per frame."""
     anchors = scene_config.anchors()
     feats = np.stack([f.features for f in scene.frames], axis=0)
     total = feats.shape[0]
@@ -797,7 +798,10 @@ def _per_window_predict_frames(params, scene, scene_config, use_lstm_fusion):
             lanes.append(Lane3D(stations=anchors.stations, x=anchors.base_x[k] + dx.value[k],
                                 z=anchors.base_z[k] + dz.value[k], visibility=visibility,
                                 category=category))
-        per_frame.append(lanes)
+        shape = (len(lanes), anchors.num_stations)
+        per_frame.append(LaneStack(anchors.stations, *(
+            np.array([getattr(lane, name) for lane in lanes]).reshape(shape)
+            for name in ("x", "z", "visibility")), np.array([lane.category for lane in lanes])))
     return per_frame
 
 

@@ -70,15 +70,19 @@ class SceneConfig:
             "extent_length_range",
             "ego_speed_range",
             "yaw_rate_range",
+            "lateral_span",
         ):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"SceneConfig: {name} must be (lo, hi) with lo <= hi")
+            pair = getattr(self, name)
+            if len(pair) != 2 or not pair[0] <= pair[1]:
+                raise ValueError(f"SceneConfig: {name} must be a (lo, hi) pair with lo <= hi")
         lo, hi = self.lateral_span
         if not -np.inf < lo < hi < np.inf:
             raise ValueError("SceneConfig: lateral_span must be finite (lo, hi) with lo < hi")
-        if self.num_lanes_range[0] < 1:
-            raise ValueError("SceneConfig: need at least one lane")
+        lanes = self.num_lanes_range
+        if not all(isinstance(n, (int, np.integer)) for n in lanes) or lanes[0] < 1:
+            raise ValueError("SceneConfig: num_lanes_range must hold integers, lo >= 1")
+        if not self.extent_length_range[0] > 0:
+            raise ValueError("SceneConfig: extent_length_range must have lo > 0")
         if self.num_frames < 1 or self.num_anchors < 1:
             raise ValueError("SceneConfig: num_frames and num_anchors must be >= 1")
         if self.noise_sigma < 0:

@@ -184,6 +184,11 @@ def test_to_dict_writes_every_init_field():
         ({"train": {"optimizer": "adam"}}, "train.optimizer: unknown field"),
         ({"train": {"use_consistency": False}}, "train.use_consistency: unknown field"),
         ({"scene": {"lateral_span": [1.0, 1.0]}}, "scene: SceneConfig: lateral_span"),
+        ({"scene": {"lateral_span": [1.0]}}, "scene: SceneConfig: lateral_span"),
+        ({"scene": {"slope_range": [1.0, 2.0, 3.0]}}, "scene: SceneConfig: slope_range"),
+        ({"scene": {"num_lanes_range": [1.5, 2.5]}}, "scene: SceneConfig: num_lanes_range"),
+        ({"scene": {"num_lanes_range": [0, 2]}}, "scene: SceneConfig: num_lanes_range"),
+        ({"scene": {"extent_length_range": [-5.0, -1.0]}}, "scene: SceneConfig: extent_length_range"),
     ],
 )
 def test_load_names_the_file_and_the_field(tmp_path, document, field):

@@ -251,3 +251,50 @@ def test_the_caller_check_sees_a_name_only_its_own_definition_reads(tmp_path):
                     "alpha.used(Imported)\n")
     assert _unreferenced([module], [module, user]) == [
         "alpha.UNUSED", "alpha.ALSO", "alpha.recursive", "alpha.ImportedOnly"]
+
+
+# The allocator policy has one home, lane3d/__init__.py: no other module of
+# the package and no demo loads C code through ctypes, and no program file
+# names mallopt (the benchmark harness may use ctypes to read OpenBLAS's
+# thread count, never to set allocator options).
+def _allocator_access(path):
+    """``imports ctypes`` and ``names mallopt`` lines of the file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "imports ctypes") for alias in node.names
+                      if alias.name.split(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "ctypes":
+                found.append((node.lineno, "imports ctypes"))
+        elif isinstance(node, ast.Constant) and node.value == "ctypes":  # __import__("ctypes")
+            found.append((node.lineno, "imports ctypes"))
+        elif "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "value", None)):  # a name, an attribute or a string
+            found.append((node.lineno, "names mallopt"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(set(found))]
+
+
+def test_only_the_package_init_sets_the_allocator_policy():
+    assert _allocator_access(PACKAGE / "__init__.py")  # the one home, seen by the scanner
+    found = [hit for path in PROGRAM for hit in _allocator_access(path)
+             if "mallopt" in hit or "perfbench" not in path.parts]
+    assert not found, found
+
+
+def test_the_allocator_scanner_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import ctypes\n"
+        "import ctypes.util as cu\n"
+        "from ctypes import CDLL\n"
+        "libc = __import__('ctypes').CDLL(None)\n"
+        "libc.mallopt(-3, 1)\n"
+        "fn = getattr(libc, 'mallopt')\n"
+        "from numpy import ctypeslib\n"
+        "import mallopt_free\n"
+    )
+    assert _allocator_access(probe) == [
+        "probe.py:1 imports ctypes", "probe.py:2 imports ctypes", "probe.py:3 imports ctypes",
+        "probe.py:4 imports ctypes", "probe.py:5 names mallopt", "probe.py:6 names mallopt",
+    ]

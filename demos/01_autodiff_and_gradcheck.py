@@ -56,8 +56,8 @@ def packaged_suite():
     print(format_report(run_gradient_checks(num_inputs=10)))
     print()
 
-    print("== negative control: corrupt the LSTM cell's backward rule ==")
-    with corrupt_gradient("lstm_cell", factor=1.5):
+    print("== negative control: corrupt the LSTM recurrence's backward rule ==")
+    with corrupt_gradient("lstm_windows", factor=1.5):
         results = run_gradient_checks(num_inputs=3)
     print(format_report(results))
 

@@ -34,10 +34,11 @@ cheap:
   counting instead of waiting for the cyclic garbage collector.
 - Gradient sums are fixed by the graph's shape: contributions reach a
   node in the order ``_topological_order`` lists its children, and that
-  order follows each node's parent order.  ``lstm_cell`` therefore keeps
-  the parent order ``(x, w_ih.T, bias, c_prev, h_prev, w_hh.T)`` of the
-  composition it replaces, so every parameter gradient of a fused
-  recurrence is summed over time steps in the same order, bit for bit.
+  order follows each node's parent order.  ``lstm_windows`` sums its
+  per-step contributions in the order the per-step composition it
+  replaces delivered them: ``w_ih``, ``bias`` and the batch latest step
+  first, ``w_hh`` earliest step first.  So every gradient of a fused
+  recurrence is the composition's, bit for bit.
 - A forward node does only forward work.  Anything that only a VJP
   reads (the relu mask, the sign under ``absolute``, the kind of a
   ``take`` index) is computed inside the VJP, and no forward builds an
@@ -49,6 +50,7 @@ cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -390,55 +392,105 @@ def sigmoid(a):
     return _node(value, (a,), lambda g, need: (g * value * (1.0 - value),))
 
 
-def lstm_cell(x, w_ih_t, bias, c_prev, h_prev, w_hh_t):
-    """One LSTM step on a (K, C) batch; returns [h, c] as one (K, 2H) Var.
+def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
+    """An LSTM over the last ``frames`` windows of a (K, T, C) batch, as one node.
 
-    ``w_ih_t`` (C, 4H) and ``w_hh_t`` (H, 4H) are the transposed weights,
-    gates stacked (i, f, g, o) along 4H: i, f, o are sigmoids, g is tanh,
-    c = f*c_prev + i*g and h = o*tanh(c).  The forward runs the ufuncs of
-    the matmul/add/slice/sigmoid/tanh/multiply composition in its order,
-    and the VJP evaluates that composition's VJP expressions, so values
-    and gradients equal it bit for bit.  The parent order is part of that
-    contract (see the module docstring).
+    Frame t's window is [f0]*(T-1-t) + [f0..ft], read from a zero state.
+    Returns the final hidden rows (frames*K, H), frame-major: rows
+    j*K .. (j+1)*K end frame T-frames+j's window.  ``w_ih`` (4H, C),
+    ``w_hh`` (4H, H) and ``bias`` (4H,) stack the gates (i, f, g, o):
+    i, f, o are sigmoids, g is tanh, c = f*c_prev + i*g, h = o*tanh(c).
+    Windows that have read only f0 so far share one state, so step s runs
+    on the rows of frames lo..s alone, lo = max(s+1-frames, 0), and a
+    window that leaves the shared group starts from a repeat of its rows.
+
+    The forward runs the ufuncs of the per-step matmul/add/slice/sigmoid/
+    tanh/multiply composition at its row counts, and the VJP evaluates
+    that composition's VJP expressions step by step, so values and
+    gradients equal it bit for bit (summation order: module docstring).
+    With one hidden unit numpy may take another BLAS path for h, here a
+    strided column of the [h, c] buffer, and so differ in the last bit.
+    Step 0 reads no ``w_hh``: for finite weights the zero state's product
+    is +0.0, and ``z += 0.0`` stands in for it.  So with T = 1 a
+    non-finite ``w_hh`` leaves the output finite, where 0 * inf gave NaN.
     """
-    parents = tuple(as_var(v) for v in (x, w_ih_t, bias, c_prev, h_prev, w_hh_t))
-    x, w_ih_t, bias, c_prev, h_prev, w_hh_t = parents
-    hidden = w_hh_t.shape[0]
-    z = x.value @ w_ih_t.value
-    z += h_prev.value @ w_hh_t.value
-    z += bias.value
-    i_f = sigmoid_values(z[:, :2 * hidden])  # i and f are adjacent: one call
-    i, f = i_f[:, :hidden], i_f[:, hidden:]
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = sigmoid_values(z[:, 3 * hidden:])
-    hc = np.empty((z.shape[0], 2 * hidden))  # [h, c], written in place
-    c = np.multiply(f, c_prev.value, out=hc[:, hidden:])
-    c += i * g
-    tanh_c = np.tanh(c)
-    np.multiply(o, tanh_c, out=hc[:, :hidden])
+    parents = tuple(as_var(v) for v in (batch, w_ih, w_hh, bias))
+    batch, w_ih, w_hh, bias = parents
+    k, total, _ = batch.shape
+    hidden = w_hh.shape[1]
+    record = not all(p.constant for p in parents)  # a constant keeps no steps
+    rows = np.arange(k)
+    steps = []
+    for s in range(total):
+        lo = max(s + 1 - frames, 0)
+        index = (slice(None), s) if lo == s else (  # frames lo..s, frame-major
+            np.tile(rows, s + 1 - lo), np.repeat(np.arange(lo, s + 1), k))
+        x = batch.value[index]
+        z = x @ w_ih.value.T
+        expand = lo == 0 and s > 0  # the window reading f1 leaves the shared group
+        if s == 0:
+            z += 0.0
+            h_prev, c_prev = None, 0.0
+        else:
+            if expand:
+                shared = np.concatenate([rows, np.arange(s * k)])
+                h, c = h[shared], c[shared]
+            h_prev, c_prev = h, c
+            z += h_prev @ w_hh.value.T
+        z += bias.value
+        i_f = sigmoid_values(z[:, :2 * hidden])  # i and f are adjacent: one call
+        i, f = i_f[:, :hidden], i_f[:, hidden:]
+        g = np.tanh(z[:, 2 * hidden:3 * hidden])
+        o = sigmoid_values(z[:, 3 * hidden:])
+        hc = np.empty((z.shape[0], 2 * hidden))  # [h, c], written in place
+        h, c = hc[:, :hidden], hc[:, hidden:]
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        tanh_c = np.tanh(c)
+        np.multiply(o, tanh_c, out=h)
+        if record:
+            steps.append((index, expand, x, h_prev, c_prev, i, f, g, o, tanh_c))
+        del z, i_f, i, f, g, o, tanh_c, hc  # a forward-only call holds one step's state
 
     def vjp(grad, need):
-        dh, dc = grad[:, :hidden], grad[:, hidden:]
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.concatenate([
-            dc * g * i * (1.0 - i),
-            dc * c_prev.value * f * (1.0 - f),
-            dc * i * (1.0 - g * g),
-            dh * tanh_c * o * (1.0 - o),
-        ], axis=1)
-        # the composition sums four zero-padded gate slices into dz, which
-        # turns -0.0 into +0.0; adding 0.0 does the same
-        dz += 0.0
+        d_batch = np.zeros_like(batch.value) if need[0] else None
+        d_w_ih_t, d_w_hh_t, d_bias = [], [], []  # per step, latest first
+        dh, dc = grad, 0.0
+        for index, expand, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(steps):
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            dz = np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tanh_c * o * (1.0 - o),
+            ], axis=1)
+            # the composition sums four zero-padded gate slices into dz, which
+            # turns -0.0 into +0.0; adding 0.0 does the same
+            dz += 0.0
+            if need[0]:
+                d_batch[index] += dz @ w_ih.value
+            if need[1]:
+                d_w_ih_t.append(x.T @ dz)
+            if need[3]:
+                d_bias.append(dz.sum(axis=0))
+            if h_prev is None:
+                break
+            if need[2]:
+                d_w_hh_t.append(h_prev.T @ dz)
+            dh, dc = dz @ w_hh.value, dc * f
+            if expand:  # the shared rows were read twice: sum both reads
+                dh[k:2 * k] += dh[:k]
+                dc[k:2 * k] += dc[:k]
+                dh, dc = dh[k:], dc[k:]
         return (
-            dz @ w_ih_t.value.T if need[0] else None,
-            x.value.T @ dz if need[1] else None,
-            _sum_to_shape(dz, bias.shape) if need[2] else None,
-            dc * f if need[3] else None,
-            dz @ w_hh_t.value.T if need[4] else None,
-            h_prev.value.T @ dz if need[5] else None,
+            d_batch,
+            reduce(np.add, d_w_ih_t).T if need[1] else None,
+            # w_hh earliest first, from step 0's product with the zero state: +0.0
+            sum(reversed(d_w_hh_t), np.zeros((hidden, 4 * hidden))).T if need[2] else None,
+            reduce(np.add, d_bias) if need[3] else None,
         )
 
-    return _node(hc, parents, vjp)
+    return _node(h, parents, vjp)
 
 
 def relu(a):

@@ -128,7 +128,8 @@ class AnchorSet:
     """Fixed straight anchors sharing one station list, as ``build_default_anchors`` checks them.
 
     base_x is (K, S): constant along stations for each anchor; base_z is
-    (K, S) and zero for the default ground-plane layout.
+    (K, S) and zero for the default ground-plane layout.  All three arrays
+    are read-only, so one set can be shared.
     """
 
     stations: np.ndarray
@@ -157,7 +158,7 @@ def build_default_anchors(
     lo, hi = float(lateral_span[0]), float(lateral_span[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("build_default_anchors: lateral span must be finite and increasing")
-    stations = np.asarray(stations, dtype=np.float64)
+    stations = np.array(stations, dtype=np.float64)  # a copy: it is made read-only below
     if stations.ndim != 1 or stations.shape[0] < 1:
         raise ValueError("build_default_anchors: stations must be a non-empty 1-d list")
     if stations.shape[0] >= 2 and not np.all(np.diff(stations) > 0):
@@ -167,7 +168,10 @@ def build_default_anchors(
     else:
         laterals = np.linspace(lo, hi, num_anchors)
     base_x = np.repeat(laterals[:, None], stations.shape[0], axis=1)
-    return AnchorSet(stations=stations, base_x=base_x, base_z=np.zeros_like(base_x))
+    anchors = AnchorSet(stations=stations, base_x=base_x, base_z=np.zeros_like(base_x))
+    for array in (stations, base_x, anchors.base_z):
+        array.flags.writeable = False  # one AnchorSet is shared by every caller
+    return anchors
 
 
 def resample_lane(lane: Lane3D, target_stations) -> Lane3D:

@@ -106,9 +106,11 @@ class SceneConfig:
         return len(self.stations)
 
     def anchors(self) -> AnchorSet:
-        return build_default_anchors(
-            self.num_anchors, self.lateral_span, np.asarray(self.stations)
-        )
+        """The config's one AnchorSet, built on first use (its arrays are read-only)."""
+        if "_anchors" not in self.__dict__:
+            object.__setattr__(self, "_anchors", build_default_anchors(
+                self.num_anchors, self.lateral_span, self.stations))
+        return self._anchors
 
 
 @dataclass(frozen=True)

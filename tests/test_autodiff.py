@@ -139,8 +139,8 @@ PRIMITIVES = [
     ("log", ad.log),
     ("exp", ad.exp),
     ("sigmoid", ad.sigmoid),
-    ("lstm_cell", lambda a: ad.lstm_cell(a, np.ones((2, 4)), np.zeros(4), np.ones((2, 1)),
-                                         np.ones((2, 1)), np.ones((1, 4)))),
+    ("lstm_windows", lambda a: ad.lstm_windows(ad.reshape(a, (1, 2, 2)), np.ones((4, 2)),
+                                               np.ones((4, 1)), np.zeros(4))),
     ("relu", ad.relu),
     ("absolute", ad.absolute),
     ("reduce_sum", lambda a: ad.reduce_sum(a, axis=0)),
@@ -174,16 +174,15 @@ def test_take_of_a_basic_index_equals_the_scatter_add(index):
     assert got.tobytes() == want.tobytes()
 
 
-def _one_cell(v):
-    # a (1, 4) input through a one-unit cell: hidden 1, four gates
-    return ad.lstm_cell(v.reshape((1, 4)), np.ones((4, 4)), np.zeros(4),
-                        np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 4)))
+def _two_steps(v):
+    # one anchor's two (1, 2) frames through a one-unit LSTM: hidden 1, four gates
+    return ad.lstm_windows(v.reshape((1, 2, 2)), np.ones((4, 2)), np.ones((4, 1)), np.zeros(4))
 
 
 @pytest.mark.parametrize(
     "op",
-    [ad.exp, _one_cell, ad.sigmoid, lambda v: ad.divide(1.0, v)],
-    ids=["exp", "lstm_cell", "sigmoid", "divide"],
+    [ad.exp, _two_steps, ad.sigmoid, lambda v: ad.divide(1.0, v)],
+    ids=["exp", "lstm_windows", "sigmoid", "divide"],
 )
 def test_dropped_graph_is_freed_by_reference_counting(op):
     # a VJP that closed over its own output Var would make every graph a

@@ -79,10 +79,10 @@ def test_residual_sampler_avoids_the_kinks():
 
 
 def test_corrupt_gradient_is_caught_and_named():
-    with corrupt_gradient("lstm_cell", factor=1.5):
+    with corrupt_gradient("lstm_windows", factor=1.5):
         results = run_gradient_checks(num_inputs=2)
     failing = {r.name for r in results if not r.passed}
-    # the fused cell only appears inside the recurrent fuser
+    # the recurrence node only appears inside the fuser
     assert failing == {"lstm_fusion_T1", "lstm_fusion_T2", "lstm_fusion_T3"}
     report = format_report(results)
     assert "failing operations" in report
@@ -91,8 +91,8 @@ def test_corrupt_gradient_is_caught_and_named():
 
 
 def test_corrupt_transpose_reaches_the_trainers_fusion_path():
-    # the batched fuser transposes its weights at every step; the audit
-    # runs that path, so a wrong transpose rule must fail all three
+    # the fuser transposes its projection weight; the audit runs that
+    # path, so a wrong transpose rule must fail all three
     with corrupt_gradient("transpose", factor=1.5):
         results = run_gradient_checks(num_inputs=2)
     failing = {r.name for r in results if not r.passed}

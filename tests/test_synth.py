@@ -96,6 +96,21 @@ def test_noise_free_twin_shares_geometry():
     assert not np.array_equal(noisy.frames[0].features, clean.frames[0].features)
 
 
+def test_anchors_are_built_once_per_config_and_read_only():
+    anchors = SMALL.anchors()
+    assert SMALL.anchors() is anchors
+    for array in (anchors.stations, anchors.base_x, anchors.base_z):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    other = replace(SMALL, num_anchors=5)
+    assert other.anchors() is not anchors and other.anchors().num_anchors == 5
+    # a config equal field for field builds its own set with the same bytes
+    again = replace(SMALL).anchors()
+    assert again is not anchors
+    assert again.base_x.tobytes() == anchors.base_x.tobytes()
+    assert again.stations.tobytes() == anchors.stations.tobytes()
+
+
 def test_zero_noise_features_are_the_documented_layout():
     # [dx * X_SCALE | dz * Z_SCALE | visibility | one-hot category | 0] for
     # the anchor's assigned lane, and the BACKGROUND_CLASS one-hot alone

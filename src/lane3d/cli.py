@@ -119,8 +119,7 @@ def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
         "ego_motion": np.asarray(scene.ego_motion).tolist(),
     }
     with open(dirpath / SCENE_NAME, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 # np.load on a damaged file: a cut header reaches numpy's tokenizer, a

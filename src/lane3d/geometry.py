@@ -29,6 +29,9 @@ def _check_lanes(owner: str, stations, x, z, visibility, rows: tuple) -> None:
                              f"{name} has shape {value.shape}, not {shape}")
     if not (stations[1:] > stations[:-1]).all():
         raise ValueError(f"{owner}: stations must be strictly increasing")
+    # increasing stations between finite ends are all finite, which ``on_grid`` needs
+    if not (-np.inf < stations[0] and stations[-1] < np.inf):
+        raise ValueError(f"{owner}: stations must be finite")
     for name, value in (("x", x), ("z", z)):
         if not np.isfinite(value).all():
             raise ValueError(f"{owner}: {name} must be finite")
@@ -161,6 +164,8 @@ def build_default_anchors(
     stations = np.array(stations, dtype=np.float64)  # a copy: it is made read-only below
     if stations.ndim != 1 or stations.shape[0] < 1:
         raise ValueError("build_default_anchors: stations must be a non-empty 1-d list")
+    if not np.isfinite(stations).all():  # first: np.diff of two infinities warns
+        raise ValueError("build_default_anchors: stations must be finite")
     if stations.shape[0] >= 2 and not np.all(np.diff(stations) > 0):
         raise ValueError("build_default_anchors: stations must be strictly increasing")
     if num_anchors == 1:
@@ -172,6 +177,18 @@ def build_default_anchors(
     for array in (stations, base_x, anchors.base_z):
         array.flags.writeable = False  # one AnchorSet is shared by every caller
     return anchors
+
+
+def on_grid(stations, grid):
+    """Whether each row of ``stations`` is ``np.isclose`` to ``grid`` at every station.
+
+    isclose's own test at its default tolerances, ``|a - b| <= atol +
+    rtol·|b|`` with rtol 1e-5 and atol 1e-8, without numpy's Python
+    wrapper.  It equals isclose wherever ``grid`` is finite, as the
+    stations of every lane, lane stack and anchor set are.  A 1-d
+    ``stations`` gives one bool.
+    """
+    return (np.abs(stations - grid) <= 1e-8 + 1e-5 * np.abs(grid)).all(axis=-1)
 
 
 def resample_lane(lane: Lane3D, target_stations) -> Lane3D:
@@ -228,8 +245,8 @@ def write_lane_file(path, lanes, config_hash: str | None = None) -> None:
     if config_hash is not None:
         document["config_hash"] = config_hash
     with open(path, "w") as fh:
-        json.dump(document, fh, sort_keys=True)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump runs the pure-Python one
+        fh.write(json.dumps(document, sort_keys=True) + "\n")
 
 
 def read_lane_file(path):

@@ -7,7 +7,9 @@ are raw; training.predict_frames decodes them into lanes.
 
 Assignment gives every ground-truth lane the anchor with minimum mean
 lateral distance under a global one-to-one minimum-cost matching;
-near-miss anchors become ignore, the rest background.
+near-miss anchors become ignore, the rest background.  That matching,
+and the lane matching of ``metrics``, is ``min_cost_assignment``, the
+one place the package loads scipy's solver, on its first call.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .geometry import AnchorSet, Lane3D, resample_lane
+from .geometry import AnchorSet, Lane3D, on_grid, resample_lane
 
 BACKGROUND = -1
 IGNORE = -2
@@ -62,9 +63,7 @@ def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
     inside = (anchors.stations >= lane.stations[0]) & (anchors.stations <= lane.stations[-1])
     if not np.any(inside):
         return np.full(anchors.num_anchors, np.inf)
-    if lane.stations.shape == anchors.stations.shape and np.allclose(
-        lane.stations, anchors.stations
-    ):
+    if lane.stations.shape == anchors.stations.shape and on_grid(lane.stations, anchors.stations):
         x = lane.x
         cols = np.ones_like(anchors.stations, dtype=bool)
     else:
@@ -72,6 +71,16 @@ def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
         x = resampled.x
         cols = inside
     return np.abs(anchors.base_x[:, cols] - x).mean(axis=1)
+
+
+def min_cost_assignment(cost):
+    """(rows, cols) of a minimum-cost one-to-one assignment of a 2-D cost
+    matrix: scipy's ``linear_sum_assignment``, imported here on the first
+    call, so that a process that never assigns (the gradient audit, a
+    command that exits before matching) never loads scipy.optimize."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
 
 
 def assign_targets(anchors: AnchorSet, gt_lanes) -> AnchorAssignment:
@@ -86,7 +95,7 @@ def assign_targets(anchors: AnchorSet, gt_lanes) -> AnchorAssignment:
     if len(gt_lanes) == 0:
         return AnchorAssignment(lane_for_anchor, np.zeros((0, k)))
     cost = np.stack([mean_lateral_distance(anchors, lane) for lane in gt_lanes])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
     near = np.any(cost <= POSITIVE_THRESHOLD, axis=0)
     lane_for_anchor[near] = IGNORE
     for lane_idx, anchor_idx in zip(rows, cols):

@@ -12,8 +12,9 @@ Both public functions share one array core.  A LaneStack is one
 ``(N, S)`` stack, a Lane3D list (``match_lanes`` only) one per station
 count.  The gts are grouped by their exact station grid, and each pred
 stack is put on a grid with one ``_interp_rows`` call: a row whose
-stations are allclose to the grid is used as is, any other row is
-interpolated, with a mask of the grid stations inside its own range.  The (N, G, S) distances and
+stations are ``geometry.on_grid`` (``np.isclose`` at every station) is
+used as is, any other row is interpolated, with a mask of the grid
+stations inside its own range.  The (N, G, S) distances and
 visibility masks are broadcast, and every admissible pair's mean
 distance is taken over its compacted both-visible stations, one
 ``(m, n)`` array per count n of such stations.  This is exact, not an
@@ -22,7 +23,8 @@ bits target by target, the distances are elementwise, the station
 counts are integer sums, and a row's ``.mean(axis=1)`` equals the 1-D
 ``.mean()`` of that row.  ``temporal_smoothness`` takes one LaneStack
 per frame, moves it with one ``transform_points`` call and takes every
-matched pair's gaps at once, in match order.
+matched pair's gaps at once, in match order.  The one-to-one matching
+among admissible pairs is ``heads.min_cost_assignment``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .geometry import VISIBILITY_THRESHOLD, LaneStack, transform_points
+from .geometry import VISIBILITY_THRESHOLD, LaneStack, on_grid, transform_points
+from .heads import min_cost_assignment
 
 # Lane matching defaults (meters / fraction of visible stations); the
 # run configuration and the trainer take theirs from here.
@@ -127,7 +129,7 @@ def _stack(lanes) -> list:
 def _put_on_grid(stations, fields, grid):
     """A pred stack's fields on a gt station grid, and the grid stations each row covers.
 
-    A row whose stations are allclose to the grid is used as is and
+    A row whose stations are ``on_grid`` is used as is and
     covers it all; any other row is interpolated and covers the grid
     stations within its own range, none for a 1-station row.
     """
@@ -136,7 +138,7 @@ def _put_on_grid(stations, fields, grid):
     inside = np.zeros((rows, size), dtype=bool)
     off = np.ones(rows, dtype=bool)
     if stations.shape[1] == size:
-        off = ~np.isclose(stations, grid).all(axis=1)
+        off = ~on_grid(stations, grid)
         placed[:, ~off] = fields[:, ~off]
         inside[~off] = True
     if stations.shape[1] >= 2 and off.any():
@@ -192,7 +194,7 @@ def _match(preds, gts, distance_threshold, coverage_fraction) -> list:
                     covered >= coverage_fraction * n_pred)
                 i, j = np.nonzero((n_pred > 0) & (n_gt > 0) & enough)
                 cost[pred_rows[i], gt_rows[members][j]] = _mean_distances(dist[i, j], both[i, j])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
     dist = cost[rows, cols]
     kept = dist < _INADMISSIBLE
     return list(zip(rows[kept].tolist(), cols[kept].tolist(), dist[kept].tolist()))

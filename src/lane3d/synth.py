@@ -92,6 +92,8 @@ class SceneConfig:
         if self.num_classes < 2:
             raise ValueError("SceneConfig: need background plus >= 1 lane class")
         st = np.asarray(self.stations, dtype=np.float64)
+        if not np.isfinite(st).all():  # first: np.diff of two infinities warns
+            raise ValueError("SceneConfig: stations must be finite")
         if st.ndim != 1 or st.shape[0] < 1 or (st.shape[0] > 1 and not np.all(np.diff(st) > 0)):
             raise ValueError("SceneConfig: stations must be strictly increasing")
         object.__setattr__(self, "stations", tuple(float(s) for s in st))

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -226,6 +227,21 @@ def test_scene_dir_stores_features_as_one_binary_array(tmp_path):
     assert stored.tobytes() == np.stack([f.features for f in scene.frames]).tobytes()
     doc = json.loads((tmp_path / "s" / "scene.json").read_text())
     assert sorted(doc) == ["config_hash", "ego_motion", "seed"]
+
+
+def test_scene_dir_json_is_what_the_pure_python_encoder_writes(tmp_path):
+    # the writers use json.dumps, which runs the C encoder; json.dump, which
+    # they used before, runs the pure-Python one.  Floats round-trip through
+    # JSON exactly, so json.dump of the parsed document is the old bytes.
+    scene = generate_scene(12, SMALL_SCENE)
+    write_scene_dir(tmp_path / "s", scene, "cafe00112233")
+    written = sorted((tmp_path / "s").glob("*.json"))
+    assert [p.name for p in written] == ["frame_0.lanes.json", "frame_1.lanes.json", "scene.json"]
+    assert all(frame.lanes for frame in scene.frames)
+    for path in written:
+        old = io.StringIO()
+        json.dump(json.loads(path.read_text()), old, sort_keys=True)
+        assert path.read_bytes() == (old.getvalue() + "\n").encode(), path.name
 
 
 def _checkpoint_of(cfg, path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lane3d.geometry import Lane3D, LaneStack, build_default_anchors, resample_lane
+from lane3d.geometry import Lane3D, LaneStack, build_default_anchors, on_grid, resample_lane
 from lane3d.synth import SceneConfig
 from lane3d.training import predict_frames
 
@@ -34,6 +34,9 @@ def test_lane_validation():
     (dict(stations=[0, 1], x=[0, -np.inf], z=[0, 0], visibility=[1, 1]), "x must be finite"),
     (dict(stations=[0, 1], x=[0, 0], z=[0, np.inf], visibility=[1, 1]), "z must be finite"),
     (dict(stations=[0, 1], x=[0, 0], z=[np.nan, 0], visibility=[1, 1]), "z must be finite"),
+    (dict(stations=[0, np.inf], x=[0, 0], z=[0, 0], visibility=[1, 1]), "stations must be finite"),
+    (dict(stations=[-np.inf, 0], x=[0, 0], z=[0, 0], visibility=[1, 1]), "stations must be finite"),
+    (dict(stations=[np.nan], x=[0], z=[0], visibility=[1]), "stations must be finite"),
     (dict(stations=[], x=[], z=[], visibility=[]), "stations must hold at least one"),
     (dict(stations=[[0, 1], [2, 3]], x=[0, 0], z=[0, 0], visibility=[1, 1]),
      r"stations must be one-dimensional, not of shape \(2, 2\)"),
@@ -98,6 +101,7 @@ def _edited(name, index, value):
     (_edited("visibility", (1, 0), np.nan), r"visibility must lie in \[0, 1\]"),
     (_edited("visibility", (0, 0), -np.nan), r"visibility must lie in \[0, 1\]"),
     (_edited("stations", 2, 2.0), "stations must be strictly increasing"),
+    (_edited("stations", 2, np.inf), "stations must be finite"),
     (dict(stations=np.array([1.0, 2.0])), r"x has shape \(2, 3\), not \(2, 2\)"),
     (dict(stations=np.arange(4.0)), r"x has shape \(2, 3\), not \(2, 4\)"),
     (dict(z=np.zeros((2, 4))), r"z has shape \(2, 4\), not \(2, 3\)"),
@@ -161,9 +165,27 @@ def test_invalid_layouts_rejected():
         build_default_anchors(3, (1.0, -1.0), [5.0])
     with pytest.raises(ValueError):
         build_default_anchors(3, (-1.0, 1.0), stations=[5.0, 5.0])
+    for stations in ([5.0, np.inf], [np.inf, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="stations must be finite"):
+            build_default_anchors(3, (-1.0, 1.0), stations)
     for span in ((1.0, 1.0), (-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="lateral span must be finite and increasing"):
             build_default_anchors(3, span, [5.0])
+
+
+def test_on_grid_is_isclose_at_every_station():
+    grid = np.array([-40.0, -1e-9, 0.0, 3.0, 1e3])
+    tol = 1e-8 + 1e-5 * np.abs(grid)
+    rows = [grid, grid + tol, grid - tol, np.nextafter(grid + tol, np.inf),
+            np.nextafter(grid - tol, -np.inf), -grid, grid + 1.0]
+    rows += [np.where(np.arange(5) == k, row, grid) for row in rows[1:] for k in range(5)]
+    rng = np.random.default_rng(0)
+    rows += list(grid + tol * rng.uniform(-2.0, 2.0, (200, 5)))
+    rows = np.array(rows)
+    expected = np.isclose(rows, grid).all(axis=1)
+    assert 0 < expected.sum() < len(rows)
+    assert np.array_equal(on_grid(rows, grid), expected)
+    assert [bool(on_grid(row, grid)) for row in rows] == [np.allclose(row, grid) for row in rows]
 
 
 def _decode(hand_set_model, span, stations, dx, dz, vis_logits, class_logits):

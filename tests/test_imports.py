@@ -1,6 +1,7 @@
 """Modules of lane3d import in one direction only, the demos import only
-names that exist, only autodiff builds tape nodes, and every public name
-of the package has a caller outside the tests.
+names that exist, only autodiff builds tape nodes, every public name
+of the package has a caller outside the tests, and only one function
+loads scipy's assignment solver.
 
 Each module sits in a tier and may import only from lower tiers:
 autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
@@ -10,6 +11,9 @@ independent of each other.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +302,86 @@ def test_the_allocator_scanner_sees_every_form(tmp_path):
         "probe.py:1 imports ctypes", "probe.py:2 imports ctypes", "probe.py:3 imports ctypes",
         "probe.py:4 imports ctypes", "probe.py:5 names mallopt", "probe.py:6 names mallopt",
     ]
+
+
+# scipy's solver has one home, heads.min_cost_assignment, which imports it
+# on its first call: loading scipy.optimize costs a process about 0.4 s and
+# 40 MB, and the gradient audit and the commands that exit before matching
+# never solve an assignment
+SOLVER_HOME = ("heads", "min_cost_assignment")
+
+
+def _solver_access(path):
+    """(line, enclosing function or None) of each place the file names scipy.optimize."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [(range(node.lineno, node.end_lineno + 1), node.name) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def solver(name):
+        return name == "scipy.optimize" or name.startswith("scipy.optimize.")
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if solver(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if solver(node.module or "") or (node.module == "scipy" and any(
+                    alias.name == "optimize" for alias in node.names)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute):  # scipy.optimize.linear_sum_assignment
+            if node.attr == "optimize" and getattr(node.value, "id", None) == "scipy":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):  # import_module
+            if solver(node.value):
+                lines.append(node.lineno)
+    # the innermost function wins: ast.walk meets outer functions first
+    return [(line, next((name for scope, name in reversed(scopes) if line in scope), None))
+            for line in sorted(set(lines))]
+
+
+def test_only_min_cost_assignment_names_scipy_optimize():
+    found = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+             for _, where in _solver_access(path)]
+    assert found == [SOLVER_HOME], found
+
+
+def test_the_solver_scanner_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import scipy.optimize\n"
+        "import scipy.optimize._lsap as lsap\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "from scipy import sparse, optimize\n"
+        "import scipy\n"
+        "solve = scipy.optimize.linear_sum_assignment\n"
+        "module = __import__('importlib').import_module('scipy.optimize')\n"
+        "from scipy import sparse\n"
+        "import scipy.optimized_elsewhere\n"
+        "def solver():\n"
+        "    from scipy.optimize import linear_sum_assignment\n"
+        "    return linear_sum_assignment\n"
+    )
+    assert _solver_access(probe) == [
+        (1, None), (2, None), (3, None), (4, None), (6, None), (7, None), (11, "solver"),
+    ]
+
+
+def test_only_an_assignment_loads_scipy_optimize():
+    # a fresh process: the one running the tests has loaded scipy.optimize already
+    code = (
+        "import sys\n"
+        "import lane3d.cli\n"
+        "from lane3d import checks, heads\n"
+        "from lane3d.geometry import Lane3D, build_default_anchors\n"
+        "checks.run_gradient_checks(num_inputs=1)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'loaded without an assignment'\n"
+        "lane = Lane3D(stations=[5.0, 10.0], x=[0.0, 0.0], z=[0.0, 0.0],\n"
+        "              visibility=[1.0, 1.0], category=1)\n"
+        "heads.assign_targets(build_default_anchors(3, (-1.0, 1.0), [5.0, 10.0]), [lane])\n"
+        "assert 'scipy.optimize' in sys.modules, 'not loaded by an assignment'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -44,6 +44,9 @@ def test_config_validation():
         SceneConfig(channels=10)  # below 3S + classes
     with pytest.raises(ValueError):
         SceneConfig(stations=(5.0, 5.0))
+    for stations in ((5.0, np.inf), (np.inf, np.inf), (np.nan,)):
+        with pytest.raises(ValueError, match="^SceneConfig: stations must be finite"):
+            SceneConfig(stations=stations)
 
 
 def test_config_roundtrip():

@@ -8,7 +8,7 @@ backward rule is caught and named.
 import numpy as np
 
 from lane3d import autodiff as ad
-from lane3d.checks import corrupt_gradient, format_report, run_gradient_checks
+from lane3d.checks import STEP, corrupt_gradient, format_report, run_gradient_checks
 
 
 def tiny_expression():
@@ -44,7 +44,7 @@ def checked_program():
 
     rng = np.random.default_rng(7)
     report = ad.finite_difference_check(
-        program, {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+        program, {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}, step=STEP
     )
     for name, err in sorted(report.per_parameter.items()):
         print(f"  {name}: max relative error {err:.3e}")

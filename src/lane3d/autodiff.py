@@ -596,11 +596,12 @@ def central_difference(fn, params, name, index, step):
     return (evaluate(step) - evaluate(-step)) / (2.0 * step)
 
 
-def finite_difference_check(fn, params, step=1e-5):
+def finite_difference_check(fn, params, step):
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
     ``fn`` maps a dict of named Vars to a scalar Var; ``params`` holds the
-    evaluation point as named arrays.  The caller is responsible for
+    evaluation point as named arrays; ``step`` is the central-difference
+    step (``checks.STEP`` in the audit).  The caller is responsible for
     staying clear of kinks (relu/abs/min ties, loss branch points) by at
     least a couple of steps; near a kink the comparison is unreliable.
     """

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (
+    DEFAULT_INPUTS_PER_CHECK,
     corrupt_gradient,
     format_report,
     run_gradient_checks,
@@ -447,9 +448,8 @@ def build_parser() -> _Parser:
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference audit of all gradients")
     p.add_argument("--seed", type=int, help="base seed for the random inputs")
-    p.add_argument(
-        "--inputs", type=int, default=100, help="random inputs per named check"
-    )
+    p.add_argument("--inputs", type=int, default=DEFAULT_INPUTS_PER_CHECK,
+                   help="random inputs per named check")
     p.add_argument(
         "--corrupt-op",
         help="test hook: deliberately break one primitive's backward rule",

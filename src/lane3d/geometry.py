@@ -1,4 +1,4 @@
-"""3D lanes and lane stacks, fixed anchors, resampling, the ego-motion transform, lane files.
+"""3D lanes and lane stacks, fixed anchors, the ego-motion transform, lane files.
 
 Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
@@ -189,33 +189,6 @@ def on_grid(stations, grid):
     ``stations`` gives one bool.
     """
     return (np.abs(stations - grid) <= 1e-8 + 1e-5 * np.abs(grid)).all(axis=-1)
-
-
-def resample_lane(lane: Lane3D, target_stations) -> Lane3D:
-    """Linear interpolation of x, z, v onto new stations; category kept.
-
-    Extrapolation is refused: every target must fall inside the lane's
-    station range.
-    """
-    target = np.asarray(target_stations, dtype=np.float64)
-    if lane.stations.shape[0] < 2:
-        raise ValueError("resample_lane: lane needs at least 2 stations")
-    if target.ndim != 1 or target.shape[0] < 1:
-        raise ValueError("resample_lane: target stations must be a non-empty 1-d list")
-    lo, hi = lane.stations[0], lane.stations[-1]
-    outside = (target < lo) | (target > hi)
-    if np.any(outside):
-        bad = target[outside][0]
-        raise ValueError(
-            f"resample_lane: target station {bad} outside lane range [{lo}, {hi}]"
-        )
-    return Lane3D(
-        stations=target,
-        x=np.interp(target, lane.stations, lane.x),
-        z=np.interp(target, lane.stations, lane.z),
-        visibility=np.interp(target, lane.stations, lane.visibility),
-        category=lane.category,
-    )
 
 
 def transform_points(points: np.ndarray, forward: float, yaw_change: float) -> np.ndarray:

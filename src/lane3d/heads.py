@@ -5,11 +5,13 @@ Each anchor's (fused) C-vector passes through a shared hidden layer
 per station, visibility logits per station, and class logits.  Outputs
 are raw; training.predict_frames decodes them into lanes.
 
-Assignment gives every ground-truth lane the anchor with minimum mean
-lateral distance under a global one-to-one minimum-cost matching;
-near-miss anchors become ignore, the rest background.  That matching,
-and the lane matching of ``metrics``, is ``min_cost_assignment``, the
-one place the package loads scipy's solver, on its first call.
+Assignment takes ground truth sampled on the anchor stations, the grid
+every offset target lives on, and rejects a lane that is not, by index.
+It gives every lane the anchor with minimum mean lateral distance under
+a global one-to-one minimum-cost matching; near-miss anchors become
+ignore, the rest background.  That matching, and the lane matching of
+``metrics``, is ``min_cost_assignment``, the one place the package
+loads scipy's solver, on its first call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import AnchorSet, Lane3D, on_grid, resample_lane
+from .geometry import AnchorSet, on_grid
 
 BACKGROUND = -1
 IGNORE = -2
@@ -57,22 +59,6 @@ class AnchorAssignment:
     cost: np.ndarray  # (num_lanes, K) mean lateral distances
 
 
-def mean_lateral_distance(anchors: AnchorSet, lane: Lane3D) -> np.ndarray:
-    """Per-anchor mean |base_x - lane_x| over the anchor stations covered
-    by the lane (lanes off the station grid are linearly resampled)."""
-    inside = (anchors.stations >= lane.stations[0]) & (anchors.stations <= lane.stations[-1])
-    if not np.any(inside):
-        return np.full(anchors.num_anchors, np.inf)
-    if lane.stations.shape == anchors.stations.shape and on_grid(lane.stations, anchors.stations):
-        x = lane.x
-        cols = np.ones_like(anchors.stations, dtype=bool)
-    else:
-        resampled = resample_lane(lane, anchors.stations[inside])
-        x = resampled.x
-        cols = inside
-    return np.abs(anchors.base_x[:, cols] - x).mean(axis=1)
-
-
 def min_cost_assignment(cost):
     """(rows, cols) of a minimum-cost one-to-one assignment of a 2-D cost
     matrix: scipy's ``linear_sum_assignment``, imported here on the first
@@ -86,15 +72,25 @@ def min_cost_assignment(cost):
 def assign_targets(anchors: AnchorSet, gt_lanes) -> AnchorAssignment:
     """Globally optimal lane-to-anchor assignment.
 
-    Each lane takes one anchor, chosen jointly to minimize the total mean
-    lateral distance; unchosen anchors within POSITIVE_THRESHOLD of some
-    lane are marked IGNORE, everything else BACKGROUND.
+    Ground truth must be sampled on the anchor stations; a lane that is
+    not is rejected by index.  Each lane takes one anchor, chosen jointly
+    to minimize the total mean lateral distance over the stations;
+    unchosen anchors within POSITIVE_THRESHOLD of some lane are marked
+    IGNORE, everything else BACKGROUND.
     """
     k = anchors.num_anchors
     lane_for_anchor = np.full(k, BACKGROUND, dtype=np.int64)
     if len(gt_lanes) == 0:
         return AnchorAssignment(lane_for_anchor, np.zeros((0, k)))
-    cost = np.stack([mean_lateral_distance(anchors, lane) for lane in gt_lanes])
+    for index, lane in enumerate(gt_lanes):
+        if lane.stations.shape != anchors.stations.shape or not on_grid(
+                lane.stations, anchors.stations):
+            raise ValueError(f"assign_targets: ground-truth lane {index} is not "
+                             "sampled on the anchor stations")
+    x = np.array([lane.x for lane in gt_lanes])
+    # an F-ordered base_x sums each (lane, anchor) mean station by station,
+    # the order that fixes the bits of the cost, and so of every tie
+    cost = np.abs(np.asfortranarray(anchors.base_x) - x[:, None]).mean(axis=2)
     rows, cols = min_cost_assignment(cost)
     near = np.any(cost <= POSITIVE_THRESHOLD, axis=0)
     lane_for_anchor[near] = IGNORE

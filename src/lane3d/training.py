@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import VISIBILITY_THRESHOLD, Lane3D, LaneStack, resample_lane
+from .geometry import VISIBILITY_THRESHOLD, LaneStack
 from .heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from .losses import (
     TASK_NAMES,
@@ -145,16 +145,16 @@ def init_parameters(scene_config: SceneConfig, train_config: TrainConfig) -> dic
     return {name: params[name] for name in PARAM_ORDER}
 
 
-def _equidistant_gt(lane: Lane3D) -> Lane3D:
-    """Ground truth resampled to equidistant stations across its visible span."""
+def _equidistant_points(lane) -> np.ndarray:
+    """Visible (x, y, z) points of ``lane`` interpolated at as many equidistant
+    stations across its visible span (one if that span is one station)."""
     visible = np.flatnonzero(lane.visible_mask())
     if visible.size == 0:
         raise ValueError("curve loss: ground-truth lane has no visible station")
     lo, hi = lane.stations[visible[0]], lane.stations[visible[-1]]
-    if hi <= lo:
-        return lane
-    targets = np.linspace(lo, hi, lane.stations.shape[0])
-    return resample_lane(lane, targets)
+    y = np.linspace(lo, hi, lane.stations.shape[0] if hi > lo else 1)
+    x, z, v = (np.interp(y, lane.stations, f) for f in (lane.x, lane.z, lane.visibility))
+    return np.stack([x, y, z], axis=1)[v >= VISIBILITY_THRESHOLD]
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,7 @@ def prepare_batch(scenes, anchors, use_chamfer: bool = True) -> MiniBatch:
     row_weights = visibility * scale[scene_of][:, None]
     curve_points = curve_mask = None
     if use_chamfer and lanes:
-        gt = [_equidistant_gt(lane) for lane in lanes]
-        points = [lane.points()[lane.visible_mask()] for lane in gt]
+        points = [_equidistant_points(lane) for lane in lanes]
         m = max(len(p) for p in points)
         curve_points = np.zeros((len(points), m, 3))
         curve_mask = np.zeros((len(points), m), dtype=bool)
@@ -596,17 +595,12 @@ def evaluate_model(
     return reports, jitters, aggregate, mean_jitter
 
 
-ABLATION_ROWS = (
-    ("baseline", {"use_balanced_l1": False, "use_chamfer": False,
-                  "use_uncertainty": False, "use_lstm_fusion": False}),
-    ("+balanced_l1", {"use_balanced_l1": True, "use_chamfer": False,
-                      "use_uncertainty": False, "use_lstm_fusion": False}),
-    ("+chamfer", {"use_balanced_l1": True, "use_chamfer": True,
-                  "use_uncertainty": False, "use_lstm_fusion": False}),
-    ("+uncertainty", {"use_balanced_l1": True, "use_chamfer": True,
-                      "use_uncertainty": True, "use_lstm_fusion": False}),
-    ("+lstm_fusion", {"use_balanced_l1": True, "use_chamfer": True,
-                      "use_uncertainty": True, "use_lstm_fusion": True}),
+ABLATION_COMPONENTS = ("balanced_l1", "chamfer", "uncertainty", "lstm_fusion")
+# rung r turns on the first r components
+ABLATION_ROWS = tuple(
+    ("+" + ABLATION_COMPONENTS[r - 1] if r else "baseline",
+     {f"use_{name}": i < r for i, name in enumerate(ABLATION_COMPONENTS)})
+    for r in range(len(ABLATION_COMPONENTS) + 1)
 )
 
 
@@ -638,7 +632,6 @@ def run_ablation(
                 "f1": aggregate.f1,
                 "acc": aggregate.acc,
                 "jitter": jitter,
-                "params": outcome.params,
             }
         )
     return results

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lane3d.geometry import Lane3D, LaneStack, build_default_anchors, on_grid, resample_lane
+from lane3d.geometry import Lane3D, LaneStack, build_default_anchors, on_grid
 from lane3d.synth import SceneConfig
 from lane3d.training import predict_frames
 
@@ -274,47 +274,3 @@ def test_decode_encode_roundtrip(hand_set_model):
         # a + (x - a) can be one ulp off x in floats; z is exact (base 0)
         assert np.allclose(decoded.x, lane.x, rtol=0.0, atol=1e-12)
         assert np.array_equal(decoded.z, lane.z)
-
-
-def test_resample_identity():
-    lane = Lane3D(stations=[0.0, 4.0, 8.0], x=[0.0, 1.0, 3.0], z=[0.0, 0.1, 0.2],
-                  visibility=[1.0, 1.0, 0.0], category=3)
-    out = resample_lane(lane, lane.stations)
-    assert np.allclose(out.x, lane.x)
-    assert np.allclose(out.z, lane.z)
-    assert np.allclose(out.visibility, lane.visibility)
-    assert out.category == 3
-
-
-def test_resample_midpoint():
-    lane = Lane3D(stations=[0.0, 10.0], x=[0.0, 2.0], z=[0.0, 0.0],
-                  visibility=[1.0, 1.0], category=0)
-    out = resample_lane(lane, [5.0])
-    assert np.isclose(out.x[0], 1.0)
-
-
-def test_resample_piecewise_linear():
-    lane = Lane3D(stations=[0.0, 4.0, 8.0], x=[0.0, 1.0, 3.0], z=[0.0, 0.0, 0.0],
-                  visibility=[1.0, 1.0, 1.0], category=0)
-    out = resample_lane(lane, [6.0])
-    assert np.isclose(out.x[0], 2.0)
-
-
-def test_resample_idempotent_on_own_output():
-    lane = Lane3D(stations=np.linspace(0, 20, 7), x=np.linspace(0, 3, 7) ** 2,
-                  z=np.zeros(7), visibility=np.ones(7), category=0)
-    target = np.linspace(2.0, 18.0, 5)
-    once = resample_lane(lane, target)
-    twice = resample_lane(once, target)
-    assert np.allclose(once.x, twice.x, atol=1e-12)
-    assert np.allclose(once.z, twice.z, atol=1e-12)
-    assert np.allclose(once.visibility, twice.visibility, atol=1e-12)
-
-
-def test_resample_refuses_extrapolation():
-    lane = Lane3D(stations=[0.0, 10.0], x=[0.0, 1.0], z=[0.0, 0.0],
-                  visibility=[1.0, 1.0], category=0)
-    with pytest.raises(ValueError, match="12.5"):
-        resample_lane(lane, [5.0, 12.5])
-    with pytest.raises(ValueError):
-        resample_lane(lane, [-1.0])

@@ -13,7 +13,6 @@ from lane3d.heads import (
     IGNORE,
     assign_targets,
     head_forward,
-    mean_lateral_distance,
 )
 
 
@@ -89,7 +88,7 @@ def _straight_lane(x, stations, category=1):
 def test_mean_lateral_distance_on_anchor_stations():
     anchors = build_default_anchors(3, (-1.0, 1.0), stations=np.array([5.0, 10.0]))
     lane = _straight_lane(0.25, anchors.stations)
-    d = mean_lateral_distance(anchors, lane)
+    d = assign_targets(anchors, [lane]).cost[0]
     assert np.allclose(d, [1.25, 0.25, 0.75], atol=1e-12)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import lane3d.metrics as metrics_module
-from lane3d.geometry import Lane3D, LaneStack, resample_lane, transform_points
+from lane3d.geometry import Lane3D, LaneStack, transform_points
 from lane3d.metrics import (
     MatchReport,
     _interp_rows,
@@ -197,7 +197,14 @@ def _oracle_pair_geometry(pred, gt):
         inside = (gt.stations >= pred.stations[0]) & (gt.stations <= pred.stations[-1])
         if not np.any(inside) or pred.stations.shape[0] < 2:
             return None
-        p = resample_lane(pred, gt.stations[inside])
+        target = gt.stations[inside]
+        p = Lane3D(
+            stations=target,
+            x=np.interp(target, pred.stations, pred.x),
+            z=np.interp(target, pred.stations, pred.z),
+            visibility=np.interp(target, pred.stations, pred.visibility),
+            category=pred.category,
+        )
         g = Lane3D(
             stations=gt.stations[inside],
             x=gt.x[inside],

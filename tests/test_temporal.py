@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane3d import autodiff as ad
-from lane3d.checks import TOLERANCE
+from lane3d.checks import STEP, TOLERANCE
 from lane3d.synth import SceneConfig
 from lane3d.temporal import fuse_all_anchors
 from lane3d.training import TrainConfig, init_parameters
@@ -248,7 +248,7 @@ def test_shared_prefix_gradients_match_fd():
     def program(p):
         return (fuse_all_anchors(p["x"], p, frames=3) * mix).sum()
 
-    report = ad.finite_difference_check(program, params)
+    report = ad.finite_difference_check(program, params, step=STEP)
     assert set(report.per_parameter) == {"x", *LSTM_PARAMS}
     assert report.max_relative_error < TOLERANCE, report.per_parameter
 

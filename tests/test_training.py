@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from lane3d.training import (
     AdamOptimizer,
     TrainConfig,
     TrainingDiverged,
-    _equidistant_gt,
+    _equidistant_points,
     batch_gradients,
     curve_ramp_weight,
     evaluate_model,
@@ -363,6 +363,28 @@ def test_batch_loss_tape_is_small_repeatable_and_flat_in_batch_size():
     assert four <= tape_nodes(scenes[:1])
 
 
+@pytest.mark.parametrize("grid", ["shifted_1m", "10_stations"])
+def test_prepare_batch_rejects_ground_truth_off_the_anchor_stations(grid):
+    # offset targets subtract the anchor at its own stations, so a lane on
+    # any other grid must be refused by name, not built into silent targets
+    # (same length) or a numpy shape error (another length)
+    cfg, scene, _ = _pinned_scene()
+    stations = cfg.scene.anchors().stations
+    if grid == "shifted_1m":
+        off = stations + 1.0
+    else:
+        off = np.linspace(stations[0], stations[-1], 10)
+    *kept, last = scene.frames[-1].lanes
+    moved = Lane3D(stations=off, x=np.interp(off, last.stations, last.x),
+                   z=np.interp(off, last.stations, last.z),
+                   visibility=np.interp(off, last.stations, last.visibility),
+                   category=last.category)
+    frame = replace(scene.frames[-1], lanes=(*kept, moved))
+    scene = replace(scene, frames=(*scene.frames[:-1], frame))
+    with pytest.raises(ValueError, match=f"lane {len(kept)} is not sampled on the anchor stations"):
+        prepare_batch([scene], cfg.scene.anchors())
+
+
 # --- the per-scene composition the batch loss replaced, kept as its oracle
 
 
@@ -410,8 +432,7 @@ def _per_scene_loss(pvars, scene, anchors, loss_config, train_config, epoch):
             for (k, _), lane in zip(positives, pos_lane):
                 pred_points = ad.stack([dx[k] + anchors.base_x[k], ad.as_var(anchors.stations),
                                         dz[k] + anchors.base_z[k]], axis=1)
-                gt_eq = _equidistant_gt(lane)
-                terms.append(chamfer(pred_points, gt_eq.points()[gt_eq.visible_mask()]))
+                terms.append(chamfer(pred_points, _equidistant_points(lane)))
             task_losses["curve"] = ad.stack(terms).mean() * curve_ramp_weight(epoch, cfg)
         task_losses["visibility"] = dice(
             ad.sigmoid(vis_logits[pos_anchor]), visibility, loss_config).mean()
@@ -983,3 +1004,24 @@ def test_training_and_evaluation_are_bitwise_pinned():
         digest.update(repr(reports).encode())
         digest.update(np.array(jitters).tobytes())
     assert digest.hexdigest() == PINNED_TRAIN_EVAL_SHA256
+
+
+# Taken before assignment required ground truth on the anchor stations.
+# The 3-epoch train above never reaches the curve ramp (epoch 5), so this
+# pin is the one that sees the Chamfer ground truth bit for bit.
+PINNED_MINIBATCH_SHA256 = "bc97e59039348756f450204a52ebd06ea104bcf2317f38273c4c0c2ff2645a6a"
+
+
+def test_prepare_batch_is_bitwise_pinned(pinned_split):
+    """Every MiniBatch field, with its dtype and shape, of each mini-batch of
+    the pinned 64-scene train split."""
+    cfg, scenes, _ = pinned_split
+    size = cfg.train.batch_size
+    digest = hashlib.sha256()
+    for start in range(0, len(scenes), size):
+        batch = prepare_batch(scenes[start:start + size], cfg.scene.anchors())
+        for field in fields(batch):
+            value = getattr(batch, field.name)
+            digest.update(f"{field.name}{value.dtype}{value.shape}".encode())
+            digest.update(value.tobytes())
+    assert digest.hexdigest() == PINNED_MINIBATCH_SHA256

@@ -13,6 +13,7 @@ are not guaranteed at that scale).
 
 import argparse
 import time
+from dataclasses import replace
 
 from lane3d.config import RunConfiguration
 from lane3d.synth import generate_dataset
@@ -24,7 +25,8 @@ args = parser.parse_args()
 
 cfg = RunConfiguration()
 if args.quick:
-    cfg = cfg.with_overrides(num_train_scenes=16, num_eval_scenes=8, epochs=30)
+    cfg = replace(cfg, num_train_scenes=16, num_eval_scenes=8,
+                  train=replace(cfg.train, epochs=30))
 
 print(
     f"benchmark: {cfg.num_train_scenes} train / {cfg.num_eval_scenes} eval scenes, "

@@ -526,31 +526,20 @@ def reduce_mean(a, axis=None, keepdims=False):
     return reduce_sum(a, axis=axis, keepdims=keepdims) / float(count)
 
 
-def reduce_min(a, axis=None):
-    """Minimum reduction; the gradient flows only into the argmin entry.
+def reduce_min(a, axis):
+    """Minimum along ``axis``; the gradient flows only into the argmin entry.
 
     Ties break toward the lowest index, matching ``np.argmin``.
     """
     a = as_var(a)
-    if axis is None:
-        flat_idx = int(np.argmin(a.value))
-        value = a.value.reshape(-1)[flat_idx]
+    idx = np.expand_dims(np.argmin(a.value, axis=axis), axis)
 
-        def vjp(g, need):
-            ga = np.zeros_like(a.value)
-            ga.reshape(-1)[flat_idx] = g
-            return (ga,)
+    def vjp(g, need):
+        ga = np.zeros_like(a.value)
+        np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
+        return (ga,)
 
-    else:
-        idx = np.expand_dims(np.argmin(a.value, axis=axis), axis)
-        value = np.take_along_axis(a.value, idx, axis=axis).squeeze(axis)
-
-        def vjp(g, need):
-            ga = np.zeros_like(a.value)
-            np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
-            return (ga,)
-
-    return _node(value, (a,), vjp)
+    return _node(np.take_along_axis(a.value, idx, axis=axis).squeeze(axis), (a,), vjp)
 
 
 def where(condition, a, b):

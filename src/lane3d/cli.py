@@ -6,6 +6,12 @@ timestamps appear only in stdout log lines, never inside output files,
 and every output document carries the configuration hash it was
 produced under.
 
+Each flag sets one configuration field over the config file: `--seed`
+and `--epochs` the `train` section, `--threshold`, `--coverage` and
+`--out` the top level, and `generate --seed` both data seeds. Every
+per-scene metrics table is written by `_write_table`; `_evaluate` runs
+`evaluate_model` under a configuration and writes its table.
+
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 inconsistent inputs, a failed gradient audit), 2 runtime or numerical
 failure (training divergence, unexpected I/O loss mid-run).
@@ -14,7 +20,7 @@ failure (training divergence, unexpected I/O loss mid-run).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -25,12 +31,12 @@ import numpy as np
 
 from .checks import (
     DEFAULT_INPUTS_PER_CHECK,
-    corrupt_gradient,
     format_report,
     run_gradient_checks,
     worst_result,
 )
 from .config import (
+    EVAL_SEED_OFFSET,
     RunConfiguration,
     load_run_configuration,
     save_run_configuration,
@@ -72,28 +78,20 @@ def _log(message: str) -> None:
     print(f"[{stamp}] {message}")
 
 
-def _resolve_config(args, data_seed_override: bool = False) -> RunConfiguration:
-    """Layer flags over the config file over the defaults."""
-    path = getattr(args, "config", None)
-    config = load_run_configuration(path) if path else RunConfiguration()
-    overrides = {}
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        if data_seed_override:
-            overrides["train_data_seed"] = seed
-            overrides["eval_data_seed"] = seed + 4000
-        else:
-            overrides["seed"] = seed
-    for flag, field in (
-        ("epochs", "epochs"),
-        ("threshold", "distance_threshold"),
-        ("coverage", "coverage_fraction"),
-        ("out", "output_dir"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return config.with_overrides(**overrides)
+def _resolve_config(args) -> RunConfiguration:
+    """Flags over the config file over the defaults."""
+    config = load_run_configuration(args.config) if args.config else RunConfiguration()
+
+    def flags(*pairs):
+        return {field: getattr(args, flag) for flag, field in pairs
+                if getattr(args, flag, None) is not None}
+
+    top = flags(("threshold", "distance_threshold"), ("coverage", "coverage_fraction"),
+                ("out", "output_dir"), ("data_seed", "train_data_seed"))
+    if "train_data_seed" in top:
+        top["eval_data_seed"] = top["train_data_seed"] + EVAL_SEED_OFFSET
+    train = dataclasses.replace(config.train, **flags(("seed", "seed"), ("epochs", "epochs")))
+    return dataclasses.replace(config, train=train, **top)
 
 
 def _out_dir(config: RunConfiguration) -> Path:
@@ -175,7 +173,9 @@ def read_scene_dir(dirpath) -> SceneSequence:
         )
     if not np.all(np.isfinite(ego_motion)):
         raise ValueError(f"scene {scene_path}: ego_motion: non-finite values")
-    seed = doc.get("seed", -1)
+    if "seed" not in doc:
+        raise ValueError(f"scene {scene_path}: seed: missing")
+    seed = doc["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"scene {scene_path}: seed: {seed!r} is not an integer")
     num_lane_files = len(list(dirpath.glob("frame_*.lanes.json")))
@@ -193,22 +193,28 @@ def read_scene_dir(dirpath) -> SceneSequence:
     return SceneSequence(frames=tuple(frames), ego_motion=ego_motion, seed=seed)
 
 
-def load_scene_dataset(root, feature_shape) -> list:
-    """Every scene directory under root; each scene's (K, C) must equal feature_shape."""
+def load_scene_dataset(root, scene_config) -> list:
+    """Every scene directory under root; each must hold scene_config's T frames of (K, C)."""
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"scene dataset {root}: not a directory")
     subdirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not subdirs:
         raise ValueError(f"scene dataset {root}: no scene directories found")
+    expected = (scene_config.num_anchors, scene_config.channels)
     scenes = []
     for path in subdirs:
         scenes.append(read_scene_dir(path))
         shape = scenes[-1].frames[0].features.shape
-        if shape != tuple(feature_shape):
+        if shape != expected:
             raise ValueError(
                 f"scene {path / FEATURES_NAME}: (K, C) = {shape} differs from "
-                f"{tuple(feature_shape)} of the run configuration"
+                f"{expected} of the run configuration"
+            )
+        if scenes[-1].num_frames != scene_config.num_frames:
+            raise ValueError(
+                f"scene {path / FEATURES_NAME}: {scenes[-1].num_frames} frames differ "
+                f"from num_frames = {scene_config.num_frames} of the run configuration"
             )
     return scenes
 
@@ -228,7 +234,7 @@ def _generate_split(config: RunConfiguration):
 
 
 def cmd_generate(args) -> int:
-    config = _resolve_config(args, data_seed_override=True)
+    config = _resolve_config(args)
     out = _out_dir(config)
     config_hash = config.config_hash()
     train_scenes, eval_scenes = _generate_split(config)
@@ -247,14 +253,12 @@ def cmd_generate(args) -> int:
 def cmd_gradcheck(args) -> int:
     # --seed seeds the audit's inputs, not the model, so it stays out of the hash
     config = load_run_configuration(args.config) if args.config else RunConfiguration()
-    hook = getattr(args, "corrupt_op", None)
-    with corrupt_gradient(hook) if hook else contextlib.nullcontext():
-        results = run_gradient_checks(
-            num_inputs=args.inputs, base_seed=args.seed or 0, loss_config=config.loss
-        )
+    results = run_gradient_checks(
+        num_inputs=args.inputs, base_seed=args.seed or 0, loss_config=config.loss
+    )
     report = format_report(results)
     print(report)
-    if getattr(args, "out", None):
+    if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         config_hash = config.config_hash()
@@ -272,10 +276,29 @@ def cmd_gradcheck(args) -> int:
     return EXIT_VALIDATION
 
 
-def _metric_rows(reports, jitters, aggregate, mean_jitter, ids):
+def _write_table(path, ids, evaluation, config_hash) -> str:
+    """Per-scene metrics rows plus the aggregate row; returns the stdout summary.
+
+    ``evaluation`` is what ``evaluate_model`` returns: (reports, jitters,
+    aggregate report, mean jitter).
+    """
+    reports, jitters, aggregate, mean_jitter = evaluation
     rows = [metrics_row(i, r, j) for i, r, j in zip(ids, reports, jitters)]
     rows.append(metrics_row("aggregate", aggregate, mean_jitter))
-    return rows
+    write_metrics_csv(path, rows, config_hash)
+    return f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} jitter={mean_jitter:.6f}"
+
+
+def _evaluate(config: RunConfiguration, params, scenes, path):
+    """``evaluate_model`` under ``config``, tabled in ``path``.
+
+    Returns the aggregate report, the mean jitter and the stdout summary.
+    """
+    evaluation = evaluate_model(params, scenes, config.scene, config.train.use_lstm_fusion,
+                                config.distance_threshold, config.coverage_fraction)
+    ids = [f"scene_{i:04d}" for i in range(len(scenes))]
+    summary = _write_table(path, ids, evaluation, config.config_hash())
+    return evaluation[2], evaluation[3], summary
 
 
 def cmd_train(args) -> int:
@@ -295,36 +318,25 @@ def cmd_train(args) -> int:
         config.loss,
         log_path=out / "train_log.csv",
     )
-    reports, jitters, aggregate, mean_jitter = evaluate_model(
-        result.params,
-        eval_scenes,
-        config.scene,
-        config.train.use_lstm_fusion,
-        config.distance_threshold,
-        config.coverage_fraction,
+    aggregate, mean_jitter, summary = _evaluate(
+        config, result.params, eval_scenes, out / "metrics.csv"
     )
     metrics = {"f1": aggregate.f1, "acc": aggregate.acc, "jitter": mean_jitter}
     save_checkpoint(
         out / "checkpoint.bin", result.params, result.epochs_run, config_hash, metrics
     )
-    ids = [f"scene_{i:04d}" for i in range(len(reports))]
-    write_metrics_csv(
-        out / "metrics.csv",
-        _metric_rows(reports, jitters, aggregate, mean_jitter, ids),
-        config_hash,
-    )
     print(
         f"final losses: "
         + " ".join(f"{k}={v:.6f}" for k, v in sorted(result.final_losses.items()))
     )
-    print(
-        f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} jitter={mean_jitter:.6f}"
-    )
+    print(summary)
     _log("train finished")
     return EXIT_OK
 
 
-def _eval_from_files(args, config, out, config_hash) -> int:
+def _eval_from_files(args, config, path) -> int:
+    if args.scenes is None:
+        args.parser.error("--pred needs --scenes, the ground-truth lane files")
     pred_root, gt_root = Path(args.pred), Path(args.scenes)
     for root in (pred_root, gt_root):
         if not root.is_dir():
@@ -338,63 +350,36 @@ def _eval_from_files(args, config, out, config_hash) -> int:
         args.parser.error(
             "prediction and ground-truth directories list different lane files"
         )
-    reports = []
-    for rel in gt_files:
-        preds = read_lane_file(pred_root / rel)
-        gts = read_lane_file(gt_root / rel)
-        reports.append(
-            match_lanes(preds, gts, config.distance_threshold, config.coverage_fraction)
-        )
-    aggregate = aggregate_reports(reports)
-    jitters = [float("nan")] * len(reports)
-    ids = [str(rel) for rel in gt_files]
-    write_metrics_csv(
-        out / "eval_metrics.csv",
-        _metric_rows(reports, jitters, aggregate, float("nan"), ids),
-        config_hash,
-    )
-    print(f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} jitter=nan")
+    reports = [
+        match_lanes(read_lane_file(pred_root / rel), read_lane_file(gt_root / rel),
+                    config.distance_threshold, config.coverage_fraction)
+        for rel in gt_files
+    ]
+    nan = float("nan")
+    evaluation = (reports, [nan] * len(reports), aggregate_reports(reports), nan)
+    print(_write_table(path, [str(rel) for rel in gt_files], evaluation, config.config_hash()))
     _log("eval finished")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config = _resolve_config(args)
-    out = _out_dir(config)
-    config_hash = config.config_hash()
+    path = _out_dir(config) / "eval_metrics.csv"
     if (args.checkpoint is None) == (args.pred is None):
         args.parser.error("provide exactly one of --checkpoint or --pred")
     if args.pred is not None:
-        return _eval_from_files(args, config, out, config_hash)
+        return _eval_from_files(args, config, path)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         args.parser.error(f"checkpoint not found: {ckpt}")
     expected = init_parameters(config.scene, config.train)
     params, header = load_checkpoint(ckpt, {name: p.shape for name, p in expected.items()})
     if args.scenes:
-        scenes = load_scene_dataset(
-            args.scenes, (config.scene.num_anchors, config.scene.channels)
-        )
+        scenes = load_scene_dataset(args.scenes, config.scene)
     else:
         _, scenes = _generate_split(config)
-    reports, jitters, aggregate, mean_jitter = evaluate_model(
-        params,
-        scenes,
-        config.scene,
-        config.train.use_lstm_fusion,
-        config.distance_threshold,
-        config.coverage_fraction,
-    )
-    ids = [f"scene_{i:04d}" for i in range(len(reports))]
-    write_metrics_csv(
-        out / "eval_metrics.csv",
-        _metric_rows(reports, jitters, aggregate, mean_jitter, ids),
-        config_hash,
-    )
-    print(
-        f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} "
-        f"jitter={mean_jitter:.6f} (checkpoint epoch {header.get('epoch')})"
-    )
+    _, _, summary = _evaluate(config, params, scenes, path)
+    print(f"{summary} (checkpoint epoch {header.get('epoch')})")
     _log("eval finished")
     return EXIT_OK
 
@@ -443,17 +428,14 @@ def build_parser() -> _Parser:
 
     p = add("generate", cmd_generate, "write synthetic scene files to disk")
     p.add_argument(
-        "--seed", type=int, help="base data seed (eval scenes use seed + 4000)"
+        "--seed", type=int, dest="data_seed",
+        help=f"train data seed (eval scenes use seed + {EVAL_SEED_OFFSET})",
     )
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference audit of all gradients")
     p.add_argument("--seed", type=int, help="base seed for the random inputs")
     p.add_argument("--inputs", type=int, default=DEFAULT_INPUTS_PER_CHECK,
                    help="random inputs per named check")
-    p.add_argument(
-        "--corrupt-op",
-        help="test hook: deliberately break one primitive's backward rule",
-    )
 
     p = add("train", cmd_train, "train on a regenerated benchmark and evaluate")
     p.add_argument("--seed", type=int, help="weight-initialization seed")

@@ -64,10 +64,6 @@ class Lane3D:
     def visible_mask(self) -> np.ndarray:
         return self.visibility >= VISIBILITY_THRESHOLD
 
-    def points(self) -> np.ndarray:
-        """All stations as (n, 3) points in (x, y, z) order."""
-        return np.stack([self.x, self.stations, self.z], axis=1)
-
     def to_dict(self) -> dict:
         return {
             "stations": self.stations.tolist(),

@@ -1,12 +1,13 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lane3d.checks import format_report, run_gradient_checks
+from lane3d.checks import corrupt_gradient, format_report, run_gradient_checks
 from lane3d.cli import main, read_scene_dir, write_scene_dir
-from lane3d.config import RunConfiguration, save_run_configuration
+from lane3d.config import EVAL_SEED_OFFSET, RunConfiguration, save_run_configuration, to_dict
 from lane3d.geometry import read_lane_file, write_lane_file
 from lane3d.losses import LossConfig
 from lane3d.synth import SceneConfig, generate_dataset, generate_scene
@@ -95,6 +96,9 @@ def test_generate_seed_flag_changes_the_data(small_config, tmp_path):
         a = (out_a / "train" / "scene_0000" / name).read_bytes()
         b = (out_b / "train" / "scene_0000" / name).read_bytes()
         assert a != b, name
+    written = json.loads((out_b / "config.json").read_text())
+    assert (written["train_data_seed"], written["eval_data_seed"]) == (9, 9 + EVAL_SEED_OFFSET)
+    assert written["train"]["seed"] == 0  # the weight seed is not a data seed
 
 
 def test_generate_rejects_bad_stations(small_config, tmp_path, capsys):
@@ -157,6 +161,12 @@ def _edit_features(d, edit):
     np.save(d / "features.npy", edit(np.load(d / "features.npy")))
 
 
+def _drop_from_scene_doc(d, name):
+    doc = json.loads((d / "scene.json").read_text())
+    del doc[name]
+    (d / "scene.json").write_text(json.dumps(doc))
+
+
 def _set_first(value):
     def edit(features):
         features.flat[0] = value
@@ -202,6 +212,7 @@ BROKEN_SCENE_DIRS = [
     ("seed-integral-float", lambda d: _edit_scene_doc(d, seed=12.0), ["scene.json", "seed", "12.0"]),
     ("seed-bool", lambda d: _edit_scene_doc(d, seed=True), ["scene.json", "seed", "True"]),
     ("seed-null", lambda d: _edit_scene_doc(d, seed=None), ["scene.json", "seed", "None"]),
+    ("seed-missing", lambda d: _drop_from_scene_doc(d, "seed"), ["scene.json", "seed: missing"]),
 ]
 
 
@@ -277,6 +288,24 @@ def test_eval_rejects_scenes_of_another_configuration(small_config, tmp_path, ca
     err = capsys.readouterr().err
     assert "scene_0000/features.npy: (K, C) = (8, 24) differs from (40, 128)" in err
     assert "matmul" not in err
+
+
+def test_eval_rejects_scenes_of_another_frame_count(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    # 2-frame scenes evaluated under a 3-frame configuration of the same (K, C)
+    three = replace(cfg, scene=replace(cfg.scene, num_frames=3))
+    three_path = tmp_path / "three.json"
+    save_run_configuration(three_path, three)
+    ckpt = _checkpoint_of(three, tmp_path / "checkpoint.bin")
+    capsys.readouterr()
+    code = main(["eval", "--config", str(three_path), "--checkpoint", str(ckpt),
+                 "--scenes", str(gen / "eval"), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "scene_0000/features.npy: 2 frames differ from num_frames = 3" in err
+    assert not (tmp_path / "ev" / "eval_metrics.csv").exists()
 
 
 def test_lane_file_accepts_bare_lists(tmp_path):
@@ -449,6 +478,15 @@ def test_eval_rejects_a_predicted_lane_without_stations(tmp_path, capsys):
     assert "stations" in err and "Traceback" not in err
 
 
+def test_eval_of_predictions_requires_the_ground_truth(tmp_path, capsys):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    write_lane_file(pred / "scene_0.lanes.json", generate_scene(3, SMALL_SCENE).frames[-1].lanes)
+    assert main(["eval", "--pred", str(pred), "--out", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err
+    assert "--pred needs --scenes" in err and "Traceback" not in err
+
+
 def test_eval_requires_exactly_one_source(small_config, tmp_path, capsys):
     _, path = small_config
     assert main(["eval", "--config", str(path)]) == 1
@@ -522,11 +560,12 @@ def test_gradcheck_passes_and_is_repeatable(tmp_path, capsys):
 
 
 def test_gradcheck_corruption_fails_and_names_the_op(capsys):
-    code = main(["gradcheck", "--inputs", "2", "--corrupt-op", "sigmoid"])
+    with corrupt_gradient("sigmoid"):
+        code = main(["gradcheck", "--inputs", "2"])
     assert code == 1
     captured = capsys.readouterr()
     assert "failing operations" in captured.out
-    assert "gradient audit failed" in captured.err
+    assert "gradient audit failed at operation 'dice'" in captured.err
 
 
 def test_gradcheck_writes_report_with_hash(tmp_path, capsys):
@@ -616,7 +655,8 @@ def test_ablate_emits_five_nested_rows(small_config, tmp_path, capsys):
     assert code == 0
     table = (out / "ablation.csv").read_text()
     lines = table.splitlines()
-    assert lines[0] == f"# config_hash={cfg.with_overrides(epochs=2).config_hash()}"
+    two_epochs = replace(cfg, train=replace(cfg.train, epochs=2))
+    assert lines[0] == f"# config_hash={two_epochs.config_hash()}"
     assert "rows nest" in lines[1]
     assert lines[2] == "configuration,f1,acc,jitter"
     names = [l.split(",")[0] for l in lines[3:]]
@@ -638,6 +678,17 @@ def test_epochs_flag_beats_config(small_config, tmp_path):
     )
     rows = (out / "train_log.csv").read_text().splitlines()
     assert len(rows) == 1 + 2  # header plus one row per epoch
+
+
+def test_flags_set_their_fields_and_leave_the_rest_of_the_file(small_config, tmp_path):
+    cfg, path = small_config
+    out = tmp_path / "run"
+    argv = ["ablate", "--config", str(path), "--out", str(out), "--epochs", "1", "--seed", "5",
+            "--threshold", "2.5", "--coverage", "0.5"]
+    assert main(argv) == 0
+    want = replace(cfg, train=replace(cfg.train, epochs=1, seed=5), distance_threshold=2.5,
+                   coverage_fraction=0.5, output_dir=str(out))
+    assert json.loads((out / "config.json").read_text()) == to_dict(want)
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -92,7 +92,7 @@ def test_hash_is_stable_and_sensitive():
     assert len(base.config_hash()) == 12
     changed = dataclasses.replace(base, num_eval_scenes=33)
     assert changed.config_hash() != base.config_hash()
-    deeper = base.with_overrides(seed=12)
+    deeper = dataclasses.replace(base, train=dataclasses.replace(base.train, seed=12))
     assert deeper.config_hash() != base.config_hash()
 
 
@@ -107,23 +107,6 @@ def test_canonical_json_sorts_keys():
     doc = {"b": 1, "a": {"d": 2, "c": 3}}
     assert canonical_json(doc) == '{"a":{"c":3,"d":2},"b":1}'
     assert config_hash(doc) == config_hash({"a": {"c": 3, "d": 2}, "b": 1})
-
-
-def test_with_overrides_layering():
-    cfg = RunConfiguration()
-    out = cfg.with_overrides(seed=7, epochs=3, distance_threshold=2.5, output_dir=None)
-    assert out.train.seed == 7
-    assert out.train.epochs == 3
-    assert out.distance_threshold == 2.5
-    # untouched train fields survive the replacement
-    assert out.train.batch_size == cfg.train.batch_size
-    # None means "not given", never "set to None"
-    assert out.output_dir == cfg.output_dir
-
-
-def test_with_overrides_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown override"):
-        RunConfiguration().with_overrides(learning=1.0)
 
 
 def test_validation():

@@ -35,6 +35,11 @@ def _lane(x, vis=None, category=1, stations=STATIONS, z=None):
     return Lane3D(stations=stations, x=x, z=z, visibility=vis, category=category)
 
 
+def _points(lane):
+    """All stations of ``lane`` as (n, 3) points in (x, y, z) order."""
+    return np.stack([lane.x, lane.stations, lane.z], axis=1)
+
+
 def _as_stack(lanes, stations):
     """``lanes``, all on ``stations``, as one LaneStack."""
     shape = (len(lanes), stations.size)
@@ -289,7 +294,7 @@ def _near(rng, gt):
                       category=int(rng.integers(1, 4)))
     if kind == 1 or gt.stations.shape[0] < 2:
         return _random_lane(rng, GRIDS[rng.integers(len(GRIDS))])
-    moved = transform_points(gt.points(), rng.uniform(0.0, 3.0), rng.uniform(-0.02, 0.02))
+    moved = transform_points(_points(gt), rng.uniform(0.0, 3.0), rng.uniform(-0.02, 0.02))
     return Lane3D(stations=moved[:, 1], x=moved[:, 0] + rng.normal(0, 0.3), z=moved[:, 2],
                   visibility=gt.visibility, category=gt.category)
 
@@ -330,7 +335,7 @@ def test_match_lanes_interpolates_per_pred_not_per_pair(monkeypatch):
     shifted = [
         Lane3D(stations=m[:, 1], x=m[:, 0], z=m[:, 2], visibility=g.visibility, category=1)
         for g in gts
-        for m in [transform_points(g.points(), 1.3, 0.01)]
+        for m in [transform_points(_points(g), 1.3, 0.01)]
     ]
     calls = []
     real = metrics_module._interp_rows
@@ -437,7 +442,7 @@ def test_transport_moves_a_frame_at_once(monkeypatch):
     assert len(calls) == 1
     assert rows.tolist() == [0, 1, 2]  # the folded lane is gone, the rest renumbered
     for row, lane in enumerate(lanes[:1] + lanes[2:]):
-        pts = transform_points(lane.points(), forward, yaw)
+        pts = transform_points(_points(lane), forward, yaw)
         assert stations[row].tobytes() == np.ascontiguousarray(pts[:, 1]).tobytes()
         assert x[row].tobytes() == np.ascontiguousarray(pts[:, 0]).tobytes()
         assert z[row].tobytes() == np.ascontiguousarray(pts[:, 2]).tobytes()
@@ -455,7 +460,7 @@ def test_transport_moves_a_frame_at_once(monkeypatch):
 def _oracle_transported_lanes(lanes, forward, yaw_change):
     if not lanes:
         return []
-    moved = transform_points(np.concatenate([lane.points() for lane in lanes]), forward, yaw_change)
+    moved = transform_points(np.concatenate([_points(lane) for lane in lanes]), forward, yaw_change)
     out = []
     stop = 0
     for lane in lanes:
@@ -504,7 +509,7 @@ def _steep(grid):
 
 def _follower(rng, lane, forward, yaw, grid):
     """``lane`` one frame later: moved, shifted and put on ``grid``; None when it folds."""
-    moved = transform_points(lane.points(), forward, yaw)
+    moved = transform_points(_points(lane), forward, yaw)
     if not np.all(np.diff(moved[:, 1]) > 0):
         return None
     x, z, visibility = (np.interp(grid, moved[:, 1], values) for values in (
@@ -666,7 +671,7 @@ def test_transport_drops_exactly_the_lanes_whose_stations_stop_increasing(seed, 
                     z=rng.normal(0, 0.2, grid.size), visibility=_visibility(rng, grid.size),
                     category=1) for _ in range(rng.integers(1, 6))]
     rows, stations, (x, z, _) = _transported(_stack(_as_stack(lanes, grid))[0], forward, yaw)
-    points = [transform_points(lane.points(), forward, yaw) for lane in lanes]
+    points = [transform_points(_points(lane), forward, yaw) for lane in lanes]
     kept = [pts for pts in points if (np.diff(pts[:, 1]) > 0).all()]
     assert rows.tolist() == list(range(len(kept)))  # renumbered in frame order
     for row, pts in enumerate(kept):
@@ -729,7 +734,7 @@ def test_smoothness_zero_for_rigidly_transported_sequence():
     lane = lane0
     for _ in range(2):
         fwd, yaw = 1.1, 0.015
-        moved = transform_points(lane.points(), fwd, yaw)
+        moved = transform_points(_points(lane), fwd, yaw)
         lane = Lane3D(stations=moved[:, 1], x=moved[:, 0], z=moved[:, 2],
                       visibility=lane.visibility, category=lane.category)
         frames.append(_as_stack([lane], lane.stations))

@@ -175,7 +175,8 @@ def test_reexpression_consistency_exact():
         pose2 = _advance(pose, forward, yaw_change)
 
         first = sample_lane_in_frame(lane, pose, stations)
-        moved = transform_points(first.points(), forward, yaw_change)
+        moved = transform_points(np.stack([first.x, first.stations, first.z], axis=1),
+                                 forward, yaw_change)
         inside = (moved[:, 1] >= stations[0]) & (moved[:, 1] <= stations[-1])
         assert inside.sum() >= 10
         again = sample_lane_in_frame(lane, pose2, moved[inside, 1])

@@ -23,8 +23,7 @@ cheap:
   gradient.  Constants keep ``grad = None``.
 - Gradients are allocated lazily.  ``backward`` gives a node a gradient
   only when one of its children sends one, and skips the VJP of a node
-  that received nothing.  Every non-constant node that received nothing
-  gets zeros at the end.  A node's first contribution is kept as
+  that received nothing.  A node's first contribution is kept as
   handed over (it may be a view another node shares); the second is
   summed into a new buffer, and later ones are added into that buffer
   in place.
@@ -50,7 +49,6 @@ cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -171,9 +169,6 @@ class Var:
                 else:
                     parent.grad = parent.grad + g
                     owned.add(id(parent))
-        for node in order:
-            if node.grad is None and not node.constant:
-                node.grad = np.zeros_like(node.value)
 
 
 def _topological_order(root):
@@ -454,7 +449,8 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
 
     def vjp(grad, need):
         d_batch = np.zeros_like(batch.value) if need[0] else None
-        d_w_ih_t, d_w_hh_t, d_bias = [], [], []  # per step, latest first
+        d_w_ih_t = d_bias = None  # summed latest step first
+        d_w_hh_t = []  # per step, latest first
         dh, dc = grad, 0.0
         for index, expand, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(steps):
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
@@ -470,9 +466,9 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
             if need[0]:
                 d_batch[index] += dz @ w_ih.value
             if need[1]:
-                d_w_ih_t.append(x.T @ dz)
+                d_w_ih_t = x.T @ dz if d_w_ih_t is None else d_w_ih_t + x.T @ dz
             if need[3]:
-                d_bias.append(dz.sum(axis=0))
+                d_bias = dz.sum(axis=0) if d_bias is None else d_bias + dz.sum(axis=0)
             if h_prev is None:
                 break
             if need[2]:
@@ -484,10 +480,10 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
                 dh, dc = dh[k:], dc[k:]
         return (
             d_batch,
-            reduce(np.add, d_w_ih_t).T if need[1] else None,
+            d_w_ih_t.T if need[1] else None,
             # w_hh earliest first, from step 0's product with the zero state: +0.0
             sum(reversed(d_w_hh_t), np.zeros((hidden, 4 * hidden))).T if need[2] else None,
-            reduce(np.add, d_bias) if need[3] else None,
+            d_bias,
         )
 
     return _node(h, parents, vjp)
@@ -608,9 +604,8 @@ def finite_difference_check(fn, params, step):
         grad = leaves[name].grad
         grad = np.zeros_like(base) if grad is None else grad
         worst = 0.0
-        for index in np.ndindex(base.shape if base.shape else (1,)):
-            idx = index if base.shape else ()
-            analytic = float(grad[idx]) if base.shape else float(grad)
+        for idx in np.ndindex(base.shape):
+            analytic = float(grad[idx])
             numeric = central_difference(fn, named, name, idx, step)
             worst = max(worst, _relative_error(analytic, numeric))
         per_parameter[name] = worst

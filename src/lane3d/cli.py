@@ -8,9 +8,18 @@ produced under.
 
 Each flag sets one configuration field over the config file: `--seed`
 and `--epochs` the `train` section, `--threshold`, `--coverage` and
-`--out` the top level, and `generate --seed` both data seeds. Every
-per-scene metrics table is written by `_write_table`; `_evaluate` runs
-`evaluate_model` under a configuration and writes its table.
+`--out` the top level, and `generate --seed` both data seeds.
+
+Every input is checked before anything is written, so a command that
+rejects its flags, configuration or inputs leaves no output directory
+behind; only a failed gradient audit exits 1 after writing its report.
+`generate`, `train` and `ablate` share one set-up, `_set_up`: resolve
+the configuration, generate both splits, then create `--out` and write
+`config.json`. `eval` creates `--out` only when it writes its table,
+after its flags, the checkpoint and the scenes have passed. This module
+writes every run output; every table goes through `metrics.write_table`,
+and `_evaluate` runs `evaluate_model` under a configuration and writes
+its table.
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 inconsistent inputs, a failed gradient audit), 2 runtime or numerical
@@ -42,9 +51,10 @@ from .config import (
     save_run_configuration,
 )
 from .geometry import read_lane_file, write_lane_file
-from .metrics import aggregate_reports, match_lanes, metrics_row, write_metrics_csv
+from .metrics import METRIC_COLUMNS, aggregate_reports, match_lanes, metrics_row, write_table
 from .synth import FrameRecord, SceneSequence, generate_dataset
 from .training import (
+    EPOCH_LOG_COLUMNS,
     TrainingDiverged,
     ablation_table,
     evaluate_model,
@@ -204,6 +214,9 @@ def load_scene_dataset(root, scene_config) -> list:
     expected = (scene_config.num_anchors, scene_config.channels)
     scenes = []
     for path in subdirs:
+        if not (path / SCENE_NAME).exists() and any(path.glob(f"*/{SCENE_NAME}")):
+            raise ValueError(f"scene dataset {root}: {path} holds scene directories; "
+                             f"pass --scenes {path}")
         scenes.append(read_scene_dir(path))
         shape = scenes[-1].frames[0].features.shape
         if shape != expected:
@@ -219,14 +232,20 @@ def load_scene_dataset(root, scene_config) -> list:
     return scenes
 
 
-def _generate_split(config: RunConfiguration):
-    train_scenes = generate_dataset(
-        config.train_data_seed, config.num_train_scenes, config.scene
-    )
-    eval_scenes = generate_dataset(
-        config.eval_data_seed, config.num_eval_scenes, config.scene
-    )
-    return train_scenes, eval_scenes
+def _set_up(args):
+    """The run set-up of generate, train and ablate.
+
+    Returns the configuration, the output directory and the train and
+    eval splits. Both splits are generated before ``--out`` is created
+    and ``config.json`` written in it, so a configuration the generator
+    rejects writes nothing.
+    """
+    config = _resolve_config(args)
+    train_scenes = generate_dataset(config.train_data_seed, config.num_train_scenes, config.scene)
+    eval_scenes = generate_dataset(config.eval_data_seed, config.num_eval_scenes, config.scene)
+    out = _out_dir(config)
+    save_run_configuration(out / "config.json", config)
+    return config, out, train_scenes, eval_scenes
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +253,8 @@ def _generate_split(config: RunConfiguration):
 
 
 def cmd_generate(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
+    config, out, train_scenes, eval_scenes = _set_up(args)
     config_hash = config.config_hash()
-    train_scenes, eval_scenes = _generate_split(config)
-    save_run_configuration(out / "config.json", config)
     for split, scenes in (("train", train_scenes), ("eval", eval_scenes)):
         for i, scene in enumerate(scenes):
             write_scene_dir(out / split / f"scene_{i:04d}", scene, config_hash)
@@ -276,51 +292,37 @@ def cmd_gradcheck(args) -> int:
     return EXIT_VALIDATION
 
 
-def _write_table(path, ids, evaluation, config_hash) -> str:
-    """Per-scene metrics rows plus the aggregate row; returns the stdout summary.
-
-    ``evaluation`` is what ``evaluate_model`` returns: (reports, jitters,
-    aggregate report, mean jitter).
-    """
+def _write_table(config: RunConfiguration, name, ids, evaluation) -> str:
+    """Per-scene metrics rows plus the aggregate row in ``--out``/``name``,
+    creating ``--out``; returns the stdout summary.  ``evaluation`` is what
+    ``evaluate_model`` returns: (reports, jitters, aggregate, mean jitter)."""
     reports, jitters, aggregate, mean_jitter = evaluation
     rows = [metrics_row(i, r, j) for i, r, j in zip(ids, reports, jitters)]
     rows.append(metrics_row("aggregate", aggregate, mean_jitter))
-    write_metrics_csv(path, rows, config_hash)
+    write_table(_out_dir(config) / name, METRIC_COLUMNS, rows, config.config_hash())
     return f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} jitter={mean_jitter:.6f}"
 
 
-def _evaluate(config: RunConfiguration, params, scenes, path):
-    """``evaluate_model`` under ``config``, tabled in ``path``.
-
-    Returns the aggregate report, the mean jitter and the stdout summary.
-    """
+def _evaluate(config: RunConfiguration, params, scenes, name):
+    """``evaluate_model`` under ``config``, tabled in ``--out``/``name``;
+    returns the aggregate report, the mean jitter and the stdout summary."""
     evaluation = evaluate_model(params, scenes, config.scene, config.train.use_lstm_fusion,
                                 config.distance_threshold, config.coverage_fraction)
     ids = [f"scene_{i:04d}" for i in range(len(scenes))]
-    summary = _write_table(path, ids, evaluation, config.config_hash())
+    summary = _write_table(config, name, ids, evaluation)
     return evaluation[2], evaluation[3], summary
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
+    config, out, train_scenes, eval_scenes = _set_up(args)
     config_hash = config.config_hash()
-    train_scenes, eval_scenes = _generate_split(config)
-    save_run_configuration(out / "config.json", config)
     _log(
         f"training {config.train.epochs} epochs on {len(train_scenes)} scenes "
         f"(config_hash={config_hash})"
     )
-    result = train(
-        config.train,
-        train_scenes,
-        config.scene,
-        config.loss,
-        log_path=out / "train_log.csv",
-    )
-    aggregate, mean_jitter, summary = _evaluate(
-        config, result.params, eval_scenes, out / "metrics.csv"
-    )
+    result = train(config.train, train_scenes, config.scene, config.loss)
+    write_table(out / "train_log.csv", EPOCH_LOG_COLUMNS, result.epoch_rows)
+    aggregate, mean_jitter, summary = _evaluate(config, result.params, eval_scenes, "metrics.csv")
     metrics = {"f1": aggregate.f1, "acc": aggregate.acc, "jitter": mean_jitter}
     save_checkpoint(
         out / "checkpoint.bin", result.params, result.epochs_run, config_hash, metrics
@@ -334,7 +336,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_from_files(args, config, path) -> int:
+def _eval_from_files(args, config) -> int:
     if args.scenes is None:
         args.parser.error("--pred needs --scenes, the ground-truth lane files")
     pred_root, gt_root = Path(args.pred), Path(args.scenes)
@@ -357,18 +359,17 @@ def _eval_from_files(args, config, path) -> int:
     ]
     nan = float("nan")
     evaluation = (reports, [nan] * len(reports), aggregate_reports(reports), nan)
-    print(_write_table(path, [str(rel) for rel in gt_files], evaluation, config.config_hash()))
+    print(_write_table(config, "eval_metrics.csv", [str(rel) for rel in gt_files], evaluation))
     _log("eval finished")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config = _resolve_config(args)
-    path = _out_dir(config) / "eval_metrics.csv"
     if (args.checkpoint is None) == (args.pred is None):
         args.parser.error("provide exactly one of --checkpoint or --pred")
     if args.pred is not None:
-        return _eval_from_files(args, config, path)
+        return _eval_from_files(args, config)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         args.parser.error(f"checkpoint not found: {ckpt}")
@@ -377,32 +378,22 @@ def cmd_eval(args) -> int:
     if args.scenes:
         scenes = load_scene_dataset(args.scenes, config.scene)
     else:
-        _, scenes = _generate_split(config)
-    _, _, summary = _evaluate(config, params, scenes, path)
+        scenes = generate_dataset(config.eval_data_seed, config.num_eval_scenes, config.scene)
+    _, _, summary = _evaluate(config, params, scenes, "eval_metrics.csv")
     print(f"{summary} (checkpoint epoch {header.get('epoch')})")
     _log("eval finished")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
+    config, out, train_scenes, eval_scenes = _set_up(args)
     config_hash = config.config_hash()
-    train_scenes, eval_scenes = _generate_split(config)
-    save_run_configuration(out / "config.json", config)
     _log(
         f"ablation ladder: 5 configurations x {config.train.epochs} epochs "
         f"on {len(train_scenes)} scenes (config_hash={config_hash})"
     )
-    results = run_ablation(
-        config.train,
-        train_scenes,
-        eval_scenes,
-        config.scene,
-        config.loss,
-        config.distance_threshold,
-        config.coverage_fraction,
-    )
+    results = run_ablation(config.train, train_scenes, eval_scenes, config.scene, config.loss,
+                           config.distance_threshold, config.coverage_fraction)
     table = ablation_table(results, config_hash)
     with open(out / "ablation.csv", "w") as fh:
         fh.write(table)

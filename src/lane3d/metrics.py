@@ -310,16 +310,14 @@ def metrics_row(scene_id, report: MatchReport, jitter: float) -> str:
     return ",".join(values)
 
 
-def write_metrics_csv(path, rows, config_hash: str | None = None) -> None:
-    """Flat comma-separated table, one evaluated scene per row.
+def write_table(path, columns, rows, config_hash: str | None = None) -> None:
+    """Flat comma-separated table: the header of ``columns``, then ``rows``.
 
     A provenance comment line leads when the caller supplies the hash of
     the configuration that produced the rows.
     """
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append(",".join(METRIC_COLUMNS))
+    lines = [] if config_hash is None else [f"# config_hash={config_hash}"]
+    lines.append(",".join(columns))
     lines.extend(rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -322,6 +322,9 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
     lane_of_row = assignment.lane_for_anchor[rows]
     classes = np.full(config.num_anchors, BACKGROUND_CLASS)
     classes[rows] = [per_frame[-1][j].category for j in lane_of_row]
+    # noise last, after every lane and pose draw: the sigma=0 twin of a
+    # seed shares them all (building the layout draws nothing)
+    basis = _lateral_noise_basis(s)
     frames = []
     for lanes_t in per_frame:
         # offsets are encoded over the full analytic curve; the
@@ -333,17 +336,11 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
         features[rows, s : 2 * s] = (z - anchors.base_z[rows]) * Z_SCALE
         features[rows, 2 * s : 3 * s] = visibility
         features[np.arange(config.num_anchors), 3 * s + classes] = 1.0
-        frames.append(FrameRecord(lanes=lanes_t, features=features))
-
-    # noise last: the sigma=0 twin of a seed shares every lane and pose
-    basis = _lateral_noise_basis(s)
-    noisy_frames = []
-    for record in frames:
         coeff = rng.normal(size=(config.num_anchors, 3))
         rest = rng.normal(size=(config.num_anchors, config.channels - s))
         noise = np.concatenate([coeff @ basis.T, rest], axis=1) * config.noise_sigma
-        noisy_frames.append(FrameRecord(lanes=record.lanes, features=record.features + noise))
-    return SceneSequence(frames=tuple(noisy_frames), ego_motion=ego_motion, seed=int(seed))
+        frames.append(FrameRecord(lanes=lanes_t, features=features + noise))
+    return SceneSequence(frames=tuple(frames), ego_motion=ego_motion, seed=int(seed))
 
 
 def generate_dataset(base_seed: int, count: int, config: SceneConfig | None = None):

@@ -392,9 +392,8 @@ def train(
     scenes,
     scene_config: SceneConfig,
     loss_config: LossConfig | None = None,
-    log_path=None,
 ) -> TrainResult:
-    """Full-batch-order deterministic training over the given scenes."""
+    """Full-batch-order deterministic training over the given scenes; writes no file."""
     if not scenes:
         raise ValueError("train: need a non-empty dataset")
     loss_config = LossConfig() if loss_config is None else loss_config
@@ -434,10 +433,6 @@ def train(
                 + [f"{means[name]:.9f}" for name in TASK_NAMES]
             )
         )
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            fh.write(",".join(EPOCH_LOG_COLUMNS) + "\n")
-            fh.write("\n".join(rows) + ("\n" if rows else ""))
     return TrainResult(
         params=params,
         epochs_run=train_config.epochs,

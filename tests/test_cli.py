@@ -548,6 +548,65 @@ def test_eval_rejects_a_checkpoint_of_another_configuration(small_config, tmp_pa
     assert "matmul" not in err
 
 
+def test_eval_names_the_split_when_scenes_is_a_generate_root(small_config, tmp_path, capsys):
+    cfg, path = small_config
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    ckpt = _checkpoint_of(cfg, tmp_path / "checkpoint.bin")
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--scenes", str(gen), "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{gen / 'eval'} holds scene directories; pass --scenes {gen / 'eval'}" in err
+    assert "regenerate" not in err
+    # the split it names is the one to pass
+    assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--scenes", str(gen / "eval"), "--out", str(tmp_path / "ev")]) == 0
+
+
+def _two_stations(tmp_path, path):
+    doc = json.loads(path.read_text())
+    doc["scene"]["stations"] = [5.0, 25.0]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc))
+    return ["--config", str(short)]
+
+
+def _generate_root_and_checkpoint(tmp_path, path, cfg):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    ckpt = _checkpoint_of(cfg, tmp_path / "checkpoint.bin")
+    return ["--config", str(path), "--checkpoint", str(ckpt), "--scenes", str(gen)]
+
+
+# (id, argv builder) of invocations that must exit 1 having written nothing
+FAILING_INVOCATIONS = [
+    ("eval-without-a-source", lambda tmp, path, cfg: ["eval", "--config", str(path)]),
+    ("eval-missing-checkpoint", lambda tmp, path, cfg: [
+        "eval", "--config", str(path), "--checkpoint", str(tmp / "missing.bin")]),
+    ("eval-pred-without-scenes", lambda tmp, path, cfg: [
+        "eval", "--config", str(path), "--pred", str(tmp)]),
+    ("eval-scenes-at-the-generate-root", lambda tmp, path, cfg: [
+        "eval", *_generate_root_and_checkpoint(tmp, path, cfg)]),
+    ("generate-two-stations", lambda tmp, path, cfg: ["generate", *_two_stations(tmp, path)]),
+    ("train-two-stations", lambda tmp, path, cfg: ["train", *_two_stations(tmp, path)]),
+    ("ablate-two-stations", lambda tmp, path, cfg: ["ablate", *_two_stations(tmp, path)]),
+]
+
+
+@pytest.mark.parametrize("argv_of", [case[1] for case in FAILING_INVOCATIONS],
+                         ids=[case[0] for case in FAILING_INVOCATIONS])
+def test_a_failed_command_leaves_no_output_directory(small_config, tmp_path, capsys, argv_of):
+    cfg, path = small_config
+    out = tmp_path / "never"
+    argv = argv_of(tmp_path, path, cfg) + ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gradcheck_passes_and_is_repeatable(tmp_path, capsys):
     argv = ["gradcheck", "--inputs", "2", "--seed", "5"]
     assert main(argv) == 0

@@ -385,3 +385,71 @@ def test_only_an_assignment_loads_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# Run outputs are written only after every input is checked, and cli is
+# where the checks end: outside cli only the format writers below touch
+# the file system.  A library function that wrote a file itself (as
+# train(log_path=...) once did) could write before cli had checked the
+# rest of the inputs.
+FILE_WRITERS = {("config", "save_run_configuration"), ("geometry", "write_lane_file"),
+                ("metrics", "write_table"), ("training", "save_checkpoint")}
+WRITE_CALLS = {"save", "savez", "savez_compressed", "savetxt", "tofile", "write_text",
+               "write_bytes", "mkdir", "makedirs"}
+
+
+def _file_writes(path):
+    """(line, enclosing function or None) of each call in the file that writes
+    to the file system: an ``open`` whose mode is not a read-only constant,
+    or one of WRITE_CALLS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [(range(node.lineno, node.end_lineno + 1), node.name) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":  # open(file, mode) or Path.open(mode)
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+        elif name in WRITE_CALLS:
+            lines.append(node.lineno)
+    # the innermost function wins: ast.walk meets outer functions first
+    return [(line, next((name for scope, name in reversed(scopes) if line in scope), None))
+            for line in sorted(set(lines))]
+
+
+def test_only_cli_and_the_format_writers_write_files():
+    found = {(path.stem, where) for path in MODULES if path.stem != "cli"
+             for _, where in _file_writes(path)}
+    assert found == FILE_WRITERS
+
+
+def test_the_write_scanner_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from pathlib import Path\n"
+        "open('a')\n"
+        "open('a', 'rb')\n"
+        "open('a', encoding='utf-8')\n"
+        "Path('a').open()\n"
+        "open('a', 'w')\n"
+        "open('a', mode='ab')\n"
+        "Path('a').open('r+')\n"
+        "def table(path, mode):\n"
+        "    with open(path, mode) as fh:\n"
+        "        fh.write('x')\n"
+        "np.save('a', np.zeros(1))\n"
+        "Path('a').write_text('x')\n"
+        "def make():\n"
+        "    Path('d').mkdir()\n"
+    )
+    assert _file_writes(probe) == [
+        (7, None), (8, None), (9, None), (11, "table"), (13, None), (14, None), (16, "make"),
+    ]

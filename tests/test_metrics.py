@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import lane3d.metrics as metrics_module
 from lane3d.geometry import Lane3D, LaneStack, transform_points
 from lane3d.metrics import (
+    METRIC_COLUMNS,
     MatchReport,
     _interp_rows,
     _mean_distances,
@@ -22,7 +23,7 @@ from lane3d.metrics import (
     match_lanes,
     metrics_row,
     temporal_smoothness,
-    write_metrics_csv,
+    write_table,
 )
 
 STATIONS = np.linspace(5.0, 50.0, 10)
@@ -761,7 +762,7 @@ def test_metrics_csv_roundtrip(tmp_path):
     report = MatchReport.from_counts(2, 1, 1, 1)
     row = metrics_row("scene_0001", report, 0.125)
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [row])
+    write_table(path, METRIC_COLUMNS, [row])
     text = path.read_text().strip().split("\n")
     assert text[0].startswith("scene_id,tp,fp,fn")
     fields = text[1].split(",")

@@ -34,6 +34,7 @@ from lane3d.synth import (
 )
 from lane3d.temporal import fuse_all_anchors
 from lane3d.training import (
+    EPOCH_LOG_COLUMNS,
     PARAM_ORDER,
     AdamOptimizer,
     TrainConfig,
@@ -727,11 +728,15 @@ def test_noise_free_single_scene_overfits_to_perfect_match():
     assert mean_jitter < 0.2
 
 
-def test_train_writes_epoch_log(tmp_path):
+def test_train_writes_epoch_log(tmp_path, monkeypatch):
+    # train() writes no file itself; its epoch rows are tabled by the caller
     scenes, cfg_scene = small_scenes(2)
     cfg = TrainConfig(epochs=3, batch_size=2, seed=1)
+    monkeypatch.chdir(tmp_path)
+    result = train(cfg, scenes, cfg_scene)
+    assert list(tmp_path.iterdir()) == []
     log = tmp_path / "log.csv"
-    train(cfg, scenes, cfg_scene, log_path=log)
+    metrics_module.write_table(log, EPOCH_LOG_COLUMNS, result.epoch_rows)
     lines = log.read_text().strip().split("\n")
     assert lines[0] == "epoch,curve_ramp_weight,total,regression,curve,classification,visibility"
     assert len(lines) == 4

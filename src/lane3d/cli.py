@@ -8,7 +8,9 @@ produced under.
 
 Each flag sets one configuration field over the config file: `--seed`
 and `--epochs` the `train` section, `--threshold`, `--coverage` and
-`--out` the top level, and `generate --seed` both data seeds.
+`--out` the top level, and `generate --seed` both data seeds. `gradcheck`
+reads only the `loss` section: its `--seed` picks the audit's inputs, and
+its report is written only to its `--out`, if given.
 
 Every input is checked before anything is written, so a command that
 rejects its flags, configuration or inputs leaves no output directory
@@ -72,14 +74,6 @@ EXIT_RUNTIME = 2
 SCENE_NAME = "scene.json"
 FEATURES_NAME = "features.npy"
 FEATURES_DTYPE = np.dtype("<f8")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with validation failures mapped onto exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 def _log(message: str) -> None:
@@ -406,15 +400,15 @@ def cmd_ablate(args) -> int:
 # parser wiring
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lane3d", description=__doc__.strip().splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lane3d", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, out_help="output directory (overrides the config)"):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="run-configuration JSON document")
-        p.add_argument("--out", help="output directory (overrides the config)")
+        p.add_argument("--out", help=out_help)
         return p
 
     p = add("generate", cmd_generate, "write synthetic scene files to disk")
@@ -423,7 +417,8 @@ def build_parser() -> _Parser:
         help=f"train data seed (eval scenes use seed + {EVAL_SEED_OFFSET})",
     )
 
-    p = add("gradcheck", cmd_gradcheck, "finite-difference audit of all gradients")
+    p = add("gradcheck", cmd_gradcheck, "finite-difference audit of all gradients",
+            "directory for gradcheck_report.txt; without it no file is written")
     p.add_argument("--seed", type=int, help="base seed for the random inputs")
     p.add_argument("--inputs", type=int, default=DEFAULT_INPUTS_PER_CHECK,
                    help="random inputs per named check")
@@ -453,8 +448,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code is None else int(exc.code)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"lane3d: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

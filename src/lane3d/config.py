@@ -63,11 +63,13 @@ class RunConfiguration:
             raise ValueError("RunConfiguration: output_dir must be non-empty")
 
     def config_hash(self) -> str:
-        # where outputs land does not change what the run computes, so
-        # the fingerprint ignores it
+        """First 12 hex chars of sha256 over the key-sorted, whitespace-free
+        JSON of ``to_dict``, without ``output_dir``: where outputs land does
+        not change what the run computes."""
         document = to_dict(self)
         document.pop("output_dir")
-        return config_hash(document)
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def to_dict(config) -> dict:
@@ -139,19 +141,6 @@ def from_dict(cls, document, where: str = ""):
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{prefix}{exc}") from None
-
-
-def canonical_json(document: dict) -> str:
-    """Key-sorted, whitespace-free JSON; the hashing wire format."""
-
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def config_hash(document: dict) -> str:
-    """First 12 hex chars of sha256 over the canonical JSON form."""
-
-    digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
-    return digest[:12]
 
 
 def save_run_configuration(path, config: RunConfiguration) -> None:

@@ -3,7 +3,7 @@
 Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
 straight axis-parallel rays on the ground plane: constant base lateral
-per anchor, base height 0; all curvature lives in the predicted offsets.
+per anchor, no height field; all curvature lives in the predicted offsets.
 """
 
 from __future__ import annotations
@@ -126,14 +126,13 @@ class LaneStack:
 class AnchorSet:
     """Fixed straight anchors sharing one station list, as ``build_default_anchors`` checks them.
 
-    base_x is (K, S): constant along stations for each anchor; base_z is
-    (K, S) and zero for the default ground-plane layout.  All three arrays
-    are read-only, so one set can be shared.
+    base_x is (K, S): constant along stations for each anchor.  The anchors
+    lie on the ground plane with no height field: a z offset is the height
+    itself.  Both arrays are read-only, so one set can be shared.
     """
 
     stations: np.ndarray
     base_x: np.ndarray
-    base_z: np.ndarray
 
     @property
     def num_anchors(self) -> int:
@@ -147,7 +146,7 @@ class AnchorSet:
 def build_default_anchors(
     num_anchors: int, lateral_span: tuple[float, float], stations
 ) -> AnchorSet:
-    """Straight anchors evenly spaced across the lateral span, height 0.
+    """Straight ground-plane anchors evenly spaced across the lateral span.
 
     A single anchor sits at the span midpoint; K >= 2 includes both span
     endpoints, so the spacing is (hi - lo) / (K - 1).
@@ -169,10 +168,9 @@ def build_default_anchors(
     else:
         laterals = np.linspace(lo, hi, num_anchors)
     base_x = np.repeat(laterals[:, None], stations.shape[0], axis=1)
-    anchors = AnchorSet(stations=stations, base_x=base_x, base_z=np.zeros_like(base_x))
-    for array in (stations, base_x, anchors.base_z):
+    for array in (stations, base_x):
         array.flags.writeable = False  # one AnchorSet is shared by every caller
-    return anchors
+    return AnchorSet(stations=stations, base_x=base_x)
 
 
 def on_grid(stations, grid):

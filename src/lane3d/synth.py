@@ -81,6 +81,12 @@ class SceneConfig:
         lanes = self.num_lanes_range
         if not all(isinstance(n, (int, np.integer)) for n in lanes) or lanes[0] < 1:
             raise ValueError("SceneConfig: num_lanes_range must hold integers, lo >= 1")
+        lo, hi, sep = *self.lateral_offset_range, self.min_lane_separation
+        # an int compares exactly with a float, so a huge lane count cannot overflow
+        if not (sep <= 0 or lanes[1] - 1 <= (hi - lo) / sep):  # negated: NaN fails
+            raise ValueError("SceneConfig: min_lane_separation: the most lanes that "
+                             "num_lanes_range allows do not fit that far apart in "
+                             "lateral_offset_range")
         if not self.extent_length_range[0] > 0:
             raise ValueError("SceneConfig: extent_length_range must have lo > 0")
         if self.num_frames < 1 or self.num_anchors < 1:
@@ -216,10 +222,14 @@ def _draw_world_lanes(rng, config: SceneConfig):
     lo, hi = config.num_lanes_range
     count = int(rng.integers(lo, hi + 1))
     span_lo, span_hi = config.lateral_offset_range
+    sep = config.min_lane_separation
     for _ in range(100):
         offsets = np.sort(rng.uniform(span_lo, span_hi, size=count))
-        if count == 1 or np.all(np.diff(offsets) >= config.min_lane_separation):
+        if count == 1 or np.all(np.diff(offsets) >= sep):
             break
+    else:  # the same uniform law, built directly: gaps of sep plus sorted free room
+        free = span_hi - span_lo - (count - 1) * sep
+        offsets = span_lo + np.sort(rng.uniform(0.0, free, size=count)) + sep * np.arange(count)
     lanes = []
     for c0 in offsets:
         start = rng.uniform(*config.extent_start_range)
@@ -333,7 +343,7 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
         x, z, visibility = truth.reshape(-1, 3, s)[lane_of_row].transpose(1, 0, 2)
         features = np.zeros((config.num_anchors, config.channels))
         features[rows, :s] = (x - anchors.base_x[rows]) * X_SCALE
-        features[rows, s : 2 * s] = (z - anchors.base_z[rows]) * Z_SCALE
+        features[rows, s : 2 * s] = z * Z_SCALE  # ground-plane anchors: z is the offset
         features[rows, 2 * s : 3 * s] = visibility
         features[np.arange(config.num_anchors), 3 * s + classes] = 1.0
         coeff = rng.normal(size=(config.num_anchors, 3))

@@ -176,7 +176,6 @@ class MiniBatch:
     class_weights: np.ndarray
     positive: np.ndarray  # positive rows, each scene's in lane order
     base_x: np.ndarray  # (P, S) anchor base of each positive row
-    base_z: np.ndarray
     offsets: np.ndarray  # (2, P, S) delta-x and delta-z targets
     visibility: np.ndarray  # (P, S)
     positive_weights: np.ndarray  # (P,)
@@ -239,10 +238,9 @@ def prepare_batch(scenes, anchors, use_chamfer: bool = True) -> MiniBatch:
         class_weights=np.concatenate(class_weights),
         positive=positive,
         base_x=anchors.base_x[anchor],
-        base_z=anchors.base_z[anchor],
-        offsets=np.stack([
+        offsets=np.stack([  # ground-plane anchors: the delta-z target is z itself
             np.array([lane.x for lane in lanes]).reshape(-1, s) - anchors.base_x[anchor],
-            np.array([lane.z for lane in lanes]).reshape(-1, s) - anchors.base_z[anchor],
+            np.array([lane.z for lane in lanes]).reshape(-1, s),
         ]),
         visibility=visibility,
         positive_weights=np.concatenate(positive_weights),
@@ -272,12 +270,12 @@ def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
         fused = ad.as_var(batch.features[:, -1, :])
     dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
 
-    task_losses = {}
+    # every enabled task starts at zero; a batch without its rows keeps that
+    task_losses = {name: ad.as_var(0.0) for name in TASK_NAMES
+                   if name != "curve" or cfg.use_chamfer}
     if batch.scored.size:
         rows = focal(cls_logits[batch.scored], batch.classes, loss_config)
         task_losses["classification"] = (rows * batch.class_weights).sum()
-    else:
-        task_losses["classification"] = ad.as_var(0.0)
 
     pos = batch.positive
     if pos.size:
@@ -294,23 +292,15 @@ def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
             else:
                 residual = ad.absolute(pred - batch.offsets)
                 task_losses["regression"] = (residual * weights).sum()
-        else:
-            task_losses["regression"] = ad.as_var(0.0)
 
         if cfg.use_chamfer:
             ramp = curve_ramp_weight(epoch, cfg)
-            pred_points = ad.stack(
-                [pred_dx + batch.base_x, batch.stations, pred_dz + batch.base_z], axis=2)
+            pred_points = ad.stack([pred_dx + batch.base_x, batch.stations, pred_dz], axis=2)
             rows = chamfer(pred_points, batch.curve_points, batch.curve_mask)
             task_losses["curve"] = (rows * batch.positive_weights).sum() * ramp
 
         rows = dice(ad.sigmoid(vis_logits[pos]), batch.visibility, loss_config)
         task_losses["visibility"] = (rows * batch.positive_weights).sum()
-    else:
-        task_losses["regression"] = ad.as_var(0.0)
-        task_losses["visibility"] = ad.as_var(0.0)
-        if cfg.use_chamfer:
-            task_losses["curve"] = ad.as_var(0.0)
 
     if cfg.use_uncertainty:
         s_var = pvars["uncertainty.s"]
@@ -408,31 +398,17 @@ def train(
     rows = []
     final_losses = {}
     for epoch in range(train_config.epochs):
-        epoch_total = 0.0
-        epoch_tasks = {}
-        steps = 0
+        tally = dict.fromkeys(EPOCH_LOG_COLUMNS[2:], 0.0)  # total, then TASK_NAMES
         for batch in batches:
             value, grads, task_means = batch_gradients(
                 params, batch, loss_config, train_config, epoch
             )
             optimizer.step(params, grads)
-            epoch_total += value
-            for name, v in task_means.items():
-                epoch_tasks[name] = epoch_tasks.get(name, 0.0) + v
-            steps += 1
-        means = {name: epoch_tasks.get(name, 0.0) / steps for name in TASK_NAMES}
-        final_losses = dict(means)
-        final_losses["total"] = epoch_total / steps
-        rows.append(
-            ",".join(
-                [
-                    str(epoch),
-                    f"{curve_ramp_weight(epoch, train_config):.6f}",
-                    f"{epoch_total / steps:.9f}",
-                ]
-                + [f"{means[name]:.9f}" for name in TASK_NAMES]
-            )
-        )
+            for name, v in {"total": value, **task_means}.items():
+                tally[name] += v
+        final_losses = {name: v / len(batches) for name, v in tally.items()}
+        rows.append(",".join([str(epoch), f"{curve_ramp_weight(epoch, train_config):.6f}"]
+                             + [f"{v:.9f}" for v in final_losses.values()]))
     return TrainResult(
         params=params,
         epochs_run=train_config.epochs,
@@ -535,7 +511,7 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
     frame's K rows, because their products were measured not to.
     Anchors whose class output is background or that claim no visible
     station (none at or above VISIBILITY_THRESHOLD) yield no lane; the
-    rest decode as x = base_x + dx, z = base_z + dz, visibility =
+    rest decode as x = base_x + dx, z = dz, visibility =
     sigmoid(logit), and category = argmax of the class logits.  A scene
     whose (K, C) differs from the configuration's is rejected.  The
     parameters go in as plain arrays, so the pass records no tape.
@@ -558,8 +534,8 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
         visibility = ad.sigmoid_values(vis_logits.value)
         keep = (category != BACKGROUND_CLASS) & np.any(visibility >= VISIBILITY_THRESHOLD, axis=1)
         per_frame.append(LaneStack(
-            anchors.stations, (anchors.base_x + dx.value)[keep],
-            (anchors.base_z + dz.value)[keep], visibility[keep], category[keep]))
+            anchors.stations, (anchors.base_x + dx.value)[keep], dz.value[keep],
+            visibility[keep], category[keep]))
     return per_frame
 
 

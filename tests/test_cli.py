@@ -662,6 +662,24 @@ def test_gradcheck_rejects_a_bad_config(tmp_path, capsys):
     )
 
 
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["gradcheck", "--help"]) == 0
+    assert "usage: lane3d" in capsys.readouterr().out
+
+
+def test_gradcheck_out_is_the_only_place_it_writes(tmp_path, capsys):
+    # gradcheck never reads output_dir, and its --out help says so
+    assert main(["gradcheck", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "gradcheck_report.txt; without it no file is written" in text
+    assert "overrides the config" not in text
+    path = tmp_path / "c.json"
+    save_run_configuration(path, RunConfiguration(output_dir=str(tmp_path / "o")))
+    assert main(["gradcheck", "--config", str(path), "--inputs", "1"]) == 0
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "document",
     [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 
 from lane3d.config import (
     RunConfiguration,
-    canonical_json,
-    config_hash,
     from_dict,
     load_run_configuration,
     save_run_configuration,
@@ -104,9 +103,14 @@ def test_hash_ignores_output_dir():
 
 
 def test_canonical_json_sorts_keys():
-    doc = {"b": 1, "a": {"d": 2, "c": 3}}
-    assert canonical_json(doc) == '{"a":{"c":3,"d":2},"b":1}'
-    assert config_hash(doc) == config_hash({"a": {"c": 3, "d": 2}, "b": 1})
+    # the hash is sha256 over the key-sorted, whitespace-free JSON of every
+    # field but output_dir, cut to 12 hex characters
+    for cfg in (RunConfiguration(), RunConfiguration(train=TrainConfig(seed=3), output_dir="x")):
+        document = to_dict(cfg)
+        del document["output_dir"]
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert cfg.config_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    assert RunConfiguration().config_hash() == "a9e3e06cc2c1"  # the README's default hash
 
 
 def test_validation():
@@ -172,6 +176,8 @@ def test_to_dict_writes_every_init_field():
         ({"scene": {"num_lanes_range": [1.5, 2.5]}}, "scene: SceneConfig: num_lanes_range"),
         ({"scene": {"num_lanes_range": [0, 2]}}, "scene: SceneConfig: num_lanes_range"),
         ({"scene": {"extent_length_range": [-5.0, -1.0]}}, "scene: SceneConfig: extent_length_range"),
+        ({"scene": {"num_lanes_range": [4, 4], "lateral_offset_range": [-3, 3]}},
+         "scene: SceneConfig: min_lane_separation"),
     ],
 )
 def test_load_names_the_file_and_the_field(tmp_path, document, field):

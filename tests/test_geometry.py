@@ -138,7 +138,6 @@ def test_three_anchor_layout():
     assert anchors.base_x.shape == (3, 2)
     assert np.array_equal(anchors.base_x[:, 0], [-1.0, 0.0, 1.0])
     assert np.array_equal(anchors.base_x[:, 1], [-1.0, 0.0, 1.0])
-    assert np.all(anchors.base_z == 0.0)
 
 
 def test_single_anchor_is_centered():
@@ -255,7 +254,7 @@ def test_decode_affine_in_offsets(hand_set_model):
 
 
 def test_decode_encode_roundtrip(hand_set_model):
-    # the regression targets scene_loss encodes (lane - anchor base)
+    # the regression targets scene_loss encodes (x - anchor base, z)
     # decode back to the lane
     stations, span = [3.0, 8.0, 13.0], (-3.0, 3.0)
     anchors = build_default_anchors(5, span, stations=stations)
@@ -266,11 +265,11 @@ def test_decode_encode_roundtrip(hand_set_model):
         for _ in range(5)
     ]
     dx = np.stack([lane.x - anchors.base_x[k] for k, lane in enumerate(lanes)])
-    dz = np.stack([lane.z - anchors.base_z[k] for k, lane in enumerate(lanes)])
+    dz = np.stack([lane.z for lane in lanes])
     back = _decode(hand_set_model, span, stations, dx, dz,
                    np.full((5, 3), 50.0), np.tile([0.0, 5.0], (5, 1)))
     assert len(back) == 5
     for lane, decoded in zip(lanes, back):
-        # a + (x - a) can be one ulp off x in floats; z is exact (base 0)
+        # a + (x - a) can be one ulp off x in floats; z is decoded as is
         assert np.allclose(decoded.x, lane.x, rtol=0.0, atol=1e-12)
         assert np.array_equal(decoded.z, lane.z)

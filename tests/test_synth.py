@@ -19,6 +19,7 @@ from lane3d.synth import (
     Pose,
     SceneConfig,
     WorldLane,
+    _draw_world_lanes,
     generate_dataset,
     generate_scene,
     sample_lane_in_frame,
@@ -87,6 +88,21 @@ def test_lanes_persist_across_frames():
                 assert lane.visibility.sum() >= 1.0
 
 
+@pytest.mark.parametrize("config, seeds", [
+    # default-config seeds whose 100 rejection draws all fail
+    (SceneConfig(), [23324, 36031]),
+    # 4 lanes 2.5 m apart in 8 m: nearly every seed falls back
+    (SceneConfig(num_lanes_range=(4, 4), lateral_offset_range=(-4.0, 4.0)), range(50)),
+])
+def test_world_lanes_keep_the_minimum_separation(config, seeds):
+    for seed in seeds:
+        # generate_scene's first draw from its generator
+        offsets = [lane.c0 for lane in _draw_world_lanes(np.random.default_rng(seed), config)]
+        assert np.diff(offsets).min() >= config.min_lane_separation
+        lo, hi = config.lateral_offset_range
+        assert lo <= offsets[0] <= offsets[-1] <= hi
+
+
 def test_noise_free_twin_shares_geometry():
     noisy_cfg = SMALL
     clean_cfg = replace(SMALL, noise_sigma=0.0)
@@ -102,7 +118,7 @@ def test_noise_free_twin_shares_geometry():
 def test_anchors_are_built_once_per_config_and_read_only():
     anchors = SMALL.anchors()
     assert SMALL.anchors() is anchors
-    for array in (anchors.stations, anchors.base_x, anchors.base_z):
+    for array in (anchors.stations, anchors.base_x):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     other = replace(SMALL, num_anchors=5)
@@ -135,7 +151,7 @@ def test_zero_noise_features_are_the_documented_layout():
                 lane = record.lanes[lane_of[a]]
                 want = np.zeros(clean_cfg.channels)
                 want[:s] = (lane.x - anchors.base_x[a]) * X_SCALE
-                want[s : 2 * s] = (lane.z - anchors.base_z[a]) * Z_SCALE
+                want[s : 2 * s] = lane.z * Z_SCALE
                 want[2 * s : 3 * s] = lane.visibility
                 want[3 * s + lane.category] = 1.0
                 assert record.features[a].tobytes() == want.tobytes()

@@ -202,6 +202,8 @@ def run_gradient_checks(
     """Full audit; returns a list of CheckResult, one per named check."""
     if num_inputs < 1:
         raise ValueError("run_gradient_checks: need at least one input per check")
+    if base_seed < 0:
+        raise ValueError("run_gradient_checks: base_seed must be non-negative")
     config = loss_config if loss_config is not None else LossConfig()
     checks = [
         ("balanced_l1", lambda rng: _build_balanced_l1(rng, config)),

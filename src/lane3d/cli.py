@@ -31,7 +31,6 @@ failure (training divergence, unexpected I/O loss mid-run).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -49,8 +48,10 @@ from .checks import (
 from .config import (
     EVAL_SEED_OFFSET,
     RunConfiguration,
+    from_dict,
     load_run_configuration,
     save_run_configuration,
+    to_dict,
 )
 from .geometry import read_lane_file, write_lane_file
 from .metrics import METRIC_COLUMNS, aggregate_reports, match_lanes, metrics_row, write_table
@@ -83,7 +84,7 @@ def _log(message: str) -> None:
 
 
 def _resolve_config(args) -> RunConfiguration:
-    """Flags over the config file over the defaults."""
+    """Flags over the config file over the defaults, decoded once by ``from_dict``."""
     config = load_run_configuration(args.config) if args.config else RunConfiguration()
 
     def flags(*pairs):
@@ -94,8 +95,9 @@ def _resolve_config(args) -> RunConfiguration:
                 ("out", "output_dir"), ("data_seed", "train_data_seed"))
     if "train_data_seed" in top:
         top["eval_data_seed"] = top["train_data_seed"] + EVAL_SEED_OFFSET
-    train = dataclasses.replace(config.train, **flags(("seed", "seed"), ("epochs", "epochs")))
-    return dataclasses.replace(config, train=train, **top)
+    document = {**to_dict(config), **top}
+    document["train"].update(flags(("seed", "seed"), ("epochs", "epochs")))
+    return from_dict(RunConfiguration, document)
 
 
 def _out_dir(config: RunConfiguration) -> Path:

@@ -9,8 +9,8 @@ checkpoint can always be traced back to the exact settings that made it.
 
 One codec, ``to_dict``/``from_dict``, is the JSON format of
 RunConfiguration and of its three sections (SceneConfig, LossConfig,
-TrainConfig). Callers, the command-line flags among them, change single
-fields with ``dataclasses.replace``.
+TrainConfig). The command-line flags go through it too: written into
+``to_dict`` of a configuration, they meet every check a file value meets.
 """
 
 from __future__ import annotations
@@ -53,12 +53,15 @@ class RunConfiguration:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if self.distance_threshold <= 0:
-            raise ValueError("RunConfiguration: distance_threshold must be positive")
+        if not 0 < self.distance_threshold < math.inf:  # negated: NaN fails
+            raise ValueError("RunConfiguration: distance_threshold must be positive and finite")
         if not 0 < self.coverage_fraction <= 1:
             raise ValueError("RunConfiguration: coverage_fraction must be in (0, 1]")
         if self.num_train_scenes < 1 or self.num_eval_scenes < 1:
             raise ValueError("RunConfiguration: dataset sizes must be >= 1")
+        for name in ("train_data_seed", "eval_data_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"RunConfiguration: {name} must be non-negative")
         if not self.output_dir:
             raise ValueError("RunConfiguration: output_dir must be non-empty")
 

@@ -167,7 +167,7 @@ def _size(stacks) -> int:
 
 def _match(preds, gts, distance_threshold, coverage_fraction) -> list:
     """(pred row, gt row, mean distance) of every match between two ``_stack`` lists."""
-    if distance_threshold <= 0.0:
+    if not distance_threshold > 0.0:  # negated: NaN fails
         raise ValueError("match_lanes: distance threshold must be positive")
     if not 0.0 < coverage_fraction <= 1.0:
         raise ValueError("match_lanes: coverage fraction must lie in (0, 1]")

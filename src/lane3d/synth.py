@@ -16,7 +16,7 @@ noise-free twin with the same seed carries identical lanes and poses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,19 +59,7 @@ class SceneConfig:
     stations: tuple = tuple(np.linspace(3.0, 103.0, 20))
 
     def __post_init__(self):
-        for name in (
-            "num_lanes_range",
-            "lateral_offset_range",
-            "slope_range",
-            "curvature_range",
-            "height_range",
-            "height_slope_range",
-            "extent_start_range",
-            "extent_length_range",
-            "ego_speed_range",
-            "yaw_rate_range",
-            "lateral_span",
-        ):
+        for name in (f.name for f in fields(self) if f.name.endswith(("_range", "_span"))):
             pair = getattr(self, name)
             if len(pair) != 2 or not pair[0] <= pair[1]:
                 raise ValueError(f"SceneConfig: {name} must be a (lo, hi) pair with lo <= hi")

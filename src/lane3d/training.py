@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: learning rate must be non-negative")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("TrainConfig: batch size and epochs out of range")
+        if self.seed < 0:
+            raise ValueError("TrainConfig: seed must be non-negative")
 
 
 def curve_ramp_weight(epoch: int, config: TrainConfig) -> float:
@@ -185,15 +187,15 @@ class MiniBatch:
     curve_mask: np.ndarray | None  # (P, m) its valid points
 
 
-def prepare_batch(scenes, anchors, use_chamfer: bool = True) -> MiniBatch:
+def prepare_batch(scenes, anchors) -> MiniBatch:
     """Targets of the last frame of each scene, stacked into one MiniBatch.
 
     Only the last frame is supervised; earlier frames matter through the
     fused features.  Lanes are assigned to anchors with
     ``assign_targets``; ignored anchors are not scored.  The Chamfer
     ground truth is each positive lane resampled to equidistant stations
-    over its visible span, keeping its visible points; it is built only
-    with ``use_chamfer``.
+    over its visible span, keeping its visible points; it is always built,
+    and only ``scene_loss`` decides by ``use_chamfer`` whether to read it.
     """
     if not scenes:
         raise ValueError("prepare_batch: need at least one scene")
@@ -222,7 +224,7 @@ def prepare_batch(scenes, anchors, use_chamfer: bool = True) -> MiniBatch:
     scale = np.divide(1.0, 2 * batch * vis_sums, out=np.zeros(batch), where=vis_sums > 0)
     row_weights = visibility * scale[scene_of][:, None]
     curve_points = curve_mask = None
-    if use_chamfer and lanes:
+    if lanes:
         points = [_equidistant_points(lane) for lane in lanes]
         m = max(len(p) for p in points)
         curve_points = np.zeros((len(points), m, 3))
@@ -391,10 +393,8 @@ def train(
     params = init_parameters(scene_config, train_config)
     optimizer = AdamOptimizer(train_config.learning_rate)
     size = train_config.batch_size
-    batches = [
-        prepare_batch(scenes[start : start + size], anchors, train_config.use_chamfer)
-        for start in range(0, len(scenes), size)
-    ]
+    batches = [prepare_batch(scenes[start : start + size], anchors)
+               for start in range(0, len(scenes), size)]
     rows = []
     final_losses = {}
     for epoch in range(train_config.epochs):

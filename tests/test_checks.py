@@ -149,3 +149,8 @@ def test_custom_loss_config_flows_through():
 def test_rejects_empty_suite():
     with pytest.raises(ValueError):
         run_gradient_checks(num_inputs=0)
+
+
+def test_rejects_a_negative_base_seed():
+    with pytest.raises(ValueError, match="^run_gradient_checks: base_seed must be non-negative"):
+        run_gradient_checks(num_inputs=1, base_seed=-1)

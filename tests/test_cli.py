@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -766,6 +767,95 @@ def test_flags_set_their_fields_and_leave_the_rest_of_the_file(small_config, tmp
     want = replace(cfg, train=replace(cfg.train, epochs=1, seed=5), distance_threshold=2.5,
                    coverage_fraction=0.5, output_dir=str(out))
     assert json.loads((out / "config.json").read_text()) == to_dict(want)
+
+
+# (command, flags, the fields those flags set, as config-file sections)
+FLAG_CASES = [
+    ("ablate", ["--threshold", "2.5"], {"distance_threshold": 2.5}),
+    ("ablate", ["--coverage", "0.5"], {"coverage_fraction": 0.5}),
+    ("train", ["--seed", "5"], {"train": {"seed": 5}}),
+    ("train", ["--epochs", "1"], {"train": {"epochs": 1}}),
+    ("generate", ["--seed", "7"], {"train_data_seed": 7, "eval_data_seed": 7 + EVAL_SEED_OFFSET}),
+]
+
+
+@pytest.mark.parametrize("command, flags, fields", FLAG_CASES,
+                         ids=[f"{case[0]}{case[1][0]}" for case in FLAG_CASES])
+def test_a_flag_writes_the_config_json_of_the_same_value_in_the_file(
+        small_config, tmp_path, command, flags, fields):
+    cfg, path = small_config
+    out = tmp_path / "run"
+
+    def config_json(document, argv):
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps(document))
+        assert main([command, "--config", str(probe), *argv]) == 0
+        written = (out / "config.json").read_bytes()
+        shutil.rmtree(out)
+        return written
+
+    base = to_dict(replace(cfg, output_dir=str(out)))
+    in_file = json.loads(json.dumps(base))
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            in_file[name].update(value)
+        else:
+            in_file[name] = value
+    assert in_file != base
+    assert config_json(base, flags) == config_json(in_file, [])
+
+
+def test_out_flag_writes_the_config_json_of_the_same_output_dir_in_the_file(
+        small_config, tmp_path):
+    cfg, _ = small_config
+    out, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    written = []
+    for output_dir, argv in ((out, []), (elsewhere, ["--out", str(out)])):
+        probe = tmp_path / "probe.json"
+        save_run_configuration(probe, replace(cfg, output_dir=str(output_dir)))
+        assert main(["generate", "--config", str(probe), *argv]) == 0
+        written.append((out / "config.json").read_bytes())
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert not elsewhere.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--threshold", "nan", "distance_threshold"),
+    ("--threshold", "inf", "distance_threshold"),
+    ("--coverage", "nan", "coverage_fraction"),
+])
+def test_eval_rejects_a_non_finite_flag_by_its_field(tmp_path, capsys, flag, value, field):
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    write_lane_file(truth / "scene_0.lanes.json", generate_scene(3, SMALL_SCENE).frames[-1].lanes)
+    out = tmp_path / "ev"
+    argv = ["eval", "--pred", str(truth), "--scenes", str(truth), "--out", str(out), flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"lane3d: error: {field}: expected a finite number, got a number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, file_seed, message", [
+    (["train", "--seed", "-1"], 0, "train: TrainConfig: seed must be non-negative"),
+    (["ablate", "--seed", "-1"], 0, "train: TrainConfig: seed must be non-negative"),
+    (["generate", "--seed", "-1"], 0, "RunConfiguration: train_data_seed must be non-negative"),
+    (["gradcheck", "--inputs", "1", "--seed", "-1"], 0,
+     "run_gradient_checks: base_seed must be non-negative"),
+    (["train"], -1, "configuration file {config}: train: TrainConfig: seed must be non-negative"),
+], ids=["train", "ablate", "generate", "gradcheck", "config-file"])
+def test_a_negative_seed_is_rejected_by_its_field(small_config, tmp_path, capsys,
+                                                  argv, file_seed, message):
+    cfg, _ = small_config
+    config = tmp_path / "seeded.json"
+    document = to_dict(cfg)
+    document["train"]["seed"] = file_seed
+    config.write_text(json.dumps(document))
+    out = tmp_path / "never"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"lane3d: error: {message.format(config=config)}\n"
+    assert not out.exists()
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -126,6 +126,23 @@ def test_validation():
         RunConfiguration(output_dir="")
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+def test_distance_threshold_must_be_positive_and_finite(threshold):
+    with pytest.raises(ValueError, match="^RunConfiguration: distance_threshold must be positive"):
+        RunConfiguration(distance_threshold=threshold)
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"train": {"seed": -1}}, "train: TrainConfig: seed must be non-negative"),
+    ({"train_data_seed": -1}, "RunConfiguration: train_data_seed must be non-negative"),
+    ({"eval_data_seed": -1}, "RunConfiguration: eval_data_seed must be non-negative"),
+], ids=["train.seed", "train_data_seed", "eval_data_seed"])
+def test_negative_seeds_are_rejected_by_name(document, message):
+    with pytest.raises(ValueError) as info:
+        from_dict(RunConfiguration, document)
+    assert str(info.value) == message
+
+
 def test_hash_covers_nested_fields():
     rng = np.random.default_rng(0)
     seen = set()

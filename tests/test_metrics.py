@@ -687,6 +687,12 @@ def test_match_lanes_validation():
         match_lanes([], [], coverage_fraction=1.5)
 
 
+def test_match_lanes_rejects_a_nan_threshold():
+    # ``nan <= 0`` is false, so only a negated check rejects it
+    with pytest.raises(ValueError, match="^match_lanes: distance threshold must be positive"):
+        match_lanes([], [], distance_threshold=float("nan"))
+
+
 def _one_grid_lists(seed):
     """Two lane lists on STATIONS; most of the second follows the first."""
     rng = np.random.default_rng(seed)

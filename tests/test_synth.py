@@ -50,6 +50,17 @@ def test_config_validation():
             SceneConfig(stations=stations)
 
 
+@pytest.mark.parametrize("name", [
+    "num_lanes_range", "lateral_offset_range", "slope_range", "curvature_range",
+    "height_range", "height_slope_range", "extent_start_range", "extent_length_range",
+    "ego_speed_range", "yaw_rate_range", "lateral_span",
+])
+def test_config_rejects_every_inverted_pair_by_name(name):
+    lo, hi = getattr(SceneConfig(), name)
+    with pytest.raises(ValueError, match=f"^SceneConfig: {name} must be a \\(lo, hi\\) pair"):
+        SceneConfig(**{name: (hi, lo)})
+
+
 def test_config_roundtrip():
     cfg = from_dict(SceneConfig, json.loads(json.dumps(to_dict(SMALL))))
     assert cfg == SMALL

@@ -473,7 +473,7 @@ def _per_scene_gradients(params, scenes, anchors, loss_config, train_config, epo
 def _assert_matches_per_scene(params, scenes, anchors, loss_config, train_config, epoch):
     want_value, want_grads, want_tasks = _per_scene_gradients(
         params, scenes, anchors, loss_config, train_config, epoch)
-    batch = prepare_batch(scenes, anchors, train_config.use_chamfer)
+    batch = prepare_batch(scenes, anchors)
     value, grads, tasks = batch_gradients(params, batch, loss_config, train_config, epoch)
     assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     assert tasks.keys() == want_tasks.keys()

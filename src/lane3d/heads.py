@@ -10,13 +10,19 @@ every offset target lives on, and rejects a lane that is not, by index.
 It gives every lane the anchor with minimum mean lateral distance under
 a global one-to-one minimum-cost matching; near-miss anchors become
 ignore, the rest background.  That matching, and the lane matching of
-``metrics``, is ``min_cost_assignment``, the one place the package
-loads scipy's solver, on its first call.
+``metrics``, is ``min_cost_assignment``.  It runs scipy's compiled
+``linear_sum_assignment``, which ``_linear_sum_assignment``, the one
+place the package names scipy, loads from scipy's ``_lsap`` extension
+on the first call, without importing the scipy.optimize package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -61,12 +67,35 @@ class AnchorAssignment:
 
 def min_cost_assignment(cost):
     """(rows, cols) of a minimum-cost one-to-one assignment of a 2-D cost
-    matrix: scipy's ``linear_sum_assignment``, imported here on the first
+    matrix: scipy's compiled ``linear_sum_assignment``, loaded on the first
     call, so that a process that never assigns (the gradient audit, a
-    command that exits before matching) never loads scipy.optimize."""
-    from scipy.optimize import linear_sum_assignment
+    command that exits before matching) never loads scipy at all."""
+    return _linear_sum_assignment()(cost)
 
-    return linear_sum_assignment(cost)
+
+@functools.cache
+def _linear_sum_assignment(directory=None):
+    """``linear_sum_assignment`` of the ``_lsap`` extension in ``directory``,
+    by default scipy's ``optimize`` directory, where scipy.optimize's
+    public function of that name is defined.  Loading the extension alone
+    saves a process the import of the scipy.optimize package, about 0.5 s
+    and 40 MB; if the package is loaded, either first or later, both get
+    the same module from ``sys.modules``."""
+    import scipy
+
+    if directory is None:
+        directory = Path(scipy.__file__).parent / "optimize"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_lsap{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "linear_sum_assignment"):
+                return module.linear_sum_assignment
+            break
+    raise ImportError(f"scipy {scipy.__version__}: no _lsap extension with "
+                      f"linear_sum_assignment in {directory}")
 
 
 def assign_targets(anchors: AnchorSet, gt_lanes) -> AnchorAssignment:

@@ -2,18 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.machinery
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lane3d import autodiff as ad
+from lane3d import heads
 from lane3d.geometry import Lane3D, build_default_anchors
 from lane3d.heads import (
     BACKGROUND,
     IGNORE,
     assign_targets,
     head_forward,
+    min_cost_assignment,
 )
+from lane3d.metrics import _INADMISSIBLE
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _heads(c, s, num_classes, rng):
@@ -165,3 +180,115 @@ def test_assignment_matches_brute_force():
         if unique:
             assert chosen == {(i, c) for i, c in enumerate(best_cols)}, seed
 
+
+
+# min_cost_assignment loads scipy's compiled solver without scipy.optimize;
+# the public scipy.optimize.linear_sum_assignment, imported here only, is
+# its oracle: the same rows and columns, or the same exception.
+def _outcome(solve, cost):
+    """(rows, cols, dtypes) of the assignment, or (ValueError, message)."""
+    try:
+        rows, cols = solve(cost)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows.tolist(), cols.tolist(), (rows.dtype, cols.dtype)
+
+
+INF = np.inf
+SOLVER_CASES = {  # name: (cost, whether scipy raises)
+    "square": ([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]], False),
+    "wide": ([[1.0, 7.0, 2.0, 5.0], [3.0, 1.0, 1.0, 9.0]], False),
+    "tall": ([[1.0, 7.0], [2.0, 5.0], [3.0, 1.0], [1.0, 9.0]], False),
+    "0x3": (np.zeros((0, 3)), False),
+    "3x0": (np.zeros((3, 0)), False),
+    "integer ties": ([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 1.0]], False),
+    "inadmissible block": ([[_INADMISSIBLE, _INADMISSIBLE, 0.5],
+                            [_INADMISSIBLE, _INADMISSIBLE, 0.7],
+                            [0.2, 0.4, 0.9]], False),
+    "+inf forbids a pair": ([[INF, 1.0], [2.0, INF]], False),
+    "-inf": ([[-INF, 1.0], [2.0, 3.0]], True),
+    "nan": ([[np.nan, 1.0], [2.0, 3.0]], True),
+    "infeasible": ([[INF, INF], [1.0, 2.0]], True),
+    "not a matrix": ([1.0, 2.0], True),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_CASES)
+def test_min_cost_assignment_is_scipys_public_solver_on_every_kind_of_matrix(name):
+    cost, raises = SOLVER_CASES[name]
+    cost = np.asarray(cost, dtype=np.float64)
+    ours = _outcome(min_cost_assignment, cost)
+    assert ours == _outcome(linear_sum_assignment, cost)
+    assert isinstance(ours[0], type) == raises  # the case is the kind it names
+
+
+@st.composite
+def _cost_matrices(draw):
+    """Square, wide, tall and empty matrices of small integers (ties),
+    floats, inadmissible pairs and +inf, some with a block of inadmissible
+    or +inf pairs, and one in ten with a NaN or -inf entry."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                      st.sampled_from([_INADMISSIBLE, INF]))
+    cost = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.float64).reshape(rows, cols)
+    if cost.size and draw(st.booleans()):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        cost[r:draw(st.integers(r + 1, rows)), c:draw(st.integers(c + 1, cols))] = draw(
+            st.sampled_from([_INADMISSIBLE, INF]))
+    if cost.size and draw(st.integers(0, 9)) == 0:
+        cost[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from([np.nan, -INF]))
+    return cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cost_matrices())
+def test_min_cost_assignment_equals_scipys_public_solver(cost):
+    assert _outcome(min_cost_assignment, cost) == _outcome(linear_sum_assignment, cost)
+
+
+def test_the_extension_loaded_first_is_the_solver_scipy_optimize_exports():
+    # a fresh process loads the extension first; the process running the
+    # tests imports scipy.optimize first, the other order
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from lane3d import heads\n"
+        "def outcome(solve, cost):\n"
+        "    try:\n"
+        "        rows, cols = solve(cost)\n"
+        "    except ValueError as exc:\n"
+        "        return str(exc)\n"
+        "    return rows.tolist(), cols.tolist()\n"
+        "rng = np.random.default_rng(0)\n"
+        "costs = [rng.integers(0, 3, size=rng.integers(0, 6, size=2)).astype(float)\n"
+        "         for _ in range(500)]\n"
+        "costs += [np.array([[np.nan, 1.0]]), np.array([[np.inf], [np.inf]])]\n"
+        "first = [outcome(heads.min_cost_assignment, cost) for cost in costs]\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "assert scipy.optimize.linear_sum_assignment is heads._linear_sum_assignment()\n"
+        "assert first == [outcome(scipy.optimize.linear_sum_assignment, c) for c in costs]\n"
+        "assert first[-2:] == ['matrix contains invalid numeric entries',\n"
+        "                      'cost matrix is infeasible']\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_missing_solver_extension_names_the_directory_and_scipy_version(
+        tmp_path, monkeypatch):
+    with pytest.raises(ImportError) as missing:
+        heads._linear_sum_assignment(tmp_path)
+    assert str(tmp_path) in str(missing.value)
+    assert f"scipy {scipy.__version__}" in str(missing.value)
+    # an extension without the function: a Python file stands in for it
+    (tmp_path / "_lsap.py").write_text("")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".py"])
+    with pytest.raises(ImportError) as empty:
+        heads._linear_sum_assignment(tmp_path)
+    assert str(empty.value) == str(missing.value)

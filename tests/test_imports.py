@@ -1,7 +1,7 @@
 """Modules of lane3d import in one direction only, the demos import only
 names that exist, only autodiff builds tape nodes, every public name
 of the package has a caller outside the tests, and only one function
-loads scipy's assignment solver.
+names scipy, whose assignment solver it loads without scipy.optimize.
 
 Each module sits in a tier and may import only from lower tiers:
 autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
@@ -304,45 +304,45 @@ def test_the_allocator_scanner_sees_every_form(tmp_path):
     ]
 
 
-# scipy's solver has one home, heads.min_cost_assignment, which imports it
-# on its first call: loading scipy.optimize costs a process about 0.4 s and
-# 40 MB, and the gradient audit and the commands that exit before matching
-# never solve an assignment
-SOLVER_HOME = ("heads", "min_cost_assignment")
+# scipy has one home, heads._linear_sum_assignment, which loads only the
+# compiled extension of scipy's assignment solver, on the first assignment:
+# importing the scipy.optimize package would cost a process about 0.5 s
+# and 40 MB, and the gradient audit and the commands that exit before
+# matching never solve an assignment
+SOLVER_HOME = ("heads", "_linear_sum_assignment")
 
 
 def _solver_access(path):
-    """(line, enclosing function or None) of each place the file names scipy.optimize."""
+    """(line, enclosing function or None) of each place the file names scipy."""
     tree = ast.parse(path.read_text(), filename=str(path))
     scopes = [(range(node.lineno, node.end_lineno + 1), node.name) for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
-    def solver(name):
-        return name == "scipy.optimize" or name.startswith("scipy.optimize.")
+    def scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
 
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            lines += [node.lineno for alias in node.names if solver(alias.name)]
+            lines += [node.lineno for alias in node.names if scipy(alias.name)]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if solver(node.module or "") or (node.module == "scipy" and any(
-                    alias.name == "optimize" for alias in node.names)):
+            if scipy(node.module or ""):
                 lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute):  # scipy.optimize.linear_sum_assignment
-            if node.attr == "optimize" and getattr(node.value, "id", None) == "scipy":
+        elif isinstance(node, ast.Name):  # scipy.__file__
+            if node.id == "scipy":
                 lines.append(node.lineno)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):  # import_module
-            if solver(node.value):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if scipy(node.value):  # import_module, spec_from_file_location
                 lines.append(node.lineno)
     # the innermost function wins: ast.walk meets outer functions first
     return [(line, next((name for scope, name in reversed(scopes) if line in scope), None))
             for line in sorted(set(lines))]
 
 
-def test_only_min_cost_assignment_names_scipy_optimize():
+def test_only_the_solver_loader_names_scipy():
     found = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
              for _, where in _solver_access(path)]
-    assert found == [SOLVER_HOME], found
+    assert found and set(found) == {SOLVER_HOME}, found
 
 
 def test_the_solver_scanner_sees_every_form(tmp_path):
@@ -352,33 +352,43 @@ def test_the_solver_scanner_sees_every_form(tmp_path):
         "import scipy.optimize._lsap as lsap\n"
         "from scipy.optimize import linear_sum_assignment\n"
         "from scipy import sparse, optimize\n"
-        "import scipy\n"
+        "import numpy, scipy\n"
         "solve = scipy.optimize.linear_sum_assignment\n"
         "module = __import__('importlib').import_module('scipy.optimize')\n"
-        "from scipy import sparse\n"
-        "import scipy.optimized_elsewhere\n"
+        "spec = spec_from_file_location('scipy.optimize._lsap', 'x.so')\n"
+        "import scipyx\n"
+        "from notscipy import optimize\n"
+        "note = \"scipy's solver\"\n"
         "def solver():\n"
-        "    from scipy.optimize import linear_sum_assignment\n"
-        "    return linear_sum_assignment\n"
+        "    import scipy as sp\n"
+        "    return sp.__version__\n"
     )
     assert _solver_access(probe) == [
-        (1, None), (2, None), (3, None), (4, None), (6, None), (7, None), (11, "solver"),
+        (1, None), (2, None), (3, None), (4, None), (5, None), (6, None), (7, None),
+        (8, None), (13, "solver"),
     ]
 
 
-def test_only_an_assignment_loads_scipy_optimize():
+def test_an_assignment_loads_only_scipys_solver_extension():
     # a fresh process: the one running the tests has loaded scipy.optimize already
     code = (
         "import sys\n"
         "import lane3d.cli\n"
-        "from lane3d import checks, heads\n"
+        "from lane3d import checks, heads, metrics\n"
         "from lane3d.geometry import Lane3D, build_default_anchors\n"
         "checks.run_gradient_checks(num_inputs=1)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'loaded without an assignment'\n"
-        "lane = Lane3D(stations=[5.0, 10.0], x=[0.0, 0.0], z=[0.0, 0.0],\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded without an assignment'\n"
+        "lane = Lane3D(stations=[5.0, 10.0], x=[0.1, 0.1], z=[0.0, 0.0],\n"
         "              visibility=[1.0, 1.0], category=1)\n"
-        "heads.assign_targets(build_default_anchors(3, (-1.0, 1.0), [5.0, 10.0]), [lane])\n"
-        "assert 'scipy.optimize' in sys.modules, 'not loaded by an assignment'\n"
+        "anchors = build_default_anchors(3, (-1.0, 1.0), [5.0, 10.0])\n"
+        "assigned = heads.assign_targets(anchors, [lane]).lane_for_anchor\n"
+        "assert assigned.tolist() == [heads.BACKGROUND, 0, heads.IGNORE], assigned\n"
+        "report = metrics.match_lanes([lane], [lane])\n"
+        "assert report.tp == 1 and report.matches == ((0, 0, 0.0),), report\n"
+        "assert 'scipy.optimize._lsap' in sys.modules, 'the solver was not loaded'\n"
+        "loaded = [name for name in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "          if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -21,7 +21,8 @@ the configuration, generate both splits, then create `--out` and write
 after its flags, the checkpoint and the scenes have passed. This module
 writes every run output; every table goes through `metrics.write_table`,
 and `_evaluate` runs `evaluate_model` under a configuration and writes
-its table.
+its table, labelling each scene by its directory name. Every reader here
+parses and checks its JSON with the input rules of `geometry`.
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 inconsistent inputs, a failed gradient audit), 2 runtime or numerical
@@ -53,7 +54,7 @@ from .config import (
     save_run_configuration,
     to_dict,
 )
-from .geometry import read_lane_file, write_lane_file
+from .geometry import is_integer, load_json, number_array, read_lane_file, write_lane_file
 from .metrics import METRIC_COLUMNS, aggregate_reports, match_lanes, metrics_row, write_table
 from .synth import FrameRecord, SceneSequence, generate_dataset
 from .training import (
@@ -74,6 +75,7 @@ EXIT_RUNTIME = 2
 
 SCENE_NAME = "scene.json"
 FEATURES_NAME = "features.npy"
+LANE_FILE_NAME = "frame_{}.lanes.json"  # of frame t: LANE_FILE_NAME.format(t)
 FEATURES_DTYPE = np.dtype("<f8")
 
 
@@ -115,7 +117,7 @@ def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(scene.frames):
-        write_lane_file(dirpath / f"frame_{t}.lanes.json", frame.lanes, config_hash)
+        write_lane_file(dirpath / LANE_FILE_NAME.format(t), frame.lanes, config_hash)
     features = np.stack([frame.features for frame in scene.frames])
     np.save(dirpath / FEATURES_NAME, features.astype(FEATURES_DTYPE, copy=False))
     doc = {
@@ -123,7 +125,7 @@ def write_scene_dir(dirpath, scene: SceneSequence, config_hash: str) -> None:
         "seed": scene.seed,
         "ego_motion": np.asarray(scene.ego_motion).tolist(),
     }
-    with open(dirpath / SCENE_NAME, "w") as fh:
+    with open(dirpath / SCENE_NAME, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
@@ -161,46 +163,42 @@ def read_scene_dir(dirpath) -> SceneSequence:
     features = _read_features(dirpath / FEATURES_NAME)
     num_frames = features.shape[0]
     scene_path = dirpath / SCENE_NAME
-    with open(scene_path) as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"scene {scene_path}: not valid JSON ({exc})") from None
+    doc = load_json(scene_path.read_bytes(), f"scene {scene_path}")
     if not isinstance(doc, dict) or "ego_motion" not in doc:
         raise ValueError(f"scene {scene_path}: ego_motion: missing")
-    try:
-        ego_motion = np.asarray(doc["ego_motion"], dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        raise ValueError(f"scene {scene_path}: ego_motion: not a table of numbers") from None
+    rows = doc["ego_motion"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 2 for r in rows):
+        raise ValueError(f"scene {scene_path}: ego_motion: expected a list of [forward, yaw] pairs")
+    ego_motion = number_array([v for r in rows for v in r],
+                              f"scene {scene_path}: ego_motion").reshape(-1, 2)
     if ego_motion.shape != (num_frames, 2):
         raise ValueError(
             f"scene {scene_path}: ego_motion: shape {ego_motion.shape} does not "
             f"match the {num_frames} frames of {FEATURES_NAME}"
         )
-    if not np.all(np.isfinite(ego_motion)):
-        raise ValueError(f"scene {scene_path}: ego_motion: non-finite values")
     if "seed" not in doc:
         raise ValueError(f"scene {scene_path}: seed: missing")
     seed = doc["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not is_integer(seed):
         raise ValueError(f"scene {scene_path}: seed: {seed!r} is not an integer")
-    num_lane_files = len(list(dirpath.glob("frame_*.lanes.json")))
-    if num_lane_files != num_frames:
-        raise ValueError(
-            f"scene directory {dirpath}: {num_lane_files} frame_<t>.lanes.json "
-            f"files for the {num_frames} frames of {FEATURES_NAME}"
-        )
-    frames = []
-    for t in range(num_frames):
-        lane_path = dirpath / f"frame_{t}.lanes.json"
-        if not lane_path.exists():
-            raise ValueError(f"scene directory {dirpath}: missing {lane_path.name}")
-        frames.append(FrameRecord(lanes=tuple(read_lane_file(lane_path)), features=features[t]))
-    return SceneSequence(frames=tuple(frames), ego_motion=ego_motion, seed=seed)
+    names = [LANE_FILE_NAME.format(t) for t in range(num_frames)]
+    found = sorted(p.name for p in dirpath.glob(LANE_FILE_NAME.format("*")))
+    if found != sorted(names):
+        raise ValueError(f"scene directory {dirpath}: {len(found)} {LANE_FILE_NAME.format('<t>')} "
+                         f"files for the {num_frames} frames of {FEATURES_NAME}: "
+                         f"expected {', '.join(names)}")
+    frames = tuple(FrameRecord(lanes=tuple(read_lane_file(dirpath / name)), features=frame)
+                   for name, frame in zip(names, features))
+    return SceneSequence(frames=frames, ego_motion=ego_motion, seed=seed)
 
 
-def load_scene_dataset(root, scene_config) -> list:
-    """Every scene directory under root; each must hold scene_config's T frames of (K, C)."""
+def _named(scenes) -> dict:
+    """Generated scenes by the directory name `lane3d generate` gives each."""
+    return {f"scene_{i:04d}": scene for i, scene in enumerate(scenes)}
+
+
+def load_scene_dataset(root, scene_config) -> dict:
+    """Each scene directory under root by name; each must hold scene_config's T frames of (K, C)."""
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"scene dataset {root}: not a directory")
@@ -208,21 +206,21 @@ def load_scene_dataset(root, scene_config) -> list:
     if not subdirs:
         raise ValueError(f"scene dataset {root}: no scene directories found")
     expected = (scene_config.num_anchors, scene_config.channels)
-    scenes = []
+    scenes = {}
     for path in subdirs:
         if not (path / SCENE_NAME).exists() and any(path.glob(f"*/{SCENE_NAME}")):
             raise ValueError(f"scene dataset {root}: {path} holds scene directories; "
                              f"pass --scenes {path}")
-        scenes.append(read_scene_dir(path))
-        shape = scenes[-1].frames[0].features.shape
+        scene = scenes[path.name] = read_scene_dir(path)
+        shape = scene.frames[0].features.shape
         if shape != expected:
             raise ValueError(
                 f"scene {path / FEATURES_NAME}: (K, C) = {shape} differs from "
                 f"{expected} of the run configuration"
             )
-        if scenes[-1].num_frames != scene_config.num_frames:
+        if scene.num_frames != scene_config.num_frames:
             raise ValueError(
-                f"scene {path / FEATURES_NAME}: {scenes[-1].num_frames} frames differ "
+                f"scene {path / FEATURES_NAME}: {scene.num_frames} frames differ "
                 f"from num_frames = {scene_config.num_frames} of the run configuration"
             )
     return scenes
@@ -252,8 +250,8 @@ def cmd_generate(args) -> int:
     config, out, train_scenes, eval_scenes = _set_up(args)
     config_hash = config.config_hash()
     for split, scenes in (("train", train_scenes), ("eval", eval_scenes)):
-        for i, scene in enumerate(scenes):
-            write_scene_dir(out / split / f"scene_{i:04d}", scene, config_hash)
+        for name, scene in _named(scenes).items():
+            write_scene_dir(out / split / name, scene, config_hash)
     print(
         f"wrote {len(train_scenes)} train scenes and {len(eval_scenes)} "
         f"eval scenes under {out} (config_hash={config_hash})"
@@ -274,7 +272,7 @@ def cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         config_hash = config.config_hash()
-        with open(out / "gradcheck_report.txt", "w") as fh:
+        with open(out / "gradcheck_report.txt", "w", encoding="utf-8") as fh:
             fh.write(f"# config_hash={config_hash}\n{report}\n")
     _log(f"gradcheck finished in {sum(r.seconds for r in results):.1f}s")
     if all(r.passed for r in results):
@@ -299,13 +297,14 @@ def _write_table(config: RunConfiguration, name, ids, evaluation) -> str:
     return f"eval: f1={aggregate.f1:.6f} acc={aggregate.acc:.6f} jitter={mean_jitter:.6f}"
 
 
-def _evaluate(config: RunConfiguration, params, scenes, name):
-    """``evaluate_model`` under ``config``, tabled in ``--out``/``name``;
-    returns the aggregate report, the mean jitter and the stdout summary."""
-    evaluation = evaluate_model(params, scenes, config.scene, config.train.use_lstm_fusion,
-                                config.distance_threshold, config.coverage_fraction)
-    ids = [f"scene_{i:04d}" for i in range(len(scenes))]
-    summary = _write_table(config, name, ids, evaluation)
+def _evaluate(config: RunConfiguration, params, scenes: dict, name):
+    """``evaluate_model`` under ``config`` on ``scenes``, a dict from row label
+    to scene, tabled in ``--out``/``name``; returns the aggregate report, the
+    mean jitter and the stdout summary."""
+    evaluation = evaluate_model(params, list(scenes.values()), config.scene,
+                                config.train.use_lstm_fusion, config.distance_threshold,
+                                config.coverage_fraction)
+    summary = _write_table(config, name, list(scenes), evaluation)
     return evaluation[2], evaluation[3], summary
 
 
@@ -318,7 +317,8 @@ def cmd_train(args) -> int:
     )
     result = train(config.train, train_scenes, config.scene, config.loss)
     write_table(out / "train_log.csv", EPOCH_LOG_COLUMNS, result.epoch_rows)
-    aggregate, mean_jitter, summary = _evaluate(config, result.params, eval_scenes, "metrics.csv")
+    aggregate, mean_jitter, summary = _evaluate(config, result.params, _named(eval_scenes),
+                                                "metrics.csv")
     metrics = {"f1": aggregate.f1, "acc": aggregate.acc, "jitter": mean_jitter}
     save_checkpoint(
         out / "checkpoint.bin", result.params, result.epochs_run, config_hash, metrics
@@ -374,7 +374,8 @@ def cmd_eval(args) -> int:
     if args.scenes:
         scenes = load_scene_dataset(args.scenes, config.scene)
     else:
-        scenes = generate_dataset(config.eval_data_seed, config.num_eval_scenes, config.scene)
+        scenes = _named(generate_dataset(config.eval_data_seed, config.num_eval_scenes,
+                                         config.scene))
     _, _, summary = _evaluate(config, params, scenes, "eval_metrics.csv")
     print(f"{summary} (checkpoint epoch {header.get('epoch')})")
     _log("eval finished")
@@ -391,7 +392,7 @@ def cmd_ablate(args) -> int:
     results = run_ablation(config.train, train_scenes, eval_scenes, config.scene, config.loss,
                            config.distance_threshold, config.coverage_fraction)
     table = ablation_table(results, config_hash)
-    with open(out / "ablation.csv", "w") as fh:
+    with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
     _log("ablate finished")

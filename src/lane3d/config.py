@@ -22,6 +22,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from .geometry import is_integer, is_number, load_json
 from .losses import LossConfig
 from .metrics import COVERAGE_FRACTION, DISTANCE_THRESHOLD
 from .synth import SceneConfig
@@ -91,23 +92,13 @@ def to_dict(config) -> dict:
     return document
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 # field annotation -> (what the JSON value must be, test of the value)
 _ACCEPTS = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", _is_number),
-    tuple: ("an array of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    int: ("an integer", is_integer),
+    float: ("a finite number", is_number),
+    tuple: ("an array of finite numbers", lambda v: isinstance(v, list) and all(map(is_number, v))),
 }
 _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
                list: "an array", dict: "an object", type(None): "null"}
@@ -147,17 +138,14 @@ def from_dict(cls, document, where: str = ""):
 
 
 def save_run_configuration(path, config: RunConfiguration) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_dict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_run_configuration(path) -> RunConfiguration:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"configuration file {path}: invalid JSON ({exc})") from None
+    with open(path, "rb") as fh:
+        document = load_json(fh.read(), f"configuration file {path}")
     try:
         return from_dict(RunConfiguration, document)
     except ValueError as exc:

@@ -4,6 +4,10 @@ Frame convention: ego-vehicle frame with y forward (the longitudinal
 stations), x lateral, z up, every coordinate in meters.  Anchors are
 straight axis-parallel rays on the ground plane: constant base lateral
 per anchor, no height field; all curvature lives in the predicted offsets.
+
+Every reader's input rules live here, once each: ``load_json`` parses
+JSON as UTF-8, ``is_number``, ``number_array`` and ``is_integer`` say what
+a JSON number and integer are, and ``check_stations`` checks a station grid.
 """
 
 from __future__ import annotations
@@ -16,22 +20,64 @@ import numpy as np
 VISIBILITY_THRESHOLD = 0.5
 
 
-def _check_lanes(owner: str, stations, x, z, visibility, rows: tuple) -> None:
-    """Lane3D's rules on one lane (rows ()) or N lanes (rows (N,)); errors name ``owner``."""
+def load_json(data: bytes, where: str):
+    """The JSON document in the UTF-8 ``data``; else a ValueError starting with ``where``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise ValueError(f"{where}: invalid JSON ({exc})") from None
+
+
+def _numbers(values):
+    """(float64 array, None) for a JSON list of finite numbers (no bools), else (None, fault)."""
+    if not isinstance(values, list) or not all(type(v) is float or type(v) is int for v in values):
+        return None, "expected a list of numbers"
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None, "non-finite values"
+    return (array, None) if np.isfinite(array).all() else (None, "non-finite values")
+
+
+def number_array(values, where: str) -> np.ndarray:
+    """A JSON list of finite numbers as float64; else a ValueError starting with ``where``."""
+    array, fault = _numbers(values)
+    if fault:
+        raise ValueError(f"{where}: {fault}")
+    return array
+
+
+def is_number(value) -> bool:
+    """A finite JSON number; a boolean is not one."""
+    return _numbers([value])[1] is None
+
+
+def is_integer(value) -> bool:
+    """A JSON integer; a boolean is not one."""
+    return type(value) is int
+
+
+def check_stations(owner: str, stations: np.ndarray) -> None:
+    """Stations are a non-empty 1-d array, finite, strictly increasing; errors name ``owner``."""
     if stations.ndim != 1:
         raise ValueError(f"{owner}: stations must be one-dimensional, not of shape {stations.shape}")
-    shape = (*rows, stations.shape[0])
     if stations.shape[0] == 0:
         raise ValueError(f"{owner}: stations must hold at least one station")
+    # first, so that (inf, inf) is reported as not finite; ``on_grid`` needs finite stations
+    if not np.isfinite(stations).all():
+        raise ValueError(f"{owner}: stations must be finite")
+    if not (stations[1:] > stations[:-1]).all():
+        raise ValueError(f"{owner}: stations must be strictly increasing")
+
+
+def _check_lanes(owner: str, stations, x, z, visibility, rows: tuple) -> None:
+    """Lane3D's rules on one lane (rows ()) or N lanes (rows (N,)); errors name ``owner``."""
+    check_stations(owner, stations)
+    shape = (*rows, stations.shape[0])
     for name, value in (("x", x), ("z", z), ("visibility", visibility)):
         if value.shape != shape:
             raise ValueError(f"{owner}: stations, x, z, visibility must share one length: "
                              f"{name} has shape {value.shape}, not {shape}")
-    if not (stations[1:] > stations[:-1]).all():
-        raise ValueError(f"{owner}: stations must be strictly increasing")
-    # increasing stations between finite ends are all finite, which ``on_grid`` needs
-    if not (-np.inf < stations[0] and stations[-1] < np.inf):
-        raise ValueError(f"{owner}: stations must be finite")
     for name, value in (("x", x), ("z", z)):
         if not np.isfinite(value).all():
             raise ValueError(f"{owner}: {name} must be finite")
@@ -78,21 +124,10 @@ class Lane3D:
         """The lane-file form: lists of finite numbers and a JSON integer
         category.  Errors name ``where`` and the field; a missing field
         raises KeyError and a non-object entry TypeError."""
-        arrays = {}
-        for name in ("stations", "x", "z", "visibility"):
-            values = d[name]
-            if not isinstance(values, list) or not all(
-                type(v) is float or type(v) is int for v in values
-            ):
-                raise ValueError(f"{where}: {name}: expected a list of numbers")
-            try:
-                arrays[name] = np.array(values, dtype=np.float64)
-            except OverflowError:  # an integer beyond the float range
-                raise ValueError(f"{where}: {name}: non-finite values") from None
-            if not np.all(np.isfinite(arrays[name])):
-                raise ValueError(f"{where}: {name}: non-finite values")
+        arrays = {name: number_array(d[name], f"{where}: {name}")
+                  for name in ("stations", "x", "z", "visibility")}
         category = d["category"]
-        if type(category) is not int:
+        if not is_integer(category):
             raise ValueError(f"{where}: category: {category!r} is not an integer")
         try:
             return Lane3D(category=category, **arrays)
@@ -157,12 +192,7 @@ def build_default_anchors(
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("build_default_anchors: lateral span must be finite and increasing")
     stations = np.array(stations, dtype=np.float64)  # a copy: it is made read-only below
-    if stations.ndim != 1 or stations.shape[0] < 1:
-        raise ValueError("build_default_anchors: stations must be a non-empty 1-d list")
-    if not np.isfinite(stations).all():  # first: np.diff of two infinities warns
-        raise ValueError("build_default_anchors: stations must be finite")
-    if stations.shape[0] >= 2 and not np.all(np.diff(stations) > 0):
-        raise ValueError("build_default_anchors: stations must be strictly increasing")
+    check_stations("build_default_anchors", stations)
     if num_anchors == 1:
         laterals = np.array([0.5 * (lo + hi)])
     else:
@@ -211,24 +241,16 @@ def write_lane_file(path, lanes, config_hash: str | None = None) -> None:
     document = {"lanes": [lane.to_dict() for lane in lanes]}
     if config_hash is not None:
         document["config_hash"] = config_hash
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         # json.dumps runs the C encoder; json.dump runs the pure-Python one
         fh.write(json.dumps(document, sort_keys=True) + "\n")
 
 
 def read_lane_file(path):
-    """Read a lane file; accepts the wrapped form or a bare lane list.
-
-    Each lane needs lists of finite numbers for ``stations``, ``x``,
-    ``z`` and ``visibility`` and a JSON integer ``category``.  A bad lane
-    is rejected with a message naming the file, the lane index and the
-    field.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"lane file {path}: invalid JSON ({exc})") from None
+    """The lanes of a lane file, wrapped or a bare lane list, each by ``Lane3D.from_dict``;
+    a bad lane is rejected naming the file, the lane index and the field."""
+    with open(path, "rb") as fh:
+        document = load_json(fh.read(), f"lane file {path}")
     entries = document.get("lanes") if isinstance(document, dict) else document
     if not isinstance(entries, list):
         raise ValueError(f"lane file {path}: expected a list of lanes")

@@ -319,7 +319,7 @@ def write_table(path, columns, rows, config_hash: str | None = None) -> None:
     lines = [] if config_hash is None else [f"# config_hash={config_hash}"]
     lines.append(",".join(columns))
     lines.extend(rows)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

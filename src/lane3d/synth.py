@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import AnchorSet, Lane3D, build_default_anchors
+from .geometry import AnchorSet, Lane3D, build_default_anchors, check_stations, is_integer
 from .heads import assign_targets
 
 # per-anchor feature layout: [dx * X_SCALE | dz * Z_SCALE | visibility |
@@ -67,7 +67,7 @@ class SceneConfig:
         if not -np.inf < lo < hi < np.inf:
             raise ValueError("SceneConfig: lateral_span must be finite (lo, hi) with lo < hi")
         lanes = self.num_lanes_range
-        if not all(isinstance(n, (int, np.integer)) for n in lanes) or lanes[0] < 1:
+        if not all(map(is_integer, lanes)) or lanes[0] < 1:
             raise ValueError("SceneConfig: num_lanes_range must hold integers, lo >= 1")
         lo, hi, sep = *self.lateral_offset_range, self.min_lane_separation
         # an int compares exactly with a float, so a huge lane count cannot overflow
@@ -86,10 +86,7 @@ class SceneConfig:
         if self.num_classes < 2:
             raise ValueError("SceneConfig: need background plus >= 1 lane class")
         st = np.asarray(self.stations, dtype=np.float64)
-        if not np.isfinite(st).all():  # first: np.diff of two infinities warns
-            raise ValueError("SceneConfig: stations must be finite")
-        if st.ndim != 1 or st.shape[0] < 1 or (st.shape[0] > 1 and not np.all(np.diff(st) > 0)):
-            raise ValueError("SceneConfig: stations must be strictly increasing")
+        check_stations("SceneConfig", st)
         object.__setattr__(self, "stations", tuple(float(s) for s in st))
         needed = 3 * st.shape[0] + self.num_classes
         if self.channels < needed:

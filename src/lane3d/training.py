@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import VISIBILITY_THRESHOLD, LaneStack
+from .geometry import VISIBILITY_THRESHOLD, LaneStack, is_integer, load_json
 from .heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from .losses import (
     TASK_NAMES,
@@ -183,8 +183,8 @@ class MiniBatch:
     positive_weights: np.ndarray  # (P,)
     regression_weights: np.ndarray  # (2, P, S)
     stations: np.ndarray  # (P, S) anchor stations
-    curve_points: np.ndarray | None  # (P, m, 3) equidistant visible gt, padded
-    curve_mask: np.ndarray | None  # (P, m) its valid points
+    curve_points: np.ndarray  # (P, m, 3) equidistant visible gt, padded
+    curve_mask: np.ndarray  # (P, m) its valid points
 
 
 def prepare_batch(scenes, anchors) -> MiniBatch:
@@ -223,15 +223,13 @@ def prepare_batch(scenes, anchors) -> MiniBatch:
     # delta-x and delta-z entries share the visibility weights: 2x its sum
     scale = np.divide(1.0, 2 * batch * vis_sums, out=np.zeros(batch), where=vis_sums > 0)
     row_weights = visibility * scale[scene_of][:, None]
-    curve_points = curve_mask = None
-    if lanes:
-        points = [_equidistant_points(lane) for lane in lanes]
-        m = max(len(p) for p in points)
-        curve_points = np.zeros((len(points), m, 3))
-        curve_mask = np.zeros((len(points), m), dtype=bool)
-        for r, p in enumerate(points):
-            curve_points[r, : len(p)] = p
-            curve_mask[r, : len(p)] = True
+    points = [_equidistant_points(lane) for lane in lanes]
+    m = max(map(len, points), default=0)
+    curve_points = np.zeros((len(points), m, 3))
+    curve_mask = np.zeros((len(points), m), dtype=bool)
+    for r, p in enumerate(points):
+        curve_points[r, : len(p)] = p
+        curve_mask[r, : len(p)] = True
     return MiniBatch(
         features=np.concatenate(
             [np.stack([f.features for f in scene.frames], axis=1) for scene in scenes]),
@@ -282,18 +280,18 @@ def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
     pos = batch.positive
     if pos.size:
         pred_dx, pred_dz = dx[pos], dz[pos]
+        # prepare_batch gives each positive lane a visible station: the weights sum above 0
         weights = batch.regression_weights
-        if weights.sum() > 0:
-            pred = ad.stack([pred_dx, pred_dz])
-            if cfg.use_balanced_l1:
-                # balanced_l1_vector divides by the weight sum; undo it
-                task_losses["regression"] = balanced_l1_vector(
-                    pred.reshape((weights.size,)), batch.offsets.reshape(-1),
-                    weights.reshape(-1), loss_config,
-                ) * weights.sum()
-            else:
-                residual = ad.absolute(pred - batch.offsets)
-                task_losses["regression"] = (residual * weights).sum()
+        pred = ad.stack([pred_dx, pred_dz])
+        if cfg.use_balanced_l1:
+            # balanced_l1_vector divides by the weight sum; undo it
+            task_losses["regression"] = balanced_l1_vector(
+                pred.reshape((weights.size,)), batch.offsets.reshape(-1),
+                weights.reshape(-1), loss_config,
+            ) * weights.sum()
+        else:
+            residual = ad.absolute(pred - batch.offsets)
+            task_losses["regression"] = (residual * weights).sum()
 
         if cfg.use_chamfer:
             ramp = curve_ramp_weight(epoch, cfg)
@@ -434,13 +432,8 @@ def save_checkpoint(path, params: dict, epoch: int, config_hash: str, metrics=No
 
 def _is_manifest_entry(entry) -> bool:
     """True for a [name, shape] pair with a list of non-negative int dims."""
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and isinstance(entry[0], str)
-        and isinstance(entry[1], list)
-        and all(type(n) is int and n >= 0 for n in entry[1])
-    )
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(is_integer(n) and n >= 0 for n in entry[1]))
 
 
 def load_checkpoint(path, shapes: dict | None = None):
@@ -455,10 +448,7 @@ def load_checkpoint(path, shapes: dict | None = None):
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"checkpoint {path}: header: not a JSON line ({exc})") from None
+        header = load_json(fh.readline(), f"checkpoint {path}: header")
         if not isinstance(header, dict) or "manifest" not in header:
             raise ValueError(f"checkpoint {path}: header: missing field 'manifest'")
         manifest = header["manifest"]

@@ -2,6 +2,7 @@ import io
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,9 +202,9 @@ BROKEN_SCENE_DIRS = [
     ("ego-motion-missing", lambda d: (d / "scene.json").write_text('{"seed": 1}'),
      ["scene.json", "ego_motion: missing"]),
     ("scene-json-garbage", lambda d: (d / "scene.json").write_text("{broken"),
-     ["scene.json", "not valid JSON"]),
+     ["scene.json", "invalid JSON"]),
     ("scene-json-deep", lambda d: (d / "scene.json").write_text("[" * 100_000 + "]" * 100_000),
-     ["scene.json", "not valid JSON"]),
+     ["scene.json", "invalid JSON"]),
     ("truncated-body", lambda d: (d / "features.npy").write_bytes(
         (d / "features.npy").read_bytes()[:-5]), ["features.npy", "unreadable array"]),
     ("trailing-bytes", lambda d: (d / "features.npy").write_bytes(
@@ -214,6 +215,14 @@ BROKEN_SCENE_DIRS = [
     ("seed-bool", lambda d: _edit_scene_doc(d, seed=True), ["scene.json", "seed", "True"]),
     ("seed-null", lambda d: _edit_scene_doc(d, seed=None), ["scene.json", "seed", "None"]),
     ("seed-missing", lambda d: _drop_from_scene_doc(d, "seed"), ["scene.json", "seed: missing"]),
+    ("ego-strings", lambda d: _edit_scene_doc(d, ego_motion=[["1.18", "0.0025"], ["1e3", " 2 "]]),
+     ["scene.json", "ego_motion: expected a list of numbers"]),
+    ("ego-bools", lambda d: _edit_scene_doc(d, ego_motion=[[True, False], [False, True]]),
+     ["scene.json", "ego_motion: expected a list of numbers"]),
+    ("ego-null", lambda d: _edit_scene_doc(d, ego_motion=None),
+     ["scene.json", "ego_motion: expected a list of [forward, yaw] pairs"]),
+    ("misnamed-lane-file", lambda d: (d / "frame_1.lanes.json").rename(d / "frame_7.lanes.json"),
+     ["2 frame_<t>.lanes.json", "2 frames", "expected frame_0.lanes.json, frame_1.lanes.json"]),
 ]
 
 
@@ -429,6 +438,37 @@ def test_train_then_eval_checkpoint(small_config, tmp_path, capsys):
     assert lines[0] == f"# config_hash={cfg.config_hash()}"
     assert lines[1].startswith("scene_id,")
     assert lines[-1].startswith("aggregate,")
+
+
+def _eval_rows(argv):
+    """Row label -> the rest of the row of the table ``lane3d eval`` writes."""
+    assert main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    lines = (Path(out) / "eval_metrics.csv").read_text().splitlines()[2:]
+    return {line.split(",", 1)[0]: line.split(",", 1)[1] for line in lines}
+
+
+def test_eval_rows_carry_their_scene_directory_names(small_config, tmp_path):
+    cfg, _ = small_config
+    four = replace(cfg, num_eval_scenes=4)
+    path = tmp_path / "four.json"
+    save_run_configuration(path, four)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    ckpt = str(_checkpoint_of(four, tmp_path / "checkpoint.bin"))
+    base = ["eval", "--config", str(path), "--checkpoint", ckpt]
+    generated = _eval_rows(base + ["--out", str(tmp_path / "e0")])
+    names = ["scene_0000", "scene_0001", "scene_0002", "scene_0003"]
+    assert list(generated) == names + ["aggregate"]
+    assert len(set(generated.values())) > 2  # the rows tell the scenes apart
+    # the same rows read back from the directories, then with a gap
+    assert _eval_rows(base + ["--scenes", str(gen / "eval"), "--out", str(tmp_path / "e1")]) \
+        == generated
+    shutil.rmtree(gen / "eval" / "scene_0001")
+    gap = _eval_rows(base + ["--scenes", str(gen / "eval"), "--out", str(tmp_path / "e2")])
+    assert list(gap) == ["scene_0000", "scene_0002", "scene_0003", "aggregate"]
+    for name in ("scene_0000", "scene_0002", "scene_0003"):
+        assert gap[name] == generated[name], name
 
 
 def test_train_reruns_are_bitwise_identical(small_config, tmp_path):

@@ -463,3 +463,59 @@ def test_the_write_scanner_sees_every_form(tmp_path):
     assert _file_writes(probe) == [
         (7, None), (8, None), (9, None), (11, "table"), (13, None), (14, None), (16, "make"),
     ]
+
+
+# Text files are UTF-8 whatever the locale: every open in the package is
+# binary or names encoding="utf-8".  A reader that decoded in the locale's
+# encoding would reject, under LC_ALL=C, a file it reads elsewhere.
+TEXT_CALLS = {"open", "read_text", "write_text"}
+
+
+def _locale_opens(path):
+    """Lines of ``open``, ``read_text`` and ``write_text`` calls in the file
+    that are neither binary nor pass ``encoding="utf-8"``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in TEXT_CALLS:
+            continue
+        # open(file, mode) or Path.open(mode); a mode that is not a constant is not binary
+        modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+        modes += [k.value for k in node.keywords if k.arg == "mode"]
+        binary = name == "open" and any(
+            isinstance(m, ast.Constant) and isinstance(m.value, str) and "b" in m.value
+            for m in modes)
+        utf8 = any(k.arg == "encoding" and isinstance(k.value, ast.Constant)
+                   and k.value.value == "utf-8" for k in node.keywords)
+        if not (binary or utf8):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_file_of_the_package_is_utf8():
+    assert [p.stem for p in MODULES if _locale_opens(p)] == []
+
+
+def test_the_encoding_scanner_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from pathlib import Path\n"
+        "open('a')\n"
+        "open('a', 'w')\n"
+        "open('a', 'rb')\n"
+        "open('a', mode='wb')\n"
+        "open('a', 'w', encoding='utf-8')\n"
+        "open('a', encoding='latin-1')\n"
+        "open('a', 'r', encoding=None)\n"
+        "Path('a').open()\n"
+        "Path('a').open('rb')\n"
+        "Path('a').read_text()\n"
+        "Path('a').write_text('x', encoding='utf-8')\n"
+        "Path('a').read_bytes()\n"
+        "def table(path, mode):\n"
+        "    return open(path, mode)\n"
+    )
+    assert _locale_opens(probe) == [2, 3, 7, 8, 9, 11, 15]

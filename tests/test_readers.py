@@ -3,15 +3,21 @@
 Each variant is a valid file truncated, with bytes overwritten, or with
 one field of its JSON document (a lane, a checkpoint manifest, a scene's
 ``scene.json``) replaced or deleted.  A reader must either load it or
-raise a ValueError whose message names the file.
+raise a ValueError whose message names the file; a ``scene.json`` that
+loads holds only JSON numbers in its ego motion.  JSON inputs are UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,8 @@ FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 DELETE = object()
+# what a permissive float parser takes for a number: booleans and numeric strings
+NEAR_NUMBERS = st.booleans() | st.floats().map(str) | st.sampled_from(["1e3", " 2 "])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
             | st.sampled_from([10**400, -10**400]))  # beyond the float64 range
 JSON_VALUES = st.recursive(
@@ -75,8 +83,9 @@ def _edited(document, paths, values=JSON_VALUES):
 
 
 def _loads_or_names(read, path):
+    """What ``read`` loads from ``path``, or None once its ValueError names the path."""
     try:
-        read(path)
+        return read(path)
     except ValueError as exc:
         assert str(path) in str(exc), str(exc)
 
@@ -149,14 +158,18 @@ def test_scene_dir_reader_loads_or_names_the_directory(valid, tmp_path, data):
     raw = files[name]
     variants = _damaged(raw)
     if name == SCENE_NAME:
-        variants |= _edited(json.loads(raw), [("ego_motion",), ("ego_motion", 0), ("seed",)])
+        doc = json.loads(raw)
+        variants |= (_edited(doc, [("ego_motion",), ("ego_motion", 0), ("seed",)])
+                     | _edited(doc, [("ego_motion", 0, 0), ("ego_motion", 1, 1)], NEAR_NUMBERS))
     elif name == FEATURES_NAME:
         variants |= st.lists(st.integers(-2, 2**45), max_size=4).map(
             lambda shape: _npy_with_shape(raw, shape))
     else:
         variants = variants | _lane_variants(raw) | st.just(None)  # None: the file is missing
     scene_dir = _scene_dir(tmp_path / "scene", files, name, data.draw(variants, label="variant"))
-    _loads_or_names(read_scene_dir, scene_dir)
+    if _loads_or_names(read_scene_dir, scene_dir) is not None:
+        ego_motion = json.loads((scene_dir / SCENE_NAME).read_bytes())["ego_motion"]
+        assert all(type(v) in (int, float) for row in ego_motion for v in row), ego_motion
 
 
 def _scene_dir(path, files, name, variant):
@@ -231,3 +244,35 @@ def test_damage_that_once_escaped_is_rejected_by_name(valid, tmp_path, case):
         read = READERS[reader]
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read(path)
+
+
+def test_json_inputs_are_utf8_in_any_locale(valid, tmp_path):
+    # a fresh process in the C locale with Python's UTF-8 mode and locale
+    # coercion off: its locale encoding is ASCII
+    config, latin1 = tmp_path / "config.json", tmp_path / "latin1.json"
+    for path, suffix in ((config, "\u00e9".encode("utf-8")), (latin1, b"\xe9")):
+        path.write_bytes(valid["config"].replace(b'"runs"', b'"runs-' + suffix + b'"', 1))
+    scene = _scene_dir(tmp_path / "scene", valid["scene"], None, None)
+    doc = {**json.loads((scene / SCENE_NAME).read_bytes()), "config_hash": "h\u00e9"}
+    (scene / SCENE_NAME).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code = (
+        "import locale, sys\n"
+        "from lane3d.cli import read_scene_dir\n"
+        "from lane3d.config import load_run_configuration\n"
+        "assert 'utf' not in locale.getpreferredencoding(False).lower()\n"
+        "config, latin1, scene = sys.argv[1:]\n"
+        "assert load_run_configuration(config).output_dir == 'runs-\\u00e9'\n"
+        "assert read_scene_dir(scene).num_frames == 2\n"
+        "try:\n"
+        "    load_run_configuration(latin1)\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc).startswith(f'configuration file {latin1}: invalid JSON'), exc\n"
+        "else:\n"
+        "    raise AssertionError('a Latin-1 byte loaded')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(config), str(latin1), str(scene)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -333,7 +333,7 @@ def test_load_checkpoint_rejects_boolean_manifest_dims(saved_checkpoint):
 def test_load_checkpoint_rejects_a_deeply_nested_header(saved_checkpoint):
     body = saved_checkpoint.read_bytes().split(b"\n", 1)[1]
     saved_checkpoint.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n" + body)
-    with pytest.raises(ValueError, match=r"model\.ckpt: header: not a JSON line"):
+    with pytest.raises(ValueError, match=r"model\.ckpt: header: invalid JSON"):
         load_checkpoint(saved_checkpoint)
 
 

@@ -7,6 +7,11 @@ value at zero, the Balanced L1 branch point, relu pre-activations near
 zero, nearest-neighbor ties) because two-sided differences straddle a
 kink and disagree with either one-sided derivative there.
 
+The checks run in two processes on Linux with at least 2 usable CPUs
+and numpy's bundled OpenBLAS, with one BLAS thread each while both run,
+and in-process otherwise (``lane3d.fork_map``); the results are the same
+either way.
+
 `corrupt_gradient` deliberately breaks one primitive's backward rule so
 callers can prove the audit actually fires; it is a test hook, not an
 API for normal use.
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import fork_map
 from . import losses as ls
 from .losses import LossConfig
 from .temporal import fuse_all_anchors
@@ -215,10 +221,9 @@ def run_gradient_checks(
         ("lstm_fusion_T2", lambda rng: _build_lstm(rng, 2)),
         ("lstm_fusion_T3", lambda rng: _build_lstm(rng, 3)),
     ]
-    return [
-        _check_many(name, build, num_inputs, base_seed)
-        for name, build in checks
-    ]
+    # handed out longest first (the LSTM checks, longest window first),
+    # reported in the order above
+    return fork_map(lambda check: _check_many(*check, num_inputs, base_seed), checks[::-1])[::-1]
 
 
 def worst_result(results) -> CheckResult:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import fork_map
 from .geometry import VISIBILITY_THRESHOLD, LaneStack, is_integer, load_json
 from .heads import BACKGROUND, IGNORE, assign_targets, head_forward
 from .losses import (
@@ -440,7 +441,9 @@ def load_checkpoint(path, shapes: dict | None = None):
     """Parameters and header of a file written by ``save_checkpoint``.
 
     Rejects, with a ValueError naming the file and the field, a header
-    that is not one JSON object, a missing or malformed ``manifest``,
+    that is not one JSON object, an ``epoch`` that is not a non-negative
+    integer, a ``config_hash`` that is not a string, ``metrics`` that are
+    not an object, a missing or malformed ``manifest``,
     manifest names other than PARAM_ORDER in order, a manifest shape
     other than the one ``shapes`` gives for that name (when given), a
     shape needing more bytes than the file has left, a NaN or infinite
@@ -451,6 +454,16 @@ def load_checkpoint(path, shapes: dict | None = None):
         header = load_json(fh.readline(), f"checkpoint {path}: header")
         if not isinstance(header, dict) or "manifest" not in header:
             raise ValueError(f"checkpoint {path}: header: missing field 'manifest'")
+        # the hash is not compared with the run configuration's: it also
+        # covers fields that do not shape the parameters, such as distance_threshold
+        epoch = header.get("epoch")
+        for field, fits, need in (
+            ("epoch", is_integer(epoch) and epoch >= 0, "a non-negative integer"),
+            ("config_hash", isinstance(header.get("config_hash"), str), "a string"),
+            ("metrics", isinstance(header.get("metrics"), dict), "an object"),
+        ):
+            if not fits:
+                raise ValueError(f"checkpoint {path}: {field}: need {need}")
         manifest = header["manifest"]
         if not isinstance(manifest, list) or not all(_is_manifest_entry(e) for e in manifest):
             raise ValueError(f"checkpoint {path}: manifest: need a list of [name, shape] pairs")
@@ -574,9 +587,16 @@ def run_ablation(
     distance_threshold: float = DISTANCE_THRESHOLD,
     coverage_fraction: float = COVERAGE_FRACTION,
 ):
-    """Five configurations, each adding one component; shared seed/budget."""
-    results = []
-    for name, flags in ABLATION_ROWS:
+    """Five configurations, each adding one component; shared seed/budget.
+
+    The rows train in two processes on Linux with at least 2 usable CPUs
+    and numpy's bundled OpenBLAS, with one BLAS thread each while both
+    run, and in-process otherwise (``lane3d.fork_map``); the results are
+    the same either way and come back in ladder order.
+    """
+
+    def row(rung):
+        name, flags = rung
         config = replace(base_config, **flags)
         outcome = train(config, train_scenes, scene_config, loss_config)
         _, _, aggregate, jitter = evaluate_model(
@@ -587,15 +607,10 @@ def run_ablation(
             distance_threshold,
             coverage_fraction,
         )
-        results.append(
-            {
-                "configuration": name,
-                "f1": aggregate.f1,
-                "acc": aggregate.acc,
-                "jitter": jitter,
-            }
-        )
-    return results
+        return {"configuration": name, "f1": aggregate.f1, "acc": aggregate.acc, "jitter": jitter}
+
+    # the fused row, the longest, is handed out first
+    return fork_map(row, ABLATION_ROWS[::-1])[::-1]
 
 
 def ablation_table(results, config_hash: str) -> str:

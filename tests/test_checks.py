@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import lane3d
 from lane3d import autodiff as ad
 from lane3d.checks import (
     TOLERANCE,
@@ -59,6 +60,14 @@ def test_audit_is_bitwise_pinned():
     errors = tuple(np.float64(r.max_relative_error).tobytes().hex() for r in results)
     assert errors == PINNED_MAX_RELATIVE_ERRORS
     assert hashlib.sha256(format_report(results).encode()).hexdigest() == PINNED_REPORT_SHA256
+
+
+def test_the_audit_is_the_same_in_two_processes_and_in_one(monkeypatch):
+    forked = run_gradient_checks(num_inputs=2, base_seed=5)
+    monkeypatch.setattr(lane3d, "_usable_cpus", lambda: 1)  # the in-process path
+    serial = run_gradient_checks(num_inputs=2, base_seed=5)
+    assert format_report(forked) == format_report(serial)
+    assert [r.max_relative_error for r in forked] == [r.max_relative_error for r in serial]
 
 
 def test_different_base_seed_changes_the_draws():

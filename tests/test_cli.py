@@ -575,6 +575,19 @@ def test_eval_rejects_a_checkpoint_with_a_nan(small_config, tmp_path, capsys):
     assert not (tmp_path / "ev" / "eval_metrics.csv").exists()
 
 
+def test_eval_rejects_a_checkpoint_header_field(small_config, tmp_path, capsys):
+    # each field's rejection is in the reader table of tests/test_readers.py
+    cfg, path = small_config
+    ckpt = _checkpoint_of(cfg, tmp_path / "checkpoint.bin")
+    head, body = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(json.dumps({**json.loads(head), "epoch": "soon"}).encode() + b"\n" + body)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 1
+    assert "checkpoint.bin: epoch: need a non-negative integer" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_checkpoint_of_another_configuration(small_config, tmp_path, capsys):
     cfg, path = small_config
     out = tmp_path / "run"

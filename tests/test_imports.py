@@ -4,9 +4,9 @@ of the package has a caller outside the tests, and only one function
 names scipy, whose assignment solver it loads without scipy.optimize.
 
 Each module sits in a tier and may import only from lower tiers:
-autodiff, geometry -> losses, heads, temporal -> synth, metrics ->
-training, checks -> config -> cli.  Modules within a tier are
-independent of each other.
+the names the package init defines -> autodiff, geometry -> losses,
+heads, temporal -> synth, metrics -> training, checks -> config -> cli.
+Modules within a tier are independent of each other.
 """
 
 import ast
@@ -31,6 +31,10 @@ TIERS = (
     ("cli",),
 )
 TIER = {name: rank for rank, names in enumerate(TIERS) for name in names}
+# the public names of the package init form the lowest tier, below every module:
+# ``from . import fork_map`` imports a name, not a module
+INIT_NAMES = {"fork_map"}
+IMPORT_TIER = {**TIER, **dict.fromkeys(INIT_NAMES, -1)}
 
 
 def _package_imports(path):
@@ -63,12 +67,16 @@ def test_every_module_has_a_tier():
     assert sorted(p.stem for p in MODULES) == sorted(TIER)
 
 
+def test_the_init_tier_names_what_the_package_init_defines():
+    assert INIT_NAMES == {name for name, _, _ in _public_definitions(PACKAGE / "__init__.py")}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_imports_point_down_the_tiers(path):
     upward = [
         f"{path.name}:{line} imports {target}"
         for line, target in _package_imports(path)
-        if TIER[target] >= TIER[path.stem]
+        if IMPORT_TIER[target] >= TIER[path.stem]
     ]
     assert not upward, upward
 

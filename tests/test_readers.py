@@ -220,6 +220,16 @@ ESCAPES = {
         ("checkpoint", None, lambda raw: _with_header(raw, ("manifest", 0, 1), [0, 2**62, 2**62])),
     "rank-70-shape":
         ("checkpoint", None, lambda raw: _with_header(raw, ("manifest", 0, 1), [1] * 70)),
+    "header-epoch-not-an-integer":
+        ("checkpoint", None, lambda raw: _with_header(raw, ("epoch",), "soon")),
+    "header-epoch-boolean":
+        ("checkpoint", None, lambda raw: _with_header(raw, ("epoch",), True)),
+    "header-epoch-negative":
+        ("checkpoint", None, lambda raw: _with_header(raw, ("epoch",), -1)),
+    "header-config-hash-not-a-string":
+        ("checkpoint", None, lambda raw: _with_header(raw, ("config_hash",), [1, 2])),
+    "header-metrics-not-an-object":
+        ("checkpoint", None, lambda raw: _with_header(raw, ("metrics",), None)),
     "features-cut-header":  # reaches numpy's header tokenizer
         ("scene", FEATURES_NAME, lambda raw: _overwrite(raw, [(8, 1)])),
     "features-impossible-shape":  # reaches numpy's allocator

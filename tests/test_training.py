@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import lane3d
 import lane3d.autodiff as ad
 import lane3d.metrics as metrics_module
 import lane3d.training as training_module
@@ -772,6 +773,16 @@ def test_run_ablation_emits_five_nested_rows():
         name, f1, acc, jitter = line.split(",")
         float(f1), float(acc)
         assert jitter == "nan" or float(jitter) >= 0.0
+
+
+def test_the_ablation_table_is_the_same_in_two_processes_and_in_one(monkeypatch):
+    scenes, cfg_scene = small_scenes(3)
+    eval_scenes, _ = small_scenes(2, base_seed=300)
+    cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, seed=0)
+    forked = ablation_table(run_ablation(cfg, scenes, eval_scenes, cfg_scene), "h")
+    monkeypatch.setattr(lane3d, "_usable_cpus", lambda: 1)  # the in-process path
+    serial = ablation_table(run_ablation(cfg, scenes, eval_scenes, cfg_scene), "h")
+    assert forked.encode() == serial.encode()
 
 
 def test_train_empty_dataset_errors():

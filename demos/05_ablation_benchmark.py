@@ -6,9 +6,9 @@ and temporal jitter on held-out scenes. The claims under test are
 directions, not magnitudes: the full row beats the baseline on F1 and
 the no-fusion row on jitter.
 
-Runs the full 64/32-scene benchmark in roughly three minutes; pass
---quick for a small split that finishes in under a minute (directions
-are not guaranteed at that scale).
+Runs the full 64/32-scene benchmark in about 15 s on a 2-core machine,
+where the rows train in two processes; pass --quick for a small split
+that finishes in about 2 s (directions are not guaranteed at that scale).
 """
 
 import argparse

@@ -388,16 +388,17 @@ def sigmoid(a):
 
 
 def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
-    """An LSTM over the last ``frames`` windows of a (K, T, C) batch, as one node.
+    """An LSTM over the last ``frames`` windows of a (T, K, C) batch, as one node.
 
     Frame t's window is [f0]*(T-1-t) + [f0..ft], read from a zero state.
-    Returns the final hidden rows (frames*K, H), frame-major: rows
-    j*K .. (j+1)*K end frame T-frames+j's window.  ``w_ih`` (4H, C),
+    Returns the final hidden rows (frames*K, H), frame-major as the batch:
+    rows j*K .. (j+1)*K end frame T-frames+j's window.  ``w_ih`` (4H, C),
     ``w_hh`` (4H, H) and ``bias`` (4H,) stack the gates (i, f, g, o):
     i, f, o are sigmoids, g is tanh, c = f*c_prev + i*g, h = o*tanh(c).
     Windows that have read only f0 so far share one state, so step s runs
-    on the rows of frames lo..s alone, lo = max(s+1-frames, 0), and a
-    window that leaves the shared group starts from a repeat of its rows.
+    on the rows of frames lo..s alone, lo = max(s+1-frames, 0): the block
+    batch[lo:s+1], a view of a contiguous batch.  A window that leaves
+    the shared group starts from a repeat of its rows.
 
     The forward runs the ufuncs of the per-step matmul/add/slice/sigmoid/
     tanh/multiply composition at its row counts, and the VJP evaluates
@@ -411,16 +412,13 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
     """
     parents = tuple(as_var(v) for v in (batch, w_ih, w_hh, bias))
     batch, w_ih, w_hh, bias = parents
-    k, total, _ = batch.shape
+    total, k, channels = batch.shape
     hidden = w_hh.shape[1]
     record = not all(p.constant for p in parents)  # a constant keeps no steps
-    rows = np.arange(k)
     steps = []
     for s in range(total):
         lo = max(s + 1 - frames, 0)
-        index = (slice(None), s) if lo == s else (  # frames lo..s, frame-major
-            np.tile(rows, s + 1 - lo), np.repeat(np.arange(lo, s + 1), k))
-        x = batch.value[index]
+        x = batch.value[lo:s + 1].reshape(-1, channels)  # frames lo..s
         z = x @ w_ih.value.T
         expand = lo == 0 and s > 0  # the window reading f1 leaves the shared group
         if s == 0:
@@ -428,8 +426,7 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
             h_prev, c_prev = None, 0.0
         else:
             if expand:
-                shared = np.concatenate([rows, np.arange(s * k)])
-                h, c = h[shared], c[shared]
+                h, c = np.concatenate([h[:k], h]), np.concatenate([c[:k], c])
             h_prev, c_prev = h, c
             z += h_prev @ w_hh.value.T
         z += bias.value
@@ -444,7 +441,7 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
         tanh_c = np.tanh(c)
         np.multiply(o, tanh_c, out=h)
         if record:
-            steps.append((index, expand, x, h_prev, c_prev, i, f, g, o, tanh_c))
+            steps.append((slice(lo, s + 1), expand, x, h_prev, c_prev, i, f, g, o, tanh_c))
         del z, i_f, i, f, g, o, tanh_c, hc  # a forward-only call holds one step's state
 
     def vjp(grad, need):
@@ -452,7 +449,7 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
         d_w_ih_t = d_bias = None  # summed latest step first
         d_w_hh_t = []  # per step, latest first
         dh, dc = grad, 0.0
-        for index, expand, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(steps):
+        for window, expand, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(steps):
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
             dz = np.concatenate([
                 dc * g * i * (1.0 - i),
@@ -464,7 +461,7 @@ def lstm_windows(batch, w_ih, w_hh, bias, frames=1):
             # turns -0.0 into +0.0; adding 0.0 does the same
             dz += 0.0
             if need[0]:
-                d_batch[index] += dz @ w_ih.value
+                d_batch[window] += (dz @ w_ih.value).reshape(-1, k, channels)
             if need[1]:
                 d_w_ih_t = x.T @ dz if d_w_ih_t is None else d_w_ih_t + x.T @ dz
             if need[3]:

@@ -181,7 +181,7 @@ def _build_lstm(rng, num_frames):
             "lstm.bias": rng.normal(size=4 * hidden) * 0.5,
             "lstm.proj_w": rng.normal(size=(channels, hidden)) * 0.5,
             "lstm.proj_b": rng.normal(size=channels) * 0.5,
-            "x": rng.normal(size=(1, num_frames, channels)),
+            "x": rng.normal(size=(num_frames, 1, channels)),
         }
         # relu kinks: reject draws whose projection pre-activation sits
         # within a margin of zero anywhere

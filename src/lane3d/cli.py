@@ -25,8 +25,8 @@ its table, labelling each scene by its directory name. Every reader here
 parses and checks its JSON with the input rules of `geometry`.
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
-inconsistent inputs, a failed gradient audit), 2 runtime or numerical
-failure (training divergence, unexpected I/O loss mid-run).
+inconsistent inputs, paths of the wrong kind, a failed gradient audit),
+2 runtime or numerical failure (training divergence, I/O lost mid-run).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .geometry import is_integer, load_json, number_array, read_lane_file, write
 from .metrics import METRIC_COLUMNS, aggregate_reports, match_lanes, metrics_row, write_table
 from .synth import FrameRecord, SceneSequence, generate_dataset
 from .training import (
+    ABLATION_ROWS,
     EPOCH_LOG_COLUMNS,
     TrainingDiverged,
     ablation_table,
@@ -263,6 +264,8 @@ def cmd_generate(args) -> int:
 def cmd_gradcheck(args) -> int:
     # --seed seeds the audit's inputs, not the model, so it stays out of the hash
     config = load_run_configuration(args.config) if args.config else RunConfiguration()
+    if args.out and Path(args.out).exists() and not Path(args.out).is_dir():  # before the audit
+        raise NotADirectoryError(f"--out {args.out}: not a directory")
     started = time.perf_counter()
     results = run_gradient_checks(
         num_inputs=args.inputs, base_seed=args.seed or 0, loss_config=config.loss
@@ -388,7 +391,7 @@ def cmd_ablate(args) -> int:
     config, out, train_scenes, eval_scenes = _set_up(args)
     config_hash = config.config_hash()
     _log(
-        f"ablation ladder: 5 configurations x {config.train.epochs} epochs "
+        f"ablation ladder: {len(ABLATION_ROWS)} configurations x {config.train.epochs} epochs "
         f"on {len(train_scenes)} scenes (config_hash={config_hash})"
     )
     results = run_ablation(config.train, train_scenes, eval_scenes, config.scene, config.loss,
@@ -455,7 +458,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            FileExistsError) as exc:  # FileExistsError: --out names a file
         print(f"lane3d: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TrainingDiverged as exc:

@@ -310,32 +310,32 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SceneSequenc
     # backbone would pool the same anchor region with ego compensation
     assignment = assign_targets(anchors, list(per_frame[-1]))
 
-    # the feature layout for all anchors at once; anchors without a lane
-    # carry only the BACKGROUND_CLASS one-hot
+    # the feature layout of every frame and anchor at once, (T, K, C);
+    # anchors without a lane carry only the BACKGROUND_CLASS one-hot
     s = len(stations)
     rows = np.flatnonzero(assignment.lane_for_anchor >= 0)
     lane_of_row = assignment.lane_for_anchor[rows]
     classes = np.full(config.num_anchors, BACKGROUND_CLASS)
     classes[rows] = [per_frame[-1][j].category for j in lane_of_row]
+    # offsets are encoded over the full analytic curve; the visibility
+    # block alone says which stations count
+    truth = np.array([[(lane.x, lane.z, lane.visibility) for lane in lanes_t]
+                      for lanes_t in per_frame]).reshape(config.num_frames, -1, 3, s)
+    x, z, visibility = truth[:, lane_of_row].transpose(2, 0, 1, 3)
+    features = np.zeros((config.num_frames, config.num_anchors, config.channels))
+    features[:, rows, :s] = (x - anchors.base_x[rows]) * X_SCALE
+    features[:, rows, s : 2 * s] = z * Z_SCALE  # ground-plane anchors: z is the offset
+    features[:, rows, 2 * s : 3 * s] = visibility
+    features[:, np.arange(config.num_anchors), 3 * s + classes] = 1.0
     # noise last, after every lane and pose draw: the sigma=0 twin of a
     # seed shares them all (building the layout draws nothing)
     basis = _lateral_noise_basis(s)
-    frames = []
-    for lanes_t in per_frame:
-        # offsets are encoded over the full analytic curve; the
-        # visibility block alone says which stations count
-        truth = np.array([(lane.x, lane.z, lane.visibility) for lane in lanes_t])
-        x, z, visibility = truth.reshape(-1, 3, s)[lane_of_row].transpose(1, 0, 2)
-        features = np.zeros((config.num_anchors, config.channels))
-        features[rows, :s] = (x - anchors.base_x[rows]) * X_SCALE
-        features[rows, s : 2 * s] = z * Z_SCALE  # ground-plane anchors: z is the offset
-        features[rows, 2 * s : 3 * s] = visibility
-        features[np.arange(config.num_anchors), 3 * s + classes] = 1.0
+    for frame in features:
         coeff = rng.normal(size=(config.num_anchors, 3))
         rest = rng.normal(size=(config.num_anchors, config.channels - s))
-        noise = np.concatenate([coeff @ basis.T, rest], axis=1) * config.noise_sigma
-        frames.append(FrameRecord(lanes=lanes_t, features=features + noise))
-    return SceneSequence(frames=tuple(frames), ego_motion=ego_motion, seed=int(seed))
+        frame += np.concatenate([coeff @ basis.T, rest], axis=1) * config.noise_sigma
+    frames = tuple(map(FrameRecord, per_frame, features))
+    return SceneSequence(frames=frames, ego_motion=ego_motion, seed=int(seed))
 
 
 def generate_dataset(base_seed: int, count: int, config: SceneConfig | None = None):

@@ -9,11 +9,11 @@ and its ground-truth side is resampled onto equidistant stations across
 the visible extent.
 
 Each training step builds one tape per mini-batch: the batch's scenes
-are stacked to (B*K, T, C) and run once through fusion, the heads and
-each loss, with constant row weights that make every task the mean over
-the scenes of that scene's value.  A scene's targets depend only on the
-scene and the anchors, so ``train`` builds each batch's targets once,
-ahead of the epoch loop.
+are stacked frame-major to (T, B*K, C) and run once through fusion, the
+heads and each loss, with constant row weights that make every task the
+mean over the scenes of that scene's value.  A scene's targets depend
+only on the scene and the anchors, so ``train`` builds each batch's
+targets once, ahead of the epoch loop.
 
 Everything is deterministic given (config, seed): parameter init comes
 from one seeded generator, batches follow a fixed order, and the
@@ -164,16 +164,16 @@ def _equidistant_points(lane) -> np.ndarray:
 class MiniBatch:
     """The constant side of one mini-batch's loss, stacked over its B scenes.
 
-    Rows index the B*K anchors of the batch, scene-major.  Each task of
-    scene b is the mean over its own rows, and the batch loss the mean
-    over scenes, so every row carries the constant weight 1 / (B * n_b)
-    with n_b the scene's row count for that task; a scene without rows
-    for a task adds 0 to it.  Regression entries are weighted by
-    visibility / (2 * B * the scene's visibility sum), since delta-x and
-    delta-z share it.
+    Rows index the B*K anchors of the batch, scene-major, in each frame
+    of ``features`` too.  Each task of scene b is the mean over its own
+    rows, and the batch loss the mean over scenes, so every row carries
+    the constant weight 1 / (B * n_b) with n_b the scene's row count for
+    that task; a scene without rows for a task adds 0 to it.  Regression
+    entries are weighted by visibility / (2 * B * the scene's visibility
+    sum), since delta-x and delta-z share it.
     """
 
-    features: np.ndarray  # (B*K, T, C)
+    features: np.ndarray  # (T, B*K, C), frame-major
     scored: np.ndarray  # rows scored by the focal: positive or background
     classes: np.ndarray  # target class of each scored row
     class_weights: np.ndarray
@@ -233,7 +233,7 @@ def prepare_batch(scenes, anchors) -> MiniBatch:
         curve_mask[r, : len(p)] = True
     return MiniBatch(
         features=np.concatenate(
-            [np.stack([f.features for f in scene.frames], axis=1) for scene in scenes]),
+            [np.stack([f.features for f in scene.frames]) for scene in scenes], axis=1),
         scored=np.concatenate(scored),
         classes=np.array([c for row in classes for c in row], dtype=np.int64),
         class_weights=np.concatenate(class_weights),
@@ -256,7 +256,7 @@ def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
                train_config: TrainConfig, epoch: int):
     """Differentiable total loss of one mini-batch plus per-task values.
 
-    One tape covers the batch: one fusion over its (B*K, T, C) features,
+    One tape covers the batch: one fusion over its (T, B*K, C) features,
     one head pass, and one row-batched call of each loss, weighted by the
     batch's constant row weights so that each task is the mean over the
     scenes of that scene's task value.  The total combines the tasks
@@ -268,7 +268,7 @@ def scene_loss(pvars, batch: MiniBatch, loss_config: LossConfig,
     if cfg.use_lstm_fusion:
         fused = fuse_all_anchors(batch.features, pvars)
     else:
-        fused = ad.as_var(batch.features[:, -1, :])
+        fused = ad.as_var(batch.features[-1])
     dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
 
     # every enabled task starts at zero; a batch without its rows keeps that
@@ -528,8 +528,7 @@ def predict_frames(params: dict, scene, scene_config: SceneConfig, use_lstm_fusi
             f"{expected} of the configuration"
         )
     if use_lstm_fusion:
-        windows = fuse_all_anchors(feats.transpose(1, 0, 2), params, frames=len(feats))
-        feats = windows.value.reshape(feats.shape)
+        feats = fuse_all_anchors(feats, params, frames=len(feats)).value.reshape(feats.shape)
     per_frame = []
     for fused in feats:
         dx, dz, vis_logits, cls_logits = head_forward(fused, params)

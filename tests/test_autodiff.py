@@ -129,7 +129,7 @@ PRIMITIVES = [
     ("log", ad.log),
     ("exp", ad.exp),
     ("sigmoid", ad.sigmoid),
-    ("lstm_windows", lambda a: ad.lstm_windows(ad.reshape(a, (1, 2, 2)), np.ones((4, 2)),
+    ("lstm_windows", lambda a: ad.lstm_windows(ad.reshape(a, (2, 1, 2)), np.ones((4, 2)),
                                                np.ones((4, 1)), np.zeros(4))),
     ("relu", ad.relu),
     ("absolute", ad.absolute),
@@ -165,7 +165,7 @@ def test_take_of_a_basic_index_equals_the_scatter_add(index):
 
 def _two_steps(v):
     # one anchor's two (1, 2) frames through a one-unit LSTM: hidden 1, four gates
-    return ad.lstm_windows(v.reshape((1, 2, 2)), np.ones((4, 2)), np.ones((4, 1)), np.zeros(4))
+    return ad.lstm_windows(v.reshape((2, 1, 2)), np.ones((4, 2)), np.ones((4, 1)), np.zeros(4))
 
 
 @pytest.mark.parametrize(

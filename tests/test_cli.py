@@ -661,6 +661,96 @@ def test_a_failed_command_leaves_no_output_directory(small_config, tmp_path, cap
     assert not out.exists()
 
 
+def _a_directory(path):
+    path.mkdir()
+    return path
+
+
+def _a_file(path):
+    path.write_text("a file\n")
+    return path
+
+
+def _lane_file_made_a_directory(tmp, path, side):
+    """``eval --pred`` over one lane file per side; the one under ``side`` is a directory."""
+    for root in ("pred", "gt"):
+        (tmp / root).mkdir()
+        if root != side:
+            write_lane_file(tmp / root / "a.lanes.json", [], "0")
+    bad = _a_directory(tmp / side / "a.lanes.json")
+    return bad, ["eval", "--config", str(path), "--pred", str(tmp / "pred"),
+                 "--scenes", str(tmp / "gt")]
+
+
+def _scene_lane_file_made_a_directory(tmp, path, cfg):
+    gen = tmp / "gen"
+    assert main(["generate", "--config", str(path), "--out", str(gen)]) == 0
+    lane_file = gen / "eval" / "scene_0000" / "frame_0.lanes.json"
+    lane_file.unlink()
+    ckpt = _checkpoint_of(cfg, tmp / "checkpoint.bin")
+    return _a_directory(lane_file), ["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                                     "--scenes", str(gen / "eval")]
+
+
+def _out_is_a_file(tmp, path, cfg, command):
+    out = _a_file(tmp / "out.txt")
+    argv = {
+        "eval": ["--checkpoint", str(_checkpoint_of(cfg, tmp / "checkpoint.bin"))],
+        "gradcheck": ["--inputs", "1"],
+    }.get(command, [])
+    return out, [command, "--config", str(path), *argv, "--out", str(out)]
+
+
+# (id, builder of (the path of the wrong kind, argv)) of invocations that
+# must exit 1 naming that path; without its own --out, argv gets one
+WRONG_KIND_PATHS = [
+    ("config-is-a-directory", lambda tmp, path, cfg: (
+        _a_directory(tmp / "c.json"), ["train", "--config", str(tmp / "c.json")])),
+    ("checkpoint-is-a-directory", lambda tmp, path, cfg: (
+        _a_directory(tmp / "c.bin"), ["eval", "--config", str(path), "--checkpoint",
+                                      str(tmp / "c.bin")])),
+    ("predicted-lane-file-is-a-directory",
+     lambda tmp, path, cfg: _lane_file_made_a_directory(tmp, path, "pred")),
+    ("true-lane-file-is-a-directory",
+     lambda tmp, path, cfg: _lane_file_made_a_directory(tmp, path, "gt")),
+    ("scene-lane-file-is-a-directory", _scene_lane_file_made_a_directory),
+    *((f"{command}-out-is-a-file",
+       lambda tmp, path, cfg, command=command: _out_is_a_file(tmp, path, cfg, command))
+      for command in ("generate", "train", "ablate", "eval", "gradcheck")),
+]
+
+
+@pytest.mark.parametrize("build", [case[1] for case in WRONG_KIND_PATHS],
+                         ids=[case[0] for case in WRONG_KIND_PATHS])
+def test_a_path_of_the_wrong_kind_exits_1_naming_it(small_config, tmp_path, capsys, build):
+    cfg, path = small_config
+    bad, argv = build(tmp_path, path, cfg)
+    never = tmp_path / "never"
+    if "--out" not in argv:
+        argv += ["--out", str(never)]
+    was_a_file = bad.is_file()
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # nothing ran to completion: gradcheck printed no report
+    assert not never.exists()
+    assert bad.is_file() == was_a_file and bad.is_dir() != was_a_file
+    if was_a_file:
+        assert bad.read_text() == "a file\n"
+
+
+def test_losing_io_mid_run_exits_2(small_config, tmp_path, capsys, monkeypatch):
+    _, path = small_config
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("lane3d.cli.write_lane_file", full_disk)
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "gen")]) == 2
+    assert "runtime failure" in capsys.readouterr().err
+
+
 def test_gradcheck_passes_and_is_repeatable(tmp_path, capsys):
     argv = ["gradcheck", "--inputs", "2", "--seed", "5"]
     assert main(argv) == 0

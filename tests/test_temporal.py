@@ -50,6 +50,11 @@ def _windows(batch, params, frames=1):
                            frames)
 
 
+def _frame_major(anchor_major):
+    """The (T, K, C) batch of a (K, T, C) draw: the same numbers, contiguous."""
+    return np.ascontiguousarray(anchor_major.transpose(1, 0, 2))
+
+
 def _numpy_fuse(batch, params):
     """Plain-numpy LSTM recurrence over one anchor's (T, C) frames, oldest first."""
     hidden = params["lstm.w_hh"].shape[1]
@@ -65,24 +70,24 @@ def _numpy_fuse(batch, params):
 
 def test_sequence_validation():
     params = _lstm(4, 4, rng=0)
-    # a bare (T, C) sequence is not a (K, T, C) anchor batch
+    # a bare (T, C) sequence is not a (T, K, C) anchor batch
     with pytest.raises(ValueError):
         fuse_all_anchors(np.zeros((3, 4)), params)
     with pytest.raises(ValueError):
         fuse_all_anchors(np.zeros((1, 2, 3, 4)), params)
-    assert fuse_all_anchors(np.zeros((1, 3, 4)), params).shape == (1, 4)
-    assert fuse_all_anchors(np.zeros((2, 3, 4)), params, frames=3).shape == (6, 4)
+    assert fuse_all_anchors(np.zeros((3, 1, 4)), params).shape == (1, 4)
+    assert fuse_all_anchors(np.zeros((3, 2, 4)), params, frames=3).shape == (6, 4)
 
 
 @pytest.mark.parametrize("shape, frames, match", [
-    ((2, 0, 4), 1, r"frames = 1 outside 1\.\.T = 0"),
+    ((0, 2, 4), 1, r"frames = 1 outside 1\.\.T = 0"),
     ((0, 0, 4), 1, r"frames = 1 outside 1\.\.T = 0"),
-    ((2, 3, 4), 0, r"frames = 0 outside 1\.\.T = 3"),
-    ((2, 3, 4), 4, r"frames = 4 outside 1\.\.T = 3"),
-    ((2, 1, 4), -1, r"frames = -1 outside 1\.\.T = 1"),
+    ((3, 2, 4), 0, r"frames = 0 outside 1\.\.T = 3"),
+    ((3, 2, 4), 4, r"frames = 4 outside 1\.\.T = 3"),
+    ((1, 2, 4), -1, r"frames = -1 outside 1\.\.T = 1"),
 ])
 def test_empty_or_out_of_range_windows_rejected(shape, frames, match):
-    # a (K, 0, C) batch would otherwise fuse to relu(proj_b) for every row
+    # a (0, K, C) batch would otherwise fuse to relu(proj_b) for every row
     with pytest.raises(ValueError, match=match):
         fuse_all_anchors(np.zeros(shape), _lstm(4, 4, rng=0), frames=frames)
 
@@ -105,7 +110,7 @@ def test_initialize_ranges_and_forget_bias():
 def test_zero_parameters_give_zero_state():
     params = _zero_params(3, 2)
     # gates i=f=o=0.5, g=0 at zero pre-activations: c stays 0, so h does
-    h = _windows(np.ones((1, 2, 3)), params, frames=2)
+    h = _windows(np.ones((2, 1, 3)), params, frames=2)
     assert np.array_equal(h.value, np.zeros((2, 2)))
 
 
@@ -113,7 +118,7 @@ def test_zero_cell_ignores_forget_gate():
     rng = np.random.default_rng(5)
     params = _lstm(4, 4, rng)
     x = rng.normal(size=(2, 4))
-    h1 = _windows(x[:, None, :], params)
+    h1 = _windows(x[None], params)
     # from the zero state, c = i*g regardless of the forget gate
     z = x @ params["lstm.w_ih"].T + params["lstm.bias"]
     i, o = (1.0 / (1.0 + np.exp(-z[:, j:j + 4])) for j in (0, 12))
@@ -125,7 +130,7 @@ def test_state_bounds():
     # every window of a 50-frame batch: |h| = |o tanh(c)| <= 1
     rng = np.random.default_rng(9)
     params = _lstm(5, 3, rng)
-    h = _windows(rng.normal(scale=3.0, size=(2, 50, 5)), params, frames=50)
+    h = _windows(_frame_major(rng.normal(scale=3.0, size=(2, 50, 5))), params, frames=50)
     assert h.shape == (100, 3)
     assert np.all(np.abs(h.value) <= 1.0)
 
@@ -135,35 +140,35 @@ def test_fuse_single_frame_reduction():
     params = _lstm(4, 4, rng)
     x = rng.normal(size=(1, 1, 4))
     fused = fuse_all_anchors(x, params)
-    assert np.allclose(fused.value[0], _numpy_fuse(x[0], params), atol=1e-12)
+    assert np.allclose(fused.value[0], _numpy_fuse(x[:, 0], params), atol=1e-12)
 
 
 def test_fuse_zero_parameters_zero_output():
     params = _zero_params(4, 4)
-    fused = fuse_all_anchors(np.ones((2, 3, 4)), params)
+    fused = fuse_all_anchors(np.ones((3, 2, 4)), params)
     assert np.array_equal(fused.value, np.zeros((2, 4)))
 
 
 def test_relu_clamps_negative_projection():
     params = {**_zero_params(2, 1), "lstm.proj_b": np.array([-1.0, -2.0])}
-    fused = fuse_all_anchors(np.ones((1, 2, 2)), params)
+    fused = fuse_all_anchors(np.ones((2, 1, 2)), params)
     assert np.array_equal(fused.value, [[0.0, 0.0]])
 
 
 def test_fuse_all_anchors_matches_per_anchor():
     rng = np.random.default_rng(13)
     params = _lstm(6, 5, rng)
-    batch = rng.normal(size=(4, 3, 6))
+    batch = _frame_major(rng.normal(size=(4, 3, 6)))
     fused = fuse_all_anchors(batch, params).value
     for k in range(4):
-        assert np.allclose(fused[k], _numpy_fuse(batch[k], params), rtol=0.0, atol=1e-12)
+        assert np.allclose(fused[k], _numpy_fuse(batch[:, k], params), rtol=0.0, atol=1e-12)
 
 
 def test_identical_sequences_fuse_identically():
     rng = np.random.default_rng(21)
     params = _lstm(4, 4, rng)
     seq = rng.normal(size=(3, 4))
-    batch = np.stack([seq, seq], axis=0)
+    batch = np.stack([seq, seq], axis=1)
     fused = fuse_all_anchors(batch, params).value
     assert np.array_equal(fused[0], fused[1])
 
@@ -171,19 +176,19 @@ def test_identical_sequences_fuse_identically():
 def test_anchor_permutation_equivariance():
     rng = np.random.default_rng(22)
     params = _lstm(4, 4, rng)
-    batch = rng.normal(size=(5, 3, 4))
+    batch = _frame_major(rng.normal(size=(5, 3, 4)))
     perm = np.array([3, 0, 4, 1, 2])
     fused = fuse_all_anchors(batch, params).value
-    fused_perm = fuse_all_anchors(batch[perm], params).value
+    fused_perm = fuse_all_anchors(batch[:, perm], params).value
     assert np.allclose(fused_perm, fused[perm], atol=1e-15)
 
 
 def test_anchor_independence():
     rng = np.random.default_rng(23)
     params = _lstm(4, 4, rng)
-    batch = rng.normal(size=(3, 2, 4))
+    batch = _frame_major(rng.normal(size=(3, 2, 4)))
     zeroed = batch.copy()
-    zeroed[1] = 0.0
+    zeroed[:, 1] = 0.0
     a = fuse_all_anchors(batch, params).value
     b = fuse_all_anchors(zeroed, params).value
     assert np.allclose(a[0], b[0], atol=1e-15)
@@ -192,9 +197,9 @@ def test_anchor_independence():
 
 
 def _padded_window(batch, t):
-    """Frame t's window of a (K, T, C) batch: [f0]*(T-1-t) + [f0..ft]."""
-    total = batch.shape[1]
-    return batch[:, [0] * (total - 1 - t) + list(range(t + 1)), :]
+    """Frame t's window of a (T, K, C) batch: [f0]*(T-1-t) + [f0..ft]."""
+    total = batch.shape[0]
+    return batch[[0] * (total - 1 - t) + list(range(t + 1))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,7 +212,7 @@ def test_shared_prefix_windows_equal_the_padded_windows(total, data, k, seed):
     frames = data.draw(st.integers(1, total), label="frames")
     rng = np.random.default_rng(seed)
     params = _lstm(5, 3, rng)
-    batch = rng.normal(size=(k, total, 5))
+    batch = _frame_major(rng.normal(size=(k, total, 5)))
     got = fuse_all_anchors(batch, params, frames=frames).value
     assert got.shape == (frames * k, 5)
     for j, t in enumerate(range(total - frames, total)):
@@ -231,7 +236,7 @@ def test_each_step_runs_the_cell_on_the_distinct_windows_only(frames, rows, monk
         return sigmoid_values(v)
 
     monkeypatch.setattr(ad, "sigmoid_values", counting)
-    fuse_all_anchors(np.ones((k, 3, 4)), _lstm(4, 4, rng=0), frames=frames)
+    fuse_all_anchors(np.ones((3, k, 4)), _lstm(4, 4, rng=0), frames=frames)
     assert seen == [r * k for r in rows for _ in range(2)]
 
 
@@ -242,7 +247,7 @@ def test_shared_prefix_gradients_match_fd():
     c, h = 3, 4
     params = _lstm(c, h, rng)
     params["lstm.proj_b"] = params["lstm.proj_b"] + 3.0  # |proj_w h| <= sqrt(H): relu open
-    params["x"] = rng.normal(size=(2, 3, c))
+    params["x"] = _frame_major(rng.normal(size=(2, 3, c)))
     mix = rng.normal(size=(6, c))
 
     def program(p):
@@ -255,7 +260,7 @@ def test_shared_prefix_gradients_match_fd():
 
 def test_inconsistent_anchor_shapes_rejected():
     params = _lstm(4, 4, rng=0)
-    # ragged anchors cannot form one (K, T, C) batch
+    # ragged anchors cannot form one (T, K, C) batch
     with pytest.raises(ValueError):
         fuse_all_anchors([np.zeros((2, 4)), np.zeros((3, 4))], params)
 
@@ -272,7 +277,7 @@ def test_bptt_gradients_match_fd(num_frames):
         c, h = 3, 4
         params = _lstm(c, h, rng)
         weights = rng.normal(size=(2, c))
-        params["x"] = rng.normal(size=(2, num_frames, c))
+        params["x"] = _frame_major(rng.normal(size=(2, num_frames, c)))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert report.max_relative_error < 1e-5, (num_frames, seed)
 
@@ -288,7 +293,7 @@ def test_step_gradients_match_fd():
         rng = np.random.default_rng(400 + seed)
         params = _lstm(4, 4, rng)
         del params["lstm.proj_w"], params["lstm.proj_b"]
-        params["x"] = rng.normal(size=(2, 3, 4))
+        params["x"] = _frame_major(rng.normal(size=(2, 3, 4)))
         report = ad.finite_difference_check(program, params, step=1e-6)
         assert set(report.per_parameter) == {"x", "lstm.w_ih", "lstm.w_hh", "lstm.bias"}
         assert report.max_relative_error < 1e-5, seed
@@ -334,7 +339,7 @@ def _composed_windows(batch, params, frames=1):
     last bit (at K = 3, for one).
     """
     batch = ad.as_var(batch)
-    k, total, _ = batch.shape
+    total, k, _ = batch.shape
     hidden = params["lstm.w_hh"].shape[1]
     h = ad.as_var(np.zeros((k, hidden)))
     c = ad.as_var(np.zeros((k, hidden)))
@@ -342,9 +347,9 @@ def _composed_windows(batch, params, frames=1):
     for s in range(total):
         lo = max(s + 1 - frames, 0)
         if lo == s:
-            x = batch[:, s, :]
+            x = batch[s]
         else:  # frames lo..s, frame-major
-            x = batch[np.tile(rows, s + 1 - lo), np.repeat(np.arange(lo, s + 1), k)]
+            x = batch[np.repeat(np.arange(lo, s + 1), k), np.tile(rows, s + 1 - lo)]
         if lo == 0 and s > 0:  # the window reading f1 leaves the shared group
             shared = np.concatenate([rows, np.arange(s * k)])
             h, c = h[shared], c[shared]
@@ -393,7 +398,7 @@ def test_lstm_windows_is_bitwise_the_composition(k, total, data, leaf_batch, zer
     if signed_zero_inputs:  # about half the entries +0.0 or -0.0
         x[rng.random(x.shape) < 0.5] = 0.0
         x *= np.where(rng.random(x.shape) < 0.5, -1.0, 1.0)
-    values["x"] = x
+    values["x"] = _frame_major(x)
     mixes = (rng.normal(size=(frames * k, c)), rng.normal(size=(frames * k, h)))
     want = _fused_loss(_composed_windows, values, frames, leaf_batch, mixes)
     got = _fused_loss(_windows, values, frames, leaf_batch, mixes)
@@ -408,7 +413,7 @@ def test_fused_cell_is_bitwise_the_composition(seed):
     k, total, c, h = (int(v) for v in rng.integers([1, 1, 2, 2], [6, 5, 9, 7]))
     frames = int(rng.integers(1, total + 1))
     values = _lstm(c, h, rng)
-    values["x"] = rng.normal(size=(k, total, c))
+    values["x"] = _frame_major(rng.normal(size=(k, total, c)))
     mixes = (rng.normal(size=(frames * k, c)), rng.normal(size=(frames * k, h)))
     want = _fused_loss(_composed_windows, values, frames, True, mixes)
     _assert_bitwise(_fused_loss(_windows, values, frames, True, mixes), want)
@@ -419,11 +424,37 @@ def test_fused_cell_keeps_the_sign_of_zero_gradients():
     # zero weights give g = tanh(0) = +0, so the input-gate gradient
     # dc*g*... is a signed zero; its sign must come out as in the composition
     k, c, h = 3, 4, 2
-    values = {**_zero_params(c, h), "x": np.ones((k, 2, c))}
+    values = {**_zero_params(c, h), "x": np.ones((2, k, c))}
     mixes = (np.zeros((k, c)), -np.ones((k, h)))
     want = _fused_loss(_composed_windows, values, 1, True, mixes)
     assert np.any(want[2]["lstm.bias"] == 0.0)
     _assert_bitwise(_fused_loss(_windows, values, 1, True, mixes), want)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("all_frames", [False, True], ids=["frames=1", "frames=T"])
+def test_a_non_contiguous_batch_is_bitwise_its_contiguous_copy(k, all_frames):
+    # an anchor-major draw handed over as a (T, K, C) view, one channel cut
+    # so that no K is contiguous: each step copies its frames' rows
+    rng = np.random.default_rng(61 + k)
+    total, c, h = 3, 4, 2
+    frames = total if all_frames else 1
+    values = _lstm(c, h, rng)
+    view = rng.normal(size=(k, total, c + 1)).transpose(1, 0, 2)[:, :, :c]
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    mixes = (rng.normal(size=(frames * k, c)), rng.normal(size=(frames * k, h)))
+    want = _fused_loss(_windows, {**values, "x": copy}, frames, True, mixes)
+    _assert_bitwise(_fused_loss(_windows, {**values, "x": view}, frames, True, mixes), want)
+
+    def fused(x):
+        leaves = {name: ad.Var(v) for name, v in {**values, "x": x}.items()}
+        out = fuse_all_anchors(leaves["x"], leaves, frames)
+        loss = (out * mixes[0]).sum()
+        loss.backward()
+        return out.value, loss.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    _assert_bitwise(fused(view), fused(copy))
 
 
 def test_fused_trainer_gradients_are_bitwise_the_composition(monkeypatch):
@@ -444,7 +475,7 @@ def test_fused_trainer_gradients_are_bitwise_the_composition(monkeypatch):
 
     monkeypatch.setattr(training, "fuse_all_anchors", composed)
     want_value, want, _ = training.batch_gradients(params, *args)
-    assert calls == [(4 * run.scene.num_anchors, run.scene.num_frames, run.scene.channels)]
+    assert calls == [(run.scene.num_frames, 4 * run.scene.num_anchors, run.scene.channels)]
     assert got_value == want_value
     for name in training.PARAM_ORDER:
         assert got[name].tobytes() == want[name].tobytes(), name
@@ -457,7 +488,7 @@ def test_one_frame_never_reads_the_recurrent_weights():
     values = _lstm(4, 3, rng)
     values["lstm.w_hh"] = np.full_like(values["lstm.w_hh"], np.inf)
     params = {name: ad.Var(v) for name, v in values.items()}
-    fused = fuse_all_anchors(rng.normal(size=(2, 1, 4)), params)
+    fused = fuse_all_anchors(_frame_major(rng.normal(size=(2, 1, 4))), params)
     assert np.all(np.isfinite(fused.value))
     (fused * rng.normal(size=(2, 4))).sum().backward()
     assert np.array_equal(params["lstm.w_hh"].grad, np.zeros((12, 3)))
@@ -470,7 +501,7 @@ def test_backward_runs_no_vjp_on_constant_only_nodes():
     values = _lstm(4, 3, rng)
     values["lstm.proj_b"] = values["lstm.proj_b"] + 1.0  # keep the relu open
     params = {name: ad.Var(v) for name, v in values.items()}
-    batch = rng.normal(size=(2, 3, 4))  # a constant: nobody reads its gradient
+    batch = _frame_major(rng.normal(size=(2, 3, 4)))  # a constant: nobody reads its gradient
     loss = (fuse_all_anchors(batch, params) * rng.normal(size=(2, 4))).sum()
 
     nodes = _nodes(loss)

@@ -395,8 +395,8 @@ def _per_scene_loss(pvars, scene, anchors, loss_config, train_config, epoch):
     Chamfer call per positive anchor."""
     cfg = train_config
     s = anchors.num_stations
-    feats = np.stack([f.features for f in scene.frames], axis=1)
-    fused = fuse_all_anchors(feats, pvars) if cfg.use_lstm_fusion else ad.as_var(feats[:, -1, :])
+    feats = np.stack([f.features for f in scene.frames])
+    fused = fuse_all_anchors(feats, pvars) if cfg.use_lstm_fusion else ad.as_var(feats[-1])
     dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
     gt_lanes = list(scene.frames[-1].lanes)
     assignment = assign_targets(anchors, gt_lanes)
@@ -819,7 +819,7 @@ def _per_window_predict_frames(params, scene, scene_config, use_lstm_fusion):
             if t + 1 < total:
                 pad = np.repeat(feats[:1], total - (t + 1), axis=0)
                 window = np.concatenate([pad, window], axis=0)
-            fused = fuse_all_anchors(window.transpose(1, 0, 2), pvars).value
+            fused = fuse_all_anchors(window, pvars).value
         else:
             fused = feats[t]
         dx, dz, vis_logits, cls_logits = head_forward(fused, pvars)
@@ -1025,8 +1025,10 @@ def test_training_and_evaluation_are_bitwise_pinned():
 # pin is the one that sees the Chamfer ground truth bit for bit.  When the
 # all-zero base_z field was dropped, it was re-taken at commit cfe0b5b by
 # this loop skipping that field, and the new code's digest over all its
-# fields equals it.
-PINNED_MINIBATCH_SHA256 = "47566e3b17d103ded4020e8d7c54c0055fc42e81849231b861fdbf310846656b"
+# fields equals it.  When features became frame-major (T, B*K, C), it was
+# re-taken at commit be71a57 by this loop hashing features.transpose(1, 0, 2),
+# and the new code's digest equals it.
+PINNED_MINIBATCH_SHA256 = "4a89ae822a05b6121c62333840cc70add2844a010262c0b884cfbf9b072dd43e"
 
 
 def test_prepare_batch_is_bitwise_pinned(pinned_split):
